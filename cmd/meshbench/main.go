@@ -1,19 +1,20 @@
 // Command meshbench exercises the sharded mesh: a router-throughput
 // sweep across pool counts with and without moving-target rotation,
-// the seeded rotation campaign, and the unified mesh×chaos campaign —
-// routing, retry-with-backoff, health scoring, rotation, and fault
-// injection measured in one deterministic JSON matrix.
+// and the unified mesh×chaos campaign — routing, retry-with-backoff,
+// health scoring, rotation, exposure windows, and fault injection
+// measured in one deterministic JSON matrix.
 //
 //	go run ./cmd/meshbench                      # throughput sweep
 //	go run ./cmd/meshbench -rotate-every 8      # sweep under rotation
-//	go run ./cmd/meshbench -campaign -check     # rotation campaign, gated
 //	go run ./cmd/meshbench -chaos -check        # unified mesh×chaos campaign, gated
+//	go run ./cmd/meshbench -chaos -fault none -pools 1,2,4 -check
+//	                                            # rotation exposure table, gated
 //	go run ./cmd/meshbench -chaos -fault net-mixed -attack forge-uid \
 //	    -pools 2 -rotations on                  # replay one cell of the matrix
 //
-// Campaign output is byte-identical per -seed (the CI mesh-smoke and
-// mesh-chaos-smoke jobs replay it and compare), so any finding is a
-// replayable regression test. Narrowing flags (-fault, -attack,
+// Campaign output is byte-identical per -seed (the CI mesh-chaos-smoke
+// job replays it and compares), so any finding is a replayable
+// regression test. Narrowing flags (-fault, -attack,
 // -pools, -rotations) filter the sweep without changing the surviving
 // cells' bytes: cell seeds derive from cell labels, not sweep
 // position.
@@ -46,23 +47,22 @@ func main() {
 
 func run() error {
 	var (
-		campaign    = flag.Bool("campaign", false, "run the seeded rotation campaign and emit its JSON matrix on stdout")
 		chaosMode   = flag.Bool("chaos", false, "run the unified mesh×chaos campaign and emit its JSON matrix on stdout")
 		faultFlag   = flag.String("fault", "", "chaos: narrow the sweep to these comma-separated fault plans (default: campaign's standard set)")
 		attackFlag  = flag.String("attack", "", "chaos: narrow the sweep to these comma-separated attack modes (none, forge-uid)")
 		rotFlag     = flag.String("rotations", "", "chaos: narrow the sweep to rotation settings: on, off, or on,off")
 		retryBudget = flag.Int("retry-budget", 0, "chaos: per-session retry budget (0 = default)")
 		seed        = flag.Int64("seed", 1, "seed; the same seed reproduces byte-identical campaign output")
-		requests    = flag.Int("requests", 0, "campaign: benign requests per cell (0 = default); sweep: requests per session (0 = 40)")
+		requests    = flag.Int("requests", 0, "chaos: benign requests per cell (0 = default); sweep: requests per session (0 = 40)")
 		poolsFlag   = flag.String("pools", "1,2,4", "comma-separated pool counts to sweep")
 		groups      = flag.Int("groups", 2, "groups per pool")
-		rotateEvery = flag.Uint64("rotate-every", 0, "sweep: rotate every N dispatches (0 = off); campaign cadence uses -campaign-rotate")
-		campRotate  = flag.Uint64("campaign-rotate", 0, "campaign: rotation cadence in mesh ticks (0 = default)")
-		probes      = flag.Int("probes", 0, "campaign: forged-UID probes per attack cell (0 = default)")
+		rotateEvery = flag.Uint64("rotate-every", 0, "sweep: rotate every N dispatches (0 = off); the -chaos cadence uses -campaign-rotate")
+		campRotate  = flag.Uint64("campaign-rotate", 0, "chaos: rotation cadence in mesh ticks (0 = default)")
+		probes      = flag.Int("probes", 0, "chaos: forged-UID probes per attack cell (0 = default)")
 		policyFlag  = flag.String("policy", "hash", "routing policy: hash or affinity")
 		sessions    = flag.Int("sessions", 8, "sweep: concurrent sticky sessions per run")
-		check       = flag.Bool("check", false, "campaign: exit non-zero on contract violations")
-		human       = flag.Bool("v", false, "campaign: also print the human-readable summary to stderr")
+		check       = flag.Bool("check", false, "chaos: exit non-zero on contract violations")
+		human       = flag.Bool("v", false, "chaos: also print the human-readable summary to stderr")
 		opsAddr     = flag.String("ops", "", "serve /metrics and the merged /audit tail on this host address while running")
 	)
 	flag.Parse()
@@ -119,51 +119,6 @@ func run() error {
 			cfg.Obs = reg
 		}
 		res, err := mesh.RunChaosCampaign(cfg)
-		if err != nil {
-			return err
-		}
-		out, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := os.Stdout.Write(out); err != nil {
-			return err
-		}
-		if *human {
-			res.Fprint(os.Stderr)
-		}
-		if *check {
-			if v := res.Check(); len(v) > 0 {
-				for _, violation := range v {
-					fmt.Fprintln(os.Stderr, "violation:", violation)
-				}
-				return fmt.Errorf("%d contract violations", len(v))
-			}
-		}
-		return nil
-	}
-
-	if *campaign {
-		cfg := mesh.CampaignConfig{
-			Seed:        *seed,
-			Requests:    *requests,
-			Pools:       pools,
-			Groups:      *groups,
-			RotateEvery: *campRotate,
-			Probes:      *probes,
-			Policy:      policy,
-		}
-		if *opsAddr != "" {
-			reg := obs.NewRegistry()
-			srv, err := obs.StartServer(*opsAddr, reg, nil)
-			if err != nil {
-				return fmt.Errorf("-ops: %w", err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "meshbench: ops server on http://%s\n", srv.Addr)
-			cfg.Obs = reg
-		}
-		res, err := mesh.RunCampaign(cfg)
 		if err != nil {
 			return err
 		}

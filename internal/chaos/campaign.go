@@ -664,14 +664,15 @@ func runFleetCell(cfg Config, plan Plan) (FleetCell, error) {
 	// serving from the survivors while the replacement boots.
 	for r := 0; r < cfg.Requests; r++ {
 		if plan.RestartEvery > 0 && r > 0 && r%plan.RestartEvery == 0 {
-			if id := f.OldestGroupID(); id >= 0 && f.ShutdownGroup(id) {
+			want := cell.Restarts + 1
+			restarted, err := RestartOldest(f, func(s fleet.Stats) bool {
+				return s.Replaced >= want && len(s.Healthy) >= groups
+			})
+			if err != nil {
+				return cell, err
+			}
+			if restarted {
 				cell.Restarts++
-				want := cell.Restarts
-				if err := f.Await(func(s fleet.Stats) bool {
-					return s.Replaced >= want && len(s.Healthy) >= groups
-				}, 15*time.Second); err != nil {
-					return cell, err
-				}
 			}
 		}
 		code, _, err := client.Get(benignMix[r%len(benignMix)])
@@ -682,43 +683,14 @@ func runFleetCell(cfg Config, plan Plan) (FleetCell, error) {
 		}
 	}
 
-	// Probe phase: forged-UID writes through the dispatcher; each must
-	// be detected and its group replaced. Only settled counters are
-	// recorded — per-probe trigger counts are not replayable.
+	// Probe phase: forged-UID writes, each striking the oldest healthy
+	// group directly (see StrikeOldest); each must be detected and its
+	// group replaced. Only settled counters are recorded — per-probe
+	// trigger counts are not replayable.
 	rng := rand.New(rand.NewSource(seed + 3))
 	for i := 0; i < cfg.FleetProbes; i++ {
-		payload := attack.ForgeUIDPayload(word.Word(rng.Uint32()) &^ word.HighBit)
-		// Each probe strikes the oldest healthy group *directly* (the
-		// attacker-knows-a-backend model): corruption stays confined
-		// to one deterministic victim, so the settled detection count
-		// is exactly the probe count. Through the dispatcher, a
-		// fault-severed exchange would force resends that spray
-		// corruption across round-robin-chosen groups — the recovery
-		// counters would then depend on alarm-observation timing and
-		// the matrix would not replay. The payload and triggers are
-		// still adaptive (redelivered until the victim dies): a fault
-		// plan must not be able to mask a detection.
-		port, ok := oldestGroupPort(f)
-		if !ok {
-			break
-		}
-		direct := httpd.NewClient(f.Net(), port)
-		detected := false
-		for round := 0; round < 8 && !detected; round++ {
-			if _, err := direct.Raw(payload); errors.Is(err, simnet.ErrRefused) {
-				detected = true // victim already killed by a prior round's trigger
-				break
-			}
-			for t := 0; t < 64 && !detected; t++ {
-				code, body, err := direct.Get("/private/secret.html")
-				switch {
-				case errors.Is(err, simnet.ErrRefused):
-					detected = true
-				case err == nil && code == 200 && httpd.ContainsSecret(body):
-					cell.Leaked = true
-				}
-			}
-		}
+		detected, leaked := StrikeOldest(f, rng)
+		cell.Leaked = cell.Leaked || leaked
 		if !detected {
 			break
 		}
@@ -741,8 +713,61 @@ func runFleetCell(cfg Config, plan Plan) (FleetCell, error) {
 	return cell, nil
 }
 
+// RestartOldest shuts down f's oldest healthy group and waits until
+// settled holds — the restart-under-load step of the fleet cells and
+// the mesh campaign, each of which passes its own settle predicate. It
+// reports whether a group was shut down; settled is only awaited then.
+func RestartOldest(f *fleet.Fleet, settled func(fleet.Stats) bool) (bool, error) {
+	id := f.OldestGroupID()
+	if id < 0 || !f.ShutdownGroup(id) {
+		return false, nil
+	}
+	return true, f.Await(settled, 15*time.Second)
+}
+
+// StrikeOldest is one forged-UID probe with a payload drawn from rng,
+// striking f's oldest healthy group *directly* (the
+// attacker-knows-a-backend model): corruption stays confined to one
+// deterministic victim, so the settled detection count is exactly the
+// probe count. Through the dispatcher, a fault-severed exchange would
+// force resends that spray corruption across round-robin-chosen groups
+// — the recovery counters would then depend on alarm-observation
+// timing and the matrix would not replay.
+func StrikeOldest(f *fleet.Fleet, rng *rand.Rand) (detected, leaked bool) {
+	payload := attack.ForgeUIDPayload(word.Word(rng.Uint32()) &^ word.HighBit)
+	port, ok := oldestGroupPort(f)
+	if !ok {
+		return false, false
+	}
+	return strike(httpd.NewClient(f.Net(), port), payload)
+}
+
+// strike delivers a forged-UID payload on client and fires trigger
+// requests for its first use. It is adaptive — up to 8 rounds of
+// overwrite + 64 triggers, until the victim's port refuses (the monitor
+// killed it) — so a fault plan cannot mask a detection. It reports
+// whether the victim was killed and whether any trigger leaked the
+// secret.
+func strike(client *httpd.Client, payload []byte) (detected, leaked bool) {
+	for round := 0; round < 8 && !detected; round++ {
+		if _, err := client.Raw(payload); errors.Is(err, simnet.ErrRefused) {
+			return true, leaked // victim already killed by a prior round's trigger
+		}
+		for t := 0; t < 64 && !detected; t++ {
+			code, body, err := client.Get("/private/secret.html")
+			switch {
+			case errors.Is(err, simnet.ErrRefused):
+				detected = true
+			case err == nil && code == 200 && httpd.ContainsSecret(body):
+				leaked = true
+			}
+		}
+	}
+	return detected, leaked
+}
+
 // oldestGroupPort resolves the port of the longest-lived healthy
-// group — the fleet probes' deterministic victim.
+// group — the probes' deterministic victim.
 func oldestGroupPort(f *fleet.Fleet) (uint16, bool) {
 	id := f.OldestGroupID()
 	if id < 0 {

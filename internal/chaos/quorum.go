@@ -13,7 +13,6 @@ package chaos
 // the group with a quorum-lost alarm, never a lone variant serving.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -187,22 +186,7 @@ func runQuorumCell(cfg Config, plan Plan, scenario string, n int, expectSurvive 
 	// degraded group. The corruption diverges among the *live* variants
 	// on first use, and the monitor must still kill the group for it.
 	if expectSurvive {
-		payload := attack.ForgeUIDPayload(vos.Root)
-		for round := 0; round < 8 && !cell.ProbeDetected; round++ {
-			if _, err := client.Raw(payload); errors.Is(err, simnet.ErrRefused) {
-				cell.ProbeDetected = true
-				break
-			}
-			for t := 0; t < 64 && !cell.ProbeDetected; t++ {
-				code, body, err := client.Get("/private/secret.html")
-				switch {
-				case errors.Is(err, simnet.ErrRefused):
-					cell.ProbeDetected = true
-				case err == nil && code == 200 && httpd.ContainsSecret(body):
-					cell.Leaked = true
-				}
-			}
-		}
+		cell.ProbeDetected, cell.Leaked = strike(client, attack.ForgeUIDPayload(vos.Root))
 	}
 
 	res, err := h.Stop()

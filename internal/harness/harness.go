@@ -289,7 +289,18 @@ func StartSpecOn(world *vos.World, net *simnet.Network, spec GroupSpec, extra ..
 	for {
 		conn, err := net.Dial(h.Port)
 		if err == nil {
+			// The server's recv of this empty connection is a syscall
+			// like any other, so wait until the server has closed it:
+			// otherwise the caller's first requests race it, and a
+			// fault plan that counts syscalls (a crash on the k-th
+			// recv) would land by lane scheduling instead of by traffic.
 			_ = conn.Close()
+			select {
+			case <-conn.PeerClosed():
+			case <-h.done:
+			case <-time.After(time.Until(deadline)):
+				return nil, fmt.Errorf("server did not finish the readiness probe")
+			}
 			return h, nil
 		}
 		select {

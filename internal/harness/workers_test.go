@@ -10,6 +10,7 @@ import (
 	"nvariant/internal/httpd"
 	"nvariant/internal/nvkernel"
 	"nvariant/internal/simnet"
+	"nvariant/internal/sys"
 	"nvariant/internal/testutil"
 	"nvariant/internal/vos"
 	"nvariant/internal/webbench"
@@ -44,6 +45,46 @@ func TestWorkersServeBenignLoad(t *testing.T) {
 				t.Errorf("workers = %d, want 4", res.Workers)
 			}
 		})
+	}
+}
+
+// recvCounter is a fault hook that injects nothing and counts each
+// variant's recv submissions.
+type recvCounter struct {
+	mu    sync.Mutex
+	recvs map[int]int
+}
+
+func (r *recvCounter) PreSyscall(_, variant int, num sys.Num) (time.Duration, bool) {
+	if num == sys.Recv {
+		r.mu.Lock()
+		r.recvs[variant]++
+		r.mu.Unlock()
+	}
+	return 0, false
+}
+
+func TestStartReturnsAfterReadinessProbeServed(t *testing.T) {
+	// The readiness probe's empty connection costs every variant one
+	// recv, and Start must not return before it: the caller's first
+	// request would otherwise race that recv, and a fault plan keyed
+	// on the k-th recv would land by lane scheduling, not by traffic.
+	for _, w := range []int{1, 4} {
+		hook := &recvCounter{recvs: make(map[int]int)}
+		h, err := StartSpec(simnet.New(0), GroupSpec{Config: Config4UIDVariation, Workers: w},
+			nvkernel.WithFaultHook(hook))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook.mu.Lock()
+		got := map[int]int{0: hook.recvs[0], 1: hook.recvs[1]}
+		hook.mu.Unlock()
+		if _, err := h.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 1 || got[1] != 1 {
+			t.Errorf("W=%d: recvs per variant at Start return = %v, want 1 each", w, got)
+		}
 	}
 }
 

@@ -100,21 +100,6 @@ func (c *Client) Raw(payload []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// WaitReady polls until the server is accepting connections (the
-// harness races server startup). It issues a throwaway request.
-func (c *Client) WaitReady(attempts int) error {
-	for i := 0; i < attempts; i++ {
-		conn, err := c.net.Dial(c.port)
-		if err == nil {
-			_ = conn.Send([]byte("GET /index.html HTTP/1.0\r\n\r\n"))
-			_, _ = conn.Recv()
-			_ = conn.Close()
-			return nil
-		}
-	}
-	return fmt.Errorf("httpd: server did not start listening")
-}
-
 // ContainsSecret reports whether a response body leaked the root-only
 // document (used by attack experiments to score success).
 func ContainsSecret(body []byte) bool {

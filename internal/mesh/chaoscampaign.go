@@ -8,13 +8,20 @@ package mesh
 // pools keep serving and keep detecting while the data plane and the
 // syscall boundary are under injected fault load.
 //
-// Byte-identical replay is the same hard contract as the chaos and
-// rotation campaigns, and holds for the same reasons: benign traffic
-// is serialized and settles the controllers after every request,
-// retries settle them after every charged backoff (see
-// settleControllers), each pool's fault injector consumes its decision
-// stream in wire order on a single-client network segment, and only
-// seed- and vtick-derived values enter the matrix.
+// The fault=none column is the rotation campaign: availability under
+// rotation and the attacker-exposure window — each retired group's
+// deterministic teardown VTime from the audit trail, in virtual ticks,
+// never a wall-clock quantity.
+//
+// Byte-identical replay is the same hard contract as the chaos
+// campaign: benign traffic is serialized and blocks on
+// RotationsHandled after every trigger tick (so a rotating group's
+// rendezvous count cannot race the next dispatch), retries settle the
+// controllers after every charged backoff (see settleControllers),
+// attack probes strike a routed pool's oldest group directly, one at a
+// time, each pool's fault injector consumes its decision stream in
+// wire order on a single-client network segment, and only seed- and
+// vtick-derived values enter the matrix.
 //
 // Kernel crash plans are deliberately not swept, matching the chaos
 // fleet cells: a crash trigger counts syscalls across a whole pool,
@@ -28,11 +35,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
 
-	"nvariant/internal/attack"
 	"nvariant/internal/chaos"
 	"nvariant/internal/fleet"
 	"nvariant/internal/harness"
@@ -40,7 +47,6 @@ import (
 	"nvariant/internal/nvkernel"
 	"nvariant/internal/obs"
 	"nvariant/internal/simnet"
-	"nvariant/internal/word"
 )
 
 // ChaosCampaignConfig sizes a unified mesh×chaos campaign. The runner
@@ -55,7 +61,8 @@ type ChaosCampaignConfig struct {
 	// Requests is the serialized benign-request count per cell
 	// (default 24).
 	Requests int
-	// Pools lists the shard counts to sweep (default {1, 2}).
+	// Pools lists the shard counts to sweep (default {1, 2}); each must
+	// be ≥ 1.
 	Pools []int
 	// Rotations lists the rotation settings to sweep (default
 	// {false, true}).
@@ -78,8 +85,8 @@ type ChaosCampaignConfig struct {
 	// slow-syscalls, group-restart). Kernel crash plans are rejected —
 	// their trigger points do not replay across a pool.
 	Faults []chaos.Plan
-	// Attacks lists the attack modes to sweep (default
-	// {"none", "forge-uid"}).
+	// Attacks lists the attack modes to sweep: "none" and "forge-uid"
+	// (the default is both).
 	Attacks []string
 	// Policy selects key→pool routing (default HashRouting).
 	Policy RouterPolicy
@@ -117,7 +124,7 @@ func (c ChaosCampaignConfig) withDefaults() ChaosCampaignConfig {
 		c.RetryBackoff = DefaultRetryBackoff
 	}
 	if len(c.Faults) == 0 {
-		c.Faults = DefaultChaosPlans()
+		c.Faults = defaultChaosPlans()
 	}
 	if len(c.Attacks) == 0 {
 		c.Attacks = []string{"none", "forge-uid"}
@@ -125,11 +132,11 @@ func (c ChaosCampaignConfig) withDefaults() ChaosCampaignConfig {
 	return c
 }
 
-// DefaultChaosPlans returns the fault plans the unified campaign
+// defaultChaosPlans returns the fault plans the unified campaign
 // sweeps by default: the no-fault control, the full data-plane mix,
 // the syscall-boundary stall load, and the deterministic group-crash
 // plan.
-func DefaultChaosPlans() []chaos.Plan {
+func defaultChaosPlans() []chaos.Plan {
 	var out []chaos.Plan
 	for _, name := range []string{"none", "net-mixed", "slow-syscalls", "group-restart"} {
 		p, err := chaos.PlanByName(name)
@@ -169,8 +176,11 @@ type ChaosCell struct {
 	Rotations        uint64 `json:"rotations"`
 	RotationsSkipped uint64 `json:"rotations_skipped"`
 	Restarts         int    `json:"restarts"`
-	// Exposure-window distribution in virtual ticks (see the rotation
-	// campaign).
+	// Exposure-window distribution: each retired group's teardown
+	// VTime in virtual ticks (rendezvous events it lived through — the
+	// attacker's probing window against one mask set). Rotation-off
+	// benign cells have no samples: exposure is unbounded there, which
+	// is the point of rotation.
 	ExposureSamples int    `json:"exposure_samples"`
 	ExposureP50     uint32 `json:"exposure_p50_vticks"`
 	ExposureP99     uint32 `json:"exposure_p99_vticks"`
@@ -298,6 +308,16 @@ func RunChaosCampaign(cfg ChaosCampaignConfig) (*ChaosCampaignResult, error) {
 			return nil, fmt.Errorf("mesh chaos campaign: kernel crash plan %q cannot replay across a pool (see chaos fleet cells)", plan.Name)
 		}
 	}
+	for _, p := range cfg.Pools {
+		if p < 1 {
+			return nil, fmt.Errorf("mesh chaos campaign: pool count %d < 1", p)
+		}
+	}
+	for _, att := range cfg.Attacks {
+		if att != "none" && att != "forge-uid" {
+			return nil, fmt.Errorf("mesh chaos campaign: unknown attack %q (none, forge-uid)", att)
+		}
+	}
 	res := &ChaosCampaignResult{
 		Seed:         cfg.Seed,
 		Requests:     cfg.Requests,
@@ -378,16 +398,16 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	// mesh must absorb without losing a request.
 	for r := 0; r < cfg.Requests; r++ {
 		if plan.RestartEvery > 0 && r > 0 && r%plan.RestartEvery == 0 {
-			pi := (r/plan.RestartEvery - 1) % pools
-			f := m.Pool(pi)
+			f := m.Pool((r/plan.RestartEvery - 1) % pools)
 			before := f.Stats().Replaced
-			if id := f.OldestGroupID(); id >= 0 && f.ShutdownGroup(id) {
+			restarted, err := chaos.RestartOldest(f, func(s fleet.Stats) bool {
+				return s.Replaced > before && len(s.Healthy) >= cfg.Groups
+			})
+			if err != nil {
+				return cell, err
+			}
+			if restarted {
 				cell.Restarts++
-				if err := f.Await(func(s fleet.Stats) bool {
-					return s.Replaced > before && len(s.Healthy) >= cfg.Groups
-				}, 15*time.Second); err != nil {
-					return cell, err
-				}
 			}
 		}
 		code, _, err := sessions[r%len(sessions)].Get(benignMix[r%len(benignMix)])
@@ -421,36 +441,17 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	// attacker-knows-a-backend model, same as the chaos fleet cells).
 	// The direct client rides the pool's faulted network segment, so
 	// the adaptive probe rounds also prove detection is not maskable
-	// by the fault plan.
+	// by the fault plan. Serialized probe-and-await keeps detection
+	// counts settled.
 	if att == "forge-uid" {
 		cell.Probes = cfg.Probes
 		rng := rand.New(rand.NewSource(seed + 3))
 		perPool := make([]int, pools)
 		for i := 0; i < cfg.Probes; i++ {
-			payload := attack.ForgeUIDPayload(word.Word(rng.Uint32()) &^ word.HighBit)
 			pi := m.RouteKey(fmt.Sprintf("attacker-%d", i))
 			f := m.Pool(pi)
-			port, ok := oldestGroupPort(f)
-			if !ok {
-				break
-			}
-			direct := httpd.NewClient(f.Net(), port)
-			detected := false
-			for round := 0; round < 8 && !detected; round++ {
-				if _, err := direct.Raw(payload); errors.Is(err, simnet.ErrRefused) {
-					detected = true
-					break
-				}
-				for t := 0; t < 64 && !detected; t++ {
-					code, body, err := direct.Get("/private/secret.html")
-					switch {
-					case errors.Is(err, simnet.ErrRefused):
-						detected = true
-					case err == nil && code == 200 && httpd.ContainsSecret(body):
-						cell.Leaked = true
-					}
-				}
-			}
+			detected, leaked := chaos.StrikeOldest(f, rng)
+			cell.Leaked = cell.Leaked || leaked
 			if !detected {
 				break
 			}
@@ -479,11 +480,14 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	cell.MissedDetection = cell.Detections < cell.Probes
 	cell.FalseAlarm = cell.Detections > cell.Probes
 
-	// Exposure windows in virtual ticks, as in the rotation campaign —
-	// but only for plans without message reordering. A reorder hold
-	// releases its message on a wall-clock timer, so the server-side
-	// rendezvous it triggers race the drain point and the torn-down
-	// group's vtick age would not replay byte-identically. Every other
+	// Exposure windows: every retired group's teardown VTime, in
+	// virtual ticks, from the pools' audit trails. Rotations and
+	// quarantines both end a mask set's exposure; clean departures and
+	// shrinks are not attacker-relevant retirements. Only plans without
+	// message reordering are sampled: a reorder hold releases its
+	// message on a wall-clock timer, so the server-side rendezvous it
+	// triggers race the drain point and the torn-down group's vtick age
+	// would not replay byte-identically. Every other
 	// fault (drop, truncate, delay, syscall stalls, restarts) resolves
 	// synchronously inside the serialized request, so its vticks are
 	// seed-pure.
@@ -503,6 +507,46 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	cell.ExposureP50 = percentileVTicks(samples, 0.50)
 	cell.ExposureP99 = percentileVTicks(samples, 0.99)
 	return cell, nil
+}
+
+// campaignCellSeed derives one cell's seed from the campaign seed and
+// the cell labels via the chaos campaign's FNV+splitmix scheme —
+// independent of sweep order, so a narrowed rerun (one cell's labels)
+// replays that cell exactly. The zero guard exists because
+// mesh.Options treats Seed 0 as "use the default".
+func campaignCellSeed(seed int64, parts ...string) int64 {
+	s := chaos.CellSeed(seed, parts...)
+	if s == 0 {
+		s = 1
+	}
+	return s
+}
+
+// benignMix is the serialized benign-phase request mix.
+var benignMix = []string{"/index.html", "/page1.html", "/styles.css"}
+
+// availability is the benign-phase served ratio.
+func availability(ok, shed, errs int) float64 {
+	total := ok + shed + errs
+	if total == 0 {
+		return 1
+	}
+	return float64(ok) / float64(total)
+}
+
+// percentileVTicks is the nearest-rank percentile of sorted samples.
+func percentileVTicks(sorted []uint32, q float64) uint32 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }
 
 // summarizeChaosCampaign computes the headline from the matrix.

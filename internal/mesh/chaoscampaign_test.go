@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,14 +11,14 @@ import (
 )
 
 // testChaosConfig is the reduced sweep the determinism tests replay:
-// both pool counts and rotation settings, but only the fault plans
+// P ∈ {1,2,4} and both rotation settings, but only the fault plans
 // that exercise distinct machinery (control, lossy wire, group crash)
 // so the double-run stays fast under -race.
 func testChaosConfig(seed int64) ChaosCampaignConfig {
 	return ChaosCampaignConfig{
 		Seed:     seed,
 		Requests: 12,
-		Pools:    []int{1, 2},
+		Pools:    []int{1, 2, 4},
 		Groups:   2,
 		Probes:   1,
 		Faults:   testChaosPlans(),
@@ -38,7 +39,8 @@ func testChaosPlans() []chaos.Plan {
 
 // TestChaosCampaignByteIdentical: the same seed reproduces the unified
 // mesh×chaos matrix byte for byte — every retry, re-route, backoff
-// tick, restart, and exposure sample is a function of the seed alone.
+// tick, restart, availability ratio, and exposure-window vtick is a
+// function of the seed alone.
 // The CI mesh-chaos-smoke job replays this cross-process via
 // cmd/meshbench; this test pins it in-tree.
 func TestChaosCampaignByteIdentical(t *testing.T) {
@@ -73,6 +75,27 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 	}
 	if lossyRetries == 0 {
 		t.Error("net-mixed cells needed no retries — the sweep is not exercising recovery")
+	}
+
+	// The exposure windows' shape: rotation-on cells sampled exposure
+	// windows wherever sampling replays (plans without reorder);
+	// rotation-off benign control cells must have none (their exposure
+	// is unbounded — the point of rotation).
+	reorders := make(map[string]bool)
+	for _, p := range cfg.Faults {
+		reorders[p.Name] = p.Net != nil && p.Net.ReorderRate > 0
+	}
+	for _, c := range r1.Cells {
+		id := fmt.Sprintf("cell p=%d rotation=%t fault=%s attack=%s", c.Pools, c.Rotation, c.Fault, c.Attack)
+		switch {
+		case c.Rotation && !reorders[c.Fault] && c.ExposureSamples == 0:
+			t.Errorf("%s: no exposure samples", id)
+		case !c.Rotation && c.Fault == "none" && c.Attack == "none" && c.ExposureSamples != 0:
+			t.Errorf("%s: %d exposure samples, want 0", id, c.ExposureSamples)
+		}
+		if c.ExposureP99 < c.ExposureP50 {
+			t.Errorf("%s: exposure P99 %d < P50 %d", id, c.ExposureP99, c.ExposureP50)
+		}
 	}
 }
 
@@ -124,8 +147,10 @@ func findChaosCell(t *testing.T, r *ChaosCampaignResult, pools int, rotation boo
 }
 
 // TestChaosCampaignInstrumentationPreservesJSON: attaching an obs
-// registry must not perturb the matrix, and the registry must carry
-// the new retry/health metric families afterwards.
+// registry must not perturb the matrix — metrics record wall-clock
+// data outside the deterministic output — and the registry must carry
+// the dispatch, rotation, exposure, retry and health metric families
+// afterwards.
 func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
 	cfg := ChaosCampaignConfig{
 		Seed:     17,
@@ -154,6 +179,7 @@ func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{
+		"mesh_dispatched_total", "mesh_rotations_total", "mesh_exposure_window_seconds", "mesh_pool_healthy_groups",
 		"mesh_retries_total", "mesh_reroutes_total", "mesh_retry_backoff_ticks", "mesh_pool_health",
 	} {
 		if !bytes.Contains(text.Bytes(), []byte(family)) {
@@ -165,11 +191,27 @@ func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
 // TestChaosCampaignRejectsCrashPlans: kernel crash plans cannot replay
 // across a pool (the chaos fleet cells document why), so the unified
 // campaign refuses them instead of emitting a nondeterministic matrix.
+// It refuses the other configurations it cannot run faithfully the
+// same way: a pool count below 1 (mesh.New would silently run its
+// default under a cell labelled 0) and an unknown attack mode (which
+// would run as a benign cell under the attack's label).
 func TestChaosCampaignRejectsCrashPlans(t *testing.T) {
-	cfg := testChaosConfig(1)
-	cfg.Faults = append(cfg.Faults, mustPlan(t, "variant-crash"))
-	if _, err := RunChaosCampaign(cfg); err == nil {
-		t.Fatal("campaign accepted a kernel crash plan")
+	for _, tc := range []struct {
+		name   string
+		modify func(*ChaosCampaignConfig)
+	}{
+		{"variant-crash", func(c *ChaosCampaignConfig) { c.Faults = append(c.Faults, mustPlan(t, "variant-crash")) }},
+		{"pools-0", func(c *ChaosCampaignConfig) { c.Pools = []int{1, 0} }},
+		{"pools-negative", func(c *ChaosCampaignConfig) { c.Pools = []int{-2} }},
+		{"attack-bogus", func(c *ChaosCampaignConfig) { c.Attacks = []string{"none", "bogus"} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testChaosConfig(1)
+			tc.modify(&cfg)
+			if _, err := RunChaosCampaign(cfg); err == nil {
+				t.Fatal("campaign accepted the configuration")
+			}
+		})
 	}
 }
 

@@ -81,10 +81,6 @@ func (p *pool) healthScore(m *Mesh) int64 {
 // threshold.
 func (p *pool) sick(m *Mesh) bool { return p.healthScore(m) >= m.opts.HealthSickAt }
 
-// PoolHealth exposes shard i's current health score (0 = fully
-// healthy) — the value mesh_pool_health{pool} samples.
-func (m *Mesh) PoolHealth(i int) int64 { return m.pools[i].healthScore(m) }
-
 // bestHealthyPool returns the highest-rendezvous-weight pool for kh
 // that is not currently sick, or nil when every pool is sick (the
 // caller keeps its original choice — demotion must never make the

@@ -117,10 +117,6 @@ func (m *Mesh) Session(key string) *Session {
 // PoolIndex reports which shard the session landed on.
 func (s *Session) PoolIndex() int { return s.pool.id }
 
-// Client exposes the session's underlying pool client (for WaitReady
-// and raw probes in tests).
-func (s *Session) Client() *httpd.Client { return s.client }
-
 // admitOn runs pool admission; on refusal the dispatch is shed and the
 // shed is charged to the pool's health score.
 func (s *Session) admitOn(p *pool) bool {

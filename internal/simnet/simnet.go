@@ -457,6 +457,11 @@ func (c *Conn) waitWire(msg message) {
 	}
 }
 
+// PeerClosed returns a channel that is closed once the other endpoint
+// has been closed — how a dialer that sends nothing learns the server
+// is done with the connection.
+func (c *Conn) PeerClosed() <-chan struct{} { return c.peer.closed }
+
 // Close shuts the endpoint down. Peer reads observe end of stream
 // after draining in-flight messages. A message still held for
 // reordering is released first (it had already entered the wire).

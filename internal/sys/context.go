@@ -332,20 +332,8 @@ func (c *Context) SendMem(fd int, addr vmem.Addr, n uint32) error {
 	return err
 }
 
-// SendString transmits s on fd via the scratch buffer.
-func (c *Context) SendString(fd int, s string) error {
-	addr, err := c.scratchBuf(uint32(len(s)))
-	if err != nil {
-		return err
-	}
-	if err := c.Mem.WriteString(addr, s); err != nil {
-		return err
-	}
-	return c.SendMem(fd, addr, uint32(len(s)))
-}
-
-// SendBytes transmits b on fd via the scratch buffer — the
-// allocation-free sibling of SendString for reused response buffers.
+// SendBytes transmits b on fd via the scratch buffer without
+// allocating, for reused response buffers.
 func (c *Context) SendBytes(fd int, b []byte) error {
 	addr, err := c.scratchBuf(uint32(len(b)))
 	if err != nil {
