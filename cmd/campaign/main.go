@@ -1,13 +1,13 @@
 // Command campaign runs the chaos campaign: the expanded attack corpus
 // swept against seeded fault plans across group size, worker-lane
-// count and variation stack, emitting a deterministic JSON matrix of
-// detection / false-alarm / throughput-retained results on stdout.
-// The same -seed reproduces byte-identical output, so any finding is a
-// replayable regression test:
+// count and variation stack, plus the K-of-N quorum survival cells,
+// emitting a deterministic JSON matrix of detection / false-alarm /
+// throughput-retained results on stdout. The same -seed reproduces
+// byte-identical output, so any finding is a replayable regression
+// test. Pool topologies (fleets and meshes) run in meshbench -chaos.
 //
 //	go run ./cmd/campaign -seed 1 -check
 //	go run ./cmd/campaign -seed 1 -fault-only -check   # transparency matrix
-//	go run ./cmd/campaign -seed 1 -quorum -check       # K-of-N survival matrix
 package main
 
 import (
@@ -37,10 +37,8 @@ func run() error {
 		workers   = flag.String("workers", "", "comma-separated worker-lane counts (empty = config default)")
 		stacks    = flag.String("stacks", "", "comma-separated variation stacks: uid+addr+files, addr+files")
 		attacks   = flag.String("attacks", "", "comma-separated scenario names; 'none' is the benign cell (empty = none + full corpus)")
-		faults    = flag.String("faults", "", "comma-separated fault plans; 'all' = every standard plan (empty = config default)")
+		faults    = flag.String("faults", "", "comma-separated fault plans; 'all' = every standard plan a group runs (empty = config default)")
 		faultOnly = flag.Bool("fault-only", false, "transparency campaign: transparent faults only, no attacks, N in {2,3,5}, W in {1,4}")
-		quorum    = flag.Bool("quorum", false, "quorum campaign: crash/stall survival and quorum-lost cells at K=2 plus fleet eviction/respawn cells")
-		noFleet   = flag.Bool("no-fleet", false, "skip the fleet restart/recovery section")
 		noSweep   = flag.Bool("no-bytesweep", false, "skip the word-level mask-byte brute force")
 		check     = flag.Bool("check", false, "exit non-zero if the matrix violates the detection / false-alarm contract")
 		human     = flag.Bool("v", false, "also print the human-readable summary to stderr")
@@ -51,9 +49,6 @@ func run() error {
 	cfg := chaos.DefaultConfig(*seed)
 	if *faultOnly {
 		cfg = chaos.FaultOnlyConfig(*seed)
-	}
-	if *quorum {
-		cfg = chaos.QuorumConfig(*seed)
 	}
 	if *requests > 0 {
 		cfg.Requests = *requests
@@ -83,7 +78,12 @@ func run() error {
 		}
 	}
 	if *faults == "all" {
-		cfg.Faults = chaos.Plans()
+		cfg.Faults = cfg.Faults[:0]
+		for _, p := range chaos.Plans() {
+			if !p.PoolOnly() {
+				cfg.Faults = append(cfg.Faults, p)
+			}
+		}
 	} else if *faults != "" {
 		cfg.Faults = cfg.Faults[:0]
 		for _, name := range splitList(*faults) {
@@ -93,9 +93,6 @@ func run() error {
 			}
 			cfg.Faults = append(cfg.Faults, p)
 		}
-	}
-	if *noFleet {
-		cfg.Fleet = false
 	}
 	if *noSweep {
 		cfg.ByteSweep = false

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"nvariant/internal/chaos"
 	"nvariant/internal/experiments"
 )
 
@@ -18,7 +19,7 @@ func main() {
 
 func run() error {
 	workers := flag.Int("workers", 0, "prefork worker-lane count for the nsweep servers (0 = serial)")
-	seed := flag.Int64("seed", 0, "chaos campaign seed (0 = fixed default)")
+	seed := flag.Int64("seed", 1, "chaos campaign seed")
 	flag.Parse()
 	which := flag.Args()
 	if len(which) == 0 {
@@ -77,13 +78,13 @@ func run() error {
 			}
 			res.Fprint(os.Stdout)
 		case "chaos":
-			res, err := experiments.RunChaosCampaign(*seed)
+			res, err := chaos.Run(chaos.DefaultConfig(*seed))
 			if err != nil {
 				return err
 			}
 			res.Fprint(os.Stdout)
 		case "faultonly":
-			res, err := experiments.RunFaultOnlyCampaign(*seed)
+			res, err := chaos.Run(chaos.FaultOnlyConfig(*seed))
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,8 @@
 // Command meshbench exercises the sharded mesh: a router-throughput
 // sweep across pool counts with and without moving-target rotation,
 // and the unified mesh×chaos campaign — routing, retry-with-backoff,
-// health scoring, rotation, exposure windows, and fault injection
-// measured in one deterministic JSON matrix.
+// health scoring, rotation, exposure windows, fault injection and
+// quorum evictions measured in one deterministic JSON matrix.
 //
 //	go run ./cmd/meshbench                      # throughput sweep
 //	go run ./cmd/meshbench -rotate-every 8      # sweep under rotation

@@ -9,7 +9,7 @@ package chaos
 // a replayable regression test), so the matrix records only values
 // that are functions of the seed: request outcome counts from the
 // serialized benign phases, detection and leak booleans, and settled
-// fleet counters. Wall-clock quantities never enter the output.
+// eviction counts. Wall-clock quantities never enter the output.
 
 import (
 	"encoding/json"
@@ -18,10 +18,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
-	"time"
 
 	"nvariant/internal/attack"
-	"nvariant/internal/fleet"
 	"nvariant/internal/harness"
 	"nvariant/internal/httpd"
 	"nvariant/internal/nvkernel"
@@ -65,31 +63,22 @@ type Config struct {
 	// Build (name "none") is the benign cell measuring pure fault
 	// transparency.
 	Attacks []attack.Scenario
-	// Faults lists the fault plans. Plans whose only effect is
-	// RestartEvery act as "none" in group cells (restarts are a fleet
-	// fault).
+	// Faults lists the fault plans. Pool-only plans (Plan.PoolOnly)
+	// are rejected: a single group has no pool to restart, and the
+	// mesh×chaos campaign runs them.
 	Faults []Plan
 	// ByteSweep includes the word-level exhaustive mask-byte brute
 	// force per N.
 	ByteSweep bool
-	// Fleet includes the fleet section: restart-under-load and probe
-	// recovery per fault plan (kernel-crash plans are skipped there —
-	// their trigger points are not deterministic across a pool).
-	Fleet bool
-	// FleetGroups is the fleet section's pool size.
-	FleetGroups int
-	// FleetProbes is the fleet section's forge-probe count.
-	FleetProbes int
-	// Quorum, when K ≥ 1, adds the quorum section: the crash and
-	// deadline-stall fault plans (excluded from the headline detection
-	// rate in unanimous mode) run as quorum-survival cells against
-	// K-of-(K+1) groups — gating availability across the fault, the
-	// eviction record, and post-fault divergence detection among the
-	// live variants — plus quorum-lost cells at N = K and, when Fleet
-	// is set, fleet cells gating eviction/respawn accounting.
+	// Quorum, when K ≥ 1, adds the quorum section: the variant-fault
+	// plans (excluded from the headline detection rate in unanimous
+	// mode) run as quorum-survival cells against K-of-(K+1) groups —
+	// gating availability across the fault, the eviction record, and
+	// post-fault divergence detection among the live variants — plus
+	// quorum-lost cells at N = K.
 	Quorum int
-	// Obs, when set, instruments every cell's kernel, network, server,
-	// and fleet on the registry. Metrics record wall-clock data outside
+	// Obs, when set, instruments every cell's kernel, network and
+	// server on the registry. Metrics record wall-clock data outside
 	// the deterministic matrix: output JSON is byte-identical with and
 	// without Obs (TestCampaignInstrumentationPreservesJSON).
 	Obs *obs.Registry
@@ -101,7 +90,7 @@ func NoAttack() attack.Scenario { return attack.Scenario{Name: "none"} }
 
 // DefaultConfig is the standard campaign at the given seed: the full
 // corpus and fault-plan crossing over N ∈ {2,3}, W ∈ {1,2}, both
-// stacks, plus byte sweeps and the fleet section.
+// stacks, plus byte sweeps and the quorum section.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:          seed,
@@ -113,13 +102,10 @@ func DefaultConfig(seed int64) Config {
 		Attacks:       append([]attack.Scenario{NoAttack()}, attack.Corpus()...),
 		Faults: []Plan{
 			mustPlan("none"), mustPlan("net-mixed"), mustPlan("slow-syscalls"),
-			mustPlan("variant-crash"), mustPlan("group-restart"),
+			mustPlan("variant-crash"),
 		},
-		ByteSweep:   true,
-		Fleet:       true,
-		FleetGroups: 2,
-		FleetProbes: 2,
-		Quorum:      2,
+		ByteSweep: true,
+		Quorum:    QuorumK,
 	}
 }
 
@@ -136,22 +122,6 @@ func FaultOnlyConfig(seed int64) Config {
 		Stacks:        []string{StackFull},
 		Attacks:       []attack.Scenario{NoAttack()},
 		Faults:        TransparentPlans(),
-	}
-}
-
-// QuorumConfig is the dedicated quorum campaign at the given seed: the
-// crash and stall survival/quorum-lost cells at K = 2 plus the fleet
-// eviction/respawn cells, with no attack × fault crossing. Its matrix
-// must show the K=2-of-3 groups surviving one crash and one stall at
-// 100% availability, detecting the divergence probe among the live
-// variants, and zero false alarms — byte-identical per seed.
-func QuorumConfig(seed int64) Config {
-	return Config{
-		Seed:        seed,
-		Requests:    8,
-		Quorum:      2,
-		Fleet:       true,
-		FleetGroups: 2,
 	}
 }
 
@@ -202,26 +172,6 @@ type ByteSweepRow struct {
 	Harmless  int    `json:"harmless"`
 }
 
-// FleetCell is one fleet-section entry: a pool under one fault plan
-// with deterministic restarts and forge probes.
-type FleetCell struct {
-	Fault    string `json:"fault"`
-	Groups   int    `json:"groups"`
-	Restarts int    `json:"restarts"`
-	Probes   int    `json:"probes"`
-
-	BenignOK   int `json:"benign_ok"`
-	BenignErrs int `json:"benign_errs"`
-
-	Detections int  `json:"detections"`
-	Spawned    int  `json:"spawned"`
-	Replaced   int  `json:"replaced"`
-	Leaked     bool `json:"leaked"`
-
-	MissedDetection bool `json:"missed_detection"`
-	FalseAlarm      bool `json:"false_alarm"`
-}
-
 // FaultSummary aggregates one fault plan across all its group cells.
 type FaultSummary struct {
 	Fault      string `json:"fault"`
@@ -252,21 +202,18 @@ type Summary struct {
 	QuorumCells        int            `json:"quorum_cells,omitempty"`
 	QuorumSurvived     int            `json:"quorum_survived,omitempty"`
 	QuorumEvictions    int            `json:"quorum_evictions,omitempty"`
-	QuorumRespawns     int            `json:"quorum_respawns,omitempty"`
 	PerFault           []FaultSummary `json:"per_fault"`
 }
 
 // Result is the campaign's full matrix. Marshalling it (JSON) is
 // byte-identical across runs with the same Config.
 type Result struct {
-	Seed        int64             `json:"seed"`
-	Requests    int               `json:"requests"`
-	Cells       []Cell            `json:"cells"`
-	ByteSweeps  []ByteSweepRow    `json:"byte_sweeps,omitempty"`
-	Fleet       []FleetCell       `json:"fleet,omitempty"`
-	Quorum      []QuorumCell      `json:"quorum,omitempty"`
-	QuorumFleet []QuorumFleetCell `json:"quorum_fleet,omitempty"`
-	Summary     Summary           `json:"summary"`
+	Seed       int64          `json:"seed"`
+	Requests   int            `json:"requests"`
+	Cells      []Cell         `json:"cells"`
+	ByteSweeps []ByteSweepRow `json:"byte_sweeps,omitempty"`
+	Quorum     []QuorumCell   `json:"quorum,omitempty"`
+	Summary    Summary        `json:"summary"`
 }
 
 // JSON renders the matrix deterministically.
@@ -280,8 +227,9 @@ func (r *Result) JSON() ([]byte, error) {
 
 // Check returns the list of contract violations in the matrix: missed
 // detections, false alarms, leaks from defended (UID-stack) cells,
-// undetected word-level corruptions, and fleet misses. An empty list
-// is the passing campaign.
+// undetected word-level corruptions, and quorum cells that did not
+// survive, evict, or detect as required. An empty list is the passing
+// campaign.
 func (r *Result) Check() []string {
 	var v []string
 	for _, c := range r.Cells {
@@ -299,18 +247,6 @@ func (r *Result) Check() []string {
 	for _, b := range r.ByteSweeps {
 		if b.Corrupted > 0 {
 			v = append(v, fmt.Sprintf("byte-sweep %s n=%d: %d undetected corruptions", b.Name, b.N, b.Corrupted))
-		}
-	}
-	for _, f := range r.Fleet {
-		id := fmt.Sprintf("fleet %s", f.Fault)
-		if f.MissedDetection {
-			v = append(v, id+": missed probe detection")
-		}
-		if f.FalseAlarm {
-			v = append(v, id+": false alarm")
-		}
-		if f.Leaked {
-			v = append(v, id+": secret leaked through the dispatcher")
 		}
 	}
 	for _, q := range r.Quorum {
@@ -334,21 +270,6 @@ func (r *Result) Check() []string {
 			v = append(v, id+": secret leaked from a degraded group")
 		}
 	}
-	for _, q := range r.QuorumFleet {
-		id := fmt.Sprintf("quorum-fleet %s", q.Fault)
-		if q.BenignErrs > 0 {
-			v = append(v, fmt.Sprintf("%s: %d benign errors across the fault, want full availability", id, q.BenignErrs))
-		}
-		if q.Evictions < 1 || q.Respawned < 1 || q.MissedRespawn {
-			v = append(v, fmt.Sprintf("%s: evicted %d / respawned %d, want >= 1 each", id, q.Evictions, q.Respawned))
-		}
-		if q.DegradedEnd != 0 {
-			v = append(v, fmt.Sprintf("%s: %d groups still degraded after settle", id, q.DegradedEnd))
-		}
-		if q.FalseAlarm {
-			v = append(v, fmt.Sprintf("%s: fault counted as %d detections", id, q.Detections))
-		}
-	}
 	return v
 }
 
@@ -362,6 +283,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.TriggerBudget <= 0 {
 		cfg.TriggerBudget = 16
+	}
+	for _, plan := range cfg.Faults {
+		if plan.PoolOnly() {
+			return nil, fmt.Errorf("chaos: plan %q only restarts pool groups; run it in the mesh×chaos campaign", plan.Name)
+		}
 	}
 	res := &Result{Seed: cfg.Seed, Requests: cfg.Requests}
 	for _, sc := range cfg.Attacks {
@@ -387,35 +313,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.ByteSweeps = rows
 	}
-	if cfg.Fleet {
-		for _, plan := range cfg.Faults {
-			if plan.Kernel != nil && plan.Kernel.CrashAfter > 0 {
-				// A crash trigger counts syscalls across the whole pool,
-				// where replacement startups interleave with serving —
-				// the trigger point would not replay. Group cells cover
-				// crash-and-drain.
-				continue
-			}
-			fc, err := runFleetCell(cfg, plan)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: fleet cell %s: %w", plan.Name, err)
-			}
-			res.Fleet = append(res.Fleet, fc)
-		}
-	}
 	if cfg.Quorum > 0 {
 		cells, err := runQuorumCells(cfg)
 		if err != nil {
 			return nil, err
 		}
 		res.Quorum = cells
-		if cfg.Fleet {
-			fcs, err := runQuorumFleetCells(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res.QuorumFleet = fcs
-		}
 	}
 	res.Summary = summarize(cfg, res)
 	return res, nil
@@ -435,9 +338,6 @@ func CellSeed(seed int64, parts ...string) int64 {
 	}
 	return int64(mix64(uint64(seed) ^ h.Sum64()))
 }
-
-// cellSeed is the package-internal shorthand for CellSeed.
-func cellSeed(seed int64, parts ...string) int64 { return CellSeed(seed, parts...) }
 
 // buildGroupSpec assembles the harness spec of one cell's deployment.
 func buildGroupSpec(stack string, n, w int, seed int64, kopts []nvkernel.Option) (harness.GroupSpec, error) {
@@ -472,7 +372,7 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 		ExpectDetect:     sc.Build != nil && sc.ExpectDetect && stack == StackFull && plan.Transparent,
 		ExpectFaultAlarm: !plan.Transparent,
 	}
-	seed := cellSeed(cfg.Seed, "group", sc.Name, plan.Name, stack, fmt.Sprint(n), fmt.Sprint(w))
+	seed := CellSeed(cfg.Seed, "group", sc.Name, plan.Name, stack, fmt.Sprint(n), fmt.Sprint(w))
 
 	world, err := vos.NewWorld()
 	if err != nil {
@@ -488,6 +388,11 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 	var kopts []nvkernel.Option
 	if plan.Kernel != nil {
 		kopts = append(kopts, nvkernel.WithFaultHook(plan.Kernel.Hook(seed+2)))
+		if plan.Kernel.StallAfter > 0 {
+			// A deterministic stall is sized against the quorum deadline;
+			// under the default one a unanimous group would wait it out.
+			kopts = append(kopts, nvkernel.WithTimeout(QuorumTimeout))
+		}
 	}
 	if cfg.Obs != nil {
 		kopts = append(kopts, nvkernel.WithMetrics(nvkernel.NewMetrics(cfg.Obs)))
@@ -615,7 +520,7 @@ func runByteSweeps(cfg Config) ([]ByteSweepRow, error) {
 	rows[0].Trials, rows[0].Detected, rows[0].Corrupted, rows[0].Harmless =
 		rep.Trials, rep.Detected, rep.Corrupted, rep.Harmless
 	for _, n := range cfg.Ns {
-		spec := reexpress.Generate(cellSeed(cfg.Seed, "bytesweep", fmt.Sprint(n)), n, reexpress.LayerUID)
+		spec := reexpress.Generate(CellSeed(cfg.Seed, "bytesweep", fmt.Sprint(n)), n, reexpress.LayerUID)
 		rep, err := attack.ByteSweep(spec.UIDFuncs(), byteSweepVictim)
 		if err != nil {
 			return nil, err
@@ -628,132 +533,30 @@ func runByteSweeps(cfg Config) ([]ByteSweepRow, error) {
 	return rows, nil
 }
 
-// runFleetCell runs the fleet section for one fault plan: a pool under
-// serialized load with deterministic group restarts, then forge probes
-// through the dispatcher.
-func runFleetCell(cfg Config, plan Plan) (FleetCell, error) {
-	groups := cfg.FleetGroups
-	if groups <= 0 {
-		groups = 2
-	}
-	cell := FleetCell{Fault: plan.Name, Groups: groups, Probes: cfg.FleetProbes}
-	seed := cellSeed(cfg.Seed, "fleet", plan.Name)
-
-	opts := fleet.Options{
-		Groups: groups,
-		Config: harness.Config4UIDVariation,
-		Server: httpd.DefaultOptions(),
-		Seed:   seed,
-		Obs:    cfg.Obs,
-	}
-	if plan.Net != nil {
-		opts.Faults = plan.Net.Injector(seed + 1)
-	}
-	if plan.Kernel != nil {
-		opts.Kernel = []nvkernel.Option{nvkernel.WithFaultHook(plan.Kernel.Hook(seed + 2))}
-	}
-	f, err := fleet.New(opts)
-	if err != nil {
-		return cell, err
-	}
-	defer func() { _, _ = f.Stop() }()
-	client := f.Client()
-
-	// Benign phase with restart-under-load: after every RestartEvery-th
-	// request the oldest group is shut down; the dispatcher must keep
-	// serving from the survivors while the replacement boots.
-	for r := 0; r < cfg.Requests; r++ {
-		if plan.RestartEvery > 0 && r > 0 && r%plan.RestartEvery == 0 {
-			want := cell.Restarts + 1
-			restarted, err := RestartOldest(f, func(s fleet.Stats) bool {
-				return s.Replaced >= want && len(s.Healthy) >= groups
-			})
-			if err != nil {
-				return cell, err
-			}
-			if restarted {
-				cell.Restarts++
-			}
-		}
-		code, _, err := client.Get(benignMix[r%len(benignMix)])
-		if err == nil && code == 200 {
-			cell.BenignOK++
-		} else {
-			cell.BenignErrs++
-		}
-	}
-
-	// Probe phase: forged-UID writes, each striking the oldest healthy
-	// group directly (see StrikeOldest); each must be detected and its
-	// group replaced. Only settled counters are recorded — per-probe
-	// trigger counts are not replayable.
-	rng := rand.New(rand.NewSource(seed + 3))
-	for i := 0; i < cfg.FleetProbes; i++ {
-		detected, leaked := StrikeOldest(f, rng)
-		cell.Leaked = cell.Leaked || leaked
-		if !detected {
-			break
-		}
-		if err := f.Await(func(s fleet.Stats) bool {
-			return s.Detections >= i+1 && s.Replaced >= cell.Restarts+i+1 && len(s.Healthy) >= groups
-		}, 15*time.Second); err != nil {
-			return cell, err
-		}
-	}
-
-	stats, err := f.Stop()
-	if err != nil {
-		return cell, err
-	}
-	cell.Detections = stats.Detections
-	cell.Spawned = stats.Spawned
-	cell.Replaced = stats.Replaced
-	cell.MissedDetection = cell.Detections < cell.Probes
-	cell.FalseAlarm = cell.Detections > cell.Probes
-	return cell, nil
-}
-
-// RestartOldest shuts down f's oldest healthy group and waits until
-// settled holds — the restart-under-load step of the fleet cells and
-// the mesh campaign, each of which passes its own settle predicate. It
-// reports whether a group was shut down; settled is only awaited then.
-func RestartOldest(f *fleet.Fleet, settled func(fleet.Stats) bool) (bool, error) {
-	id := f.OldestGroupID()
-	if id < 0 || !f.ShutdownGroup(id) {
-		return false, nil
-	}
-	return true, f.Await(settled, 15*time.Second)
-}
-
-// StrikeOldest is one forged-UID probe with a payload drawn from rng,
-// striking f's oldest healthy group *directly* (the
-// attacker-knows-a-backend model): corruption stays confined to one
-// deterministic victim, so the settled detection count is exactly the
-// probe count. Through the dispatcher, a fault-severed exchange would
-// force resends that spray corruption across round-robin-chosen groups
-// — the recovery counters would then depend on alarm-observation
-// timing and the matrix would not replay.
-func StrikeOldest(f *fleet.Fleet, rng *rand.Rand) (detected, leaked bool) {
-	payload := attack.ForgeUIDPayload(word.Word(rng.Uint32()) &^ word.HighBit)
-	port, ok := oldestGroupPort(f)
-	if !ok {
-		return false, false
-	}
-	return strike(httpd.NewClient(f.Net(), port), payload)
-}
-
-// strike delivers a forged-UID payload on client and fires trigger
+// Strike delivers a forged-UID payload on client and fires trigger
 // requests for its first use. It is adaptive — up to 8 rounds of
 // overwrite + 64 triggers, until the victim's port refuses (the monitor
-// killed it) — so a fault plan cannot mask a detection. It reports
-// whether the victim was killed and whether any trigger leaked the
-// secret.
-func strike(client *httpd.Client, payload []byte) (detected, leaked bool) {
+// killed it) — so a fault plan cannot mask a detection. gone, when
+// non-nil, reports that a pooled victim has left its pool: the pool
+// recycles a dead group's port, so a kill the fault plan turned into a
+// dropped exchange must not leave the strike sending into the
+// replacement. Strike reports whether the victim was killed and
+// whether any trigger leaked the secret.
+func Strike(client *httpd.Client, payload []byte, gone func() bool) (detected, leaked bool) {
+	if gone == nil {
+		gone = func() bool { return false }
+	}
 	for round := 0; round < 8 && !detected; round++ {
+		if gone() {
+			return true, leaked // the pool already pruned the killed victim
+		}
 		if _, err := client.Raw(payload); errors.Is(err, simnet.ErrRefused) {
 			return true, leaked // victim already killed by a prior round's trigger
 		}
 		for t := 0; t < 64 && !detected; t++ {
+			if gone() {
+				return true, leaked
+			}
 			code, body, err := client.Get("/private/secret.html")
 			switch {
 			case errors.Is(err, simnet.ErrRefused):
@@ -764,21 +567,6 @@ func strike(client *httpd.Client, payload []byte) (detected, leaked bool) {
 		}
 	}
 	return detected, leaked
-}
-
-// oldestGroupPort resolves the port of the longest-lived healthy
-// group — the probes' deterministic victim.
-func oldestGroupPort(f *fleet.Fleet) (uint16, bool) {
-	id := f.OldestGroupID()
-	if id < 0 {
-		return 0, false
-	}
-	for _, g := range f.Stats().Healthy {
-		if g.ID == id {
-			return g.Port, true
-		}
-	}
-	return 0, false
 }
 
 // summarize computes the campaign headline from the matrix.
@@ -841,14 +629,6 @@ func summarize(cfg Config, r *Result) Summary {
 			s.FalseAlarms++
 		}
 	}
-	for _, q := range r.QuorumFleet {
-		s.QuorumCells++
-		s.QuorumEvictions += q.Evictions
-		s.QuorumRespawns += q.Respawned
-		if q.FalseAlarm {
-			s.FalseAlarms++
-		}
-	}
 	if s.ExpectedDetections > 0 {
 		s.DetectionRate = float64(s.Detections) / float64(s.ExpectedDetections)
 	}
@@ -870,8 +650,8 @@ func summarize(cfg Config, r *Result) Summary {
 // the JSON matrix is the machine artifact.
 func (r *Result) Fprint(w io.Writer) {
 	s := r.Summary
-	fmt.Fprintf(w, "Chaos campaign (seed %d): %d group cells, %d fleet cells, %d byte sweeps\n",
-		r.Seed, len(r.Cells), len(r.Fleet), len(r.ByteSweeps))
+	fmt.Fprintf(w, "Chaos campaign (seed %d): %d group cells, %d quorum cells, %d byte sweeps\n",
+		r.Seed, len(r.Cells), len(r.Quorum), len(r.ByteSweeps))
 	fmt.Fprintf(w, "  detection: %d/%d expected (rate %.2f); missed %d; false alarms %d\n",
 		s.Detections, s.ExpectedDetections, s.DetectionRate, s.MissedDetections, s.FalseAlarms)
 	fmt.Fprintf(w, "  leaks: %d defended (must be 0), %d undefended-baseline (expected)\n",
@@ -885,17 +665,9 @@ func (r *Result) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "  byte-sweep %-16s n=%d: %d/%d detected, %d corrupted, %d harmless\n",
 			b.Name, b.N, b.Detected, b.Trials, b.Corrupted, b.Harmless)
 	}
-	for _, fc := range r.Fleet {
-		fmt.Fprintf(w, "  fleet %-14s: %d ok / %d errs, %d restarts, %d/%d probes detected, spawned %d, replaced %d, leaked %v\n",
-			fc.Fault, fc.BenignOK, fc.BenignErrs, fc.Restarts, fc.Detections, fc.Probes, fc.Spawned, fc.Replaced, fc.Leaked)
-	}
 	for _, q := range r.Quorum {
 		fmt.Fprintf(w, "  quorum %-12s %-14s n=%d k=%d: %d ok / %d errs, survived %v, evicted %d (%s), probe-detected %v (%s)\n",
 			q.Scenario, q.Fault, q.N, q.K, q.BenignOK, q.BenignErrs, q.Survived, q.Evicted, q.EvictedKind, q.ProbeDetected, q.AlarmReason)
-	}
-	for _, q := range r.QuorumFleet {
-		fmt.Fprintf(w, "  quorum-fleet %-14s n=%d k=%d: %d ok / %d errs, evicted %d, respawned %d, degraded-end %d, detections %d\n",
-			q.Fault, q.N, q.K, q.BenignOK, q.BenignErrs, q.Evictions, q.Respawned, q.DegradedEnd, q.Detections)
 	}
 	if v := r.Check(); len(v) > 0 {
 		fmt.Fprintf(w, "  VIOLATIONS (%d):\n", len(v))

@@ -10,8 +10,8 @@ import (
 )
 
 // smallConfig is a fast campaign crossing that still exercises every
-// moving part: benign + detecting + flood scenarios, a transparent and
-// a crash fault plan, serial and prefork groups, and the fleet section.
+// moving part: benign + detecting + flood scenarios, transparent and
+// crash fault plans, serial and prefork groups, and the quorum section.
 func smallConfig(seed int64) chaos.Config {
 	forge, err := attack.ScenarioByName("forge-root-uid")
 	if err != nil {
@@ -28,8 +28,6 @@ func smallConfig(seed int64) chaos.Config {
 	cfg.Stacks = []string{chaos.StackFull}
 	cfg.Attacks = []attack.Scenario{chaos.NoAttack(), forge, flood}
 	cfg.ByteSweep = false
-	cfg.FleetGroups = 2
-	cfg.FleetProbes = 1
 	return cfg
 }
 
@@ -169,5 +167,26 @@ func TestCampaignByteSweepNoCorruption(t *testing.T) {
 		if b.Detected == 0 {
 			t.Errorf("%s n=%d: nothing detected", b.Name, b.N)
 		}
+	}
+}
+
+// TestCampaignRejectsPoolOnlyPlans: a group cell has no pool to
+// restart, so a plan whose only effect is RestartEvery would run as the
+// "none" cell under another label; Run refuses it instead.
+func TestCampaignRejectsPoolOnlyPlans(t *testing.T) {
+	restart, err := chaos.PlanByName("group-restart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaos.Config{
+		Seed:    1,
+		Ns:      []int{2},
+		Workers: []int{1},
+		Stacks:  []string{chaos.StackFull},
+		Attacks: []attack.Scenario{chaos.NoAttack()},
+		Faults:  []chaos.Plan{{Name: "none", Transparent: true}, restart},
+	}
+	if _, err := chaos.Run(cfg); err == nil {
+		t.Fatal("campaign accepted a pool-only plan")
 	}
 }

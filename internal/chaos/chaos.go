@@ -2,9 +2,11 @@
 // layer of the repository: named fault plans that disturb the simnet
 // data plane (message delay, drop, reorder, truncation), the monitor
 // kernel's syscall boundary (per-lane variant stalls, slow syscalls,
-// crash-and-drain mid-rendezvous), and the fleet (group restart under
-// load) — plus the campaign runner (campaign.go) that sweeps the
-// expanded attack corpus against every fault plan.
+// crash-and-drain mid-rendezvous), and pool membership (group restart
+// under load) — plus the single-group campaign runner (campaign.go)
+// that sweeps the expanded attack corpus against every fault plan.
+// Pool topologies run the same plans in the mesh×chaos campaign
+// (internal/mesh).
 //
 // Determinism contract: every fault decision is derived either from a
 // seeded rng consulted in the (serialized) order messages enter the
@@ -41,11 +43,34 @@ type Plan struct {
 	Net *NetPlan
 	// Kernel configures syscall-boundary faults (nil = none).
 	Kernel *KernelPlan
-	// RestartEvery, in fleet cells, shuts down the oldest pool group
+	// RestartEvery, in pool cells, shuts down the oldest pool group
 	// after every RestartEvery-th benign request (0 = never) — the
 	// group-crash/restart-under-load fault.
 	RestartEvery int
 }
+
+// PoolOnly reports whether the plan's only effect is RestartEvery: a
+// pool-membership fault that a single-group cell cannot run.
+func (p Plan) PoolOnly() bool {
+	return p.RestartEvery > 0 && p.Net == nil && p.Kernel == nil
+}
+
+// VariantFault reports whether the plan strikes one variant at a fixed
+// syscall occurrence — a deterministic crash or deadline-blowing stall,
+// the faults a K-of-N quorum survives by eviction.
+func (p Plan) VariantFault() bool {
+	return p.Kernel != nil && (p.Kernel.CrashAfter > 0 || p.Kernel.StallAfter > 0)
+}
+
+// Quorum cells — the chaos quorum section's group cells and the mesh
+// campaign's variant-fault cells — run QuorumK-of-(QuorumK+1) groups
+// whose rendezvous deadline is QuorumTimeout: short enough that the
+// variant-stall plan's quorumStall reliably blows it.
+const (
+	QuorumK       = 2
+	QuorumTimeout = 100 * time.Millisecond
+	quorumStall   = 500 * time.Millisecond
+)
 
 // NetPlan configures data-plane faults. Rates are per-message
 // probabilities; at most one fault strikes a given message (drop wins
@@ -198,8 +223,10 @@ func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Plans returns the standard campaign fault-plan set. The transparent
 // plans are the benign-fault class the system must absorb with zero
-// false alarms; variant-crash is the detected-fault class (the monitor
-// must alarm); group-restart exercises fleet recovery under load.
+// false alarms; variant-crash and variant-stall are the detected-fault
+// class (a unanimous monitor must alarm, a quorum must evict), both
+// striking variant 1 so they work at every N ≥ 2; group-restart
+// exercises pool recovery under load.
 func Plans() []Plan {
 	return []Plan{
 		{Name: "none", Transparent: true},
@@ -219,6 +246,8 @@ func Plans() []Plan {
 			Kernel: &KernelPlan{StallRate: 0.05, Stall: 2 * time.Millisecond}},
 		{Name: "variant-crash", Transparent: false,
 			Kernel: &KernelPlan{CrashVariant: 1, CrashCall: sys.Recv, CrashAfter: 3}},
+		{Name: "variant-stall", Transparent: false,
+			Kernel: &KernelPlan{StallVariant: 1, StallCall: sys.Recv, StallAfter: 3, Stall: quorumStall}},
 		{Name: "group-restart", Transparent: true, RestartEvery: 4},
 	}
 }
@@ -233,12 +262,13 @@ func PlanByName(name string) (Plan, error) {
 	return Plan{}, fmt.Errorf("chaos: unknown fault plan %q", name)
 }
 
-// TransparentPlans returns the standard plans whose faults the system
-// must absorb without an alarm — the fault-only campaign's set.
+// TransparentPlans returns the standard plans whose faults a group must
+// absorb without an alarm — the fault-only campaign's set (pool-only
+// plans excluded).
 func TransparentPlans() []Plan {
 	var out []Plan
 	for _, p := range Plans() {
-		if p.Transparent {
+		if p.Transparent && !p.PoolOnly() {
 			out = append(out, p)
 		}
 	}

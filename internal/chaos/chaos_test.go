@@ -146,8 +146,8 @@ func TestPlanRegistry(t *testing.T) {
 		if !p.Transparent {
 			t.Errorf("TransparentPlans returned %s", p.Name)
 		}
-		if p.Kernel != nil && p.Kernel.CrashAfter > 0 {
-			t.Errorf("transparent plan %s crashes variants", p.Name)
+		if p.VariantFault() || p.PoolOnly() {
+			t.Errorf("transparent plan %s strikes variants or only pools", p.Name)
 		}
 	}
 	seen := map[string]bool{}
@@ -157,7 +157,7 @@ func TestPlanRegistry(t *testing.T) {
 		}
 		seen[p.Name] = true
 	}
-	for _, want := range []string{"none", "net-mixed", "variant-crash", "group-restart"} {
+	for _, want := range []string{"none", "net-mixed", "variant-crash", "variant-stall", "group-restart"} {
 		if !seen[want] {
 			t.Errorf("standard plan %s missing", want)
 		}

@@ -23,12 +23,17 @@ package mesh
 // wire order on a single-client network segment, and only seed- and
 // vtick-derived values enter the matrix.
 //
-// Kernel crash plans are deliberately not swept, matching the chaos
-// fleet cells: a crash trigger counts syscalls across a whole pool,
-// and replacement startup traffic interleaves with the benign stream,
-// so the trigger point would not replay. The crash-class fault here is
-// group-restart — deterministic campaign-driven shutdowns of whole
-// groups under load.
+// This is the one engine for pool topologies; package chaos keeps the
+// fault plans and the single-group campaign. Two plan classes act on
+// pool membership. group-restart shuts down whole groups under load. A
+// variant-fault plan (chaos.Plan.VariantFault: the deterministic crash
+// or deadline-blowing stall) makes the cell deploy K-of-(K+1) groups
+// on the quorum deadline, so the struck group evicts the variant and
+// the pool respawns it at full width in the background. Both wait for
+// the pools to be back at full width (awaitFullWidth) before the next
+// request — a variant-fault cell after every request, since its
+// trigger counts syscalls pool-wide — so the respawn cannot race
+// rotation, and eviction/respawn counts and exposure vticks replay.
 
 import (
 	"encoding/json"
@@ -40,6 +45,7 @@ import (
 	"sort"
 	"time"
 
+	"nvariant/internal/attack"
 	"nvariant/internal/chaos"
 	"nvariant/internal/fleet"
 	"nvariant/internal/harness"
@@ -47,6 +53,7 @@ import (
 	"nvariant/internal/nvkernel"
 	"nvariant/internal/obs"
 	"nvariant/internal/simnet"
+	"nvariant/internal/word"
 )
 
 // ChaosCampaignConfig sizes a unified mesh×chaos campaign. The runner
@@ -82,8 +89,7 @@ type ChaosCampaignConfig struct {
 	RetryBudget  int
 	RetryBackoff uint64
 	// Faults lists the chaos plans to sweep (default: none, net-mixed,
-	// slow-syscalls, group-restart). Kernel crash plans are rejected —
-	// their trigger points do not replay across a pool.
+	// slow-syscalls, group-restart, variant-crash, variant-stall).
 	Faults []chaos.Plan
 	// Attacks lists the attack modes to sweep: "none" and "forge-uid"
 	// (the default is both).
@@ -134,11 +140,11 @@ func (c ChaosCampaignConfig) withDefaults() ChaosCampaignConfig {
 
 // defaultChaosPlans returns the fault plans the unified campaign
 // sweeps by default: the no-fault control, the full data-plane mix,
-// the syscall-boundary stall load, and the deterministic group-crash
-// plan.
+// the syscall-boundary stall load, the deterministic group-crash plan,
+// and the two variant faults a quorum survives.
 func defaultChaosPlans() []chaos.Plan {
 	var out []chaos.Plan
-	for _, name := range []string{"none", "net-mixed", "slow-syscalls", "group-restart"} {
+	for _, name := range []string{"none", "net-mixed", "slow-syscalls", "group-restart", "variant-crash", "variant-stall"} {
 		p, err := chaos.PlanByName(name)
 		if err != nil {
 			panic(err) // the standard set always carries these
@@ -176,6 +182,10 @@ type ChaosCell struct {
 	Rotations        uint64 `json:"rotations"`
 	RotationsSkipped uint64 `json:"rotations_skipped"`
 	Restarts         int    `json:"restarts"`
+	// Quorum evictions across the cell's pools and the degraded groups
+	// respawned at full width (variant-fault plans only).
+	Evictions int `json:"evictions,omitempty"`
+	Respawned int `json:"respawned,omitempty"`
 	// Exposure-window distribution: each retired group's teardown
 	// VTime in virtual ticks (rendezvous events it lived through — the
 	// attacker's probing window against one mask set). Rotation-off
@@ -235,8 +245,10 @@ func (r *ChaosCampaignResult) JSON() ([]byte, error) {
 
 // Check returns the list of contract violations in the matrix:
 // availability under the 99% floor, missed detections, false alarms,
-// leaks, retry counters inconsistent with the backoff cadence, and
-// rotation accounting that contradicts the cell's configuration.
+// leaks, retry counters inconsistent with the backoff cadence,
+// rotation accounting that contradicts the cell's configuration, and
+// quorum evictions that are missing, unrespawned, or outside a
+// variant-fault plan.
 func (r *ChaosCampaignResult) Check() []string {
 	var v []string
 	for _, c := range r.Cells {
@@ -276,6 +288,16 @@ func (r *ChaosCampaignResult) Check() []string {
 		if c.Fault == "group-restart" && c.Restarts == 0 {
 			v = append(v, id+": group-restart plan drove no restarts")
 		}
+		plan, err := chaos.PlanByName(c.Fault)
+		switch quorum := err == nil && plan.VariantFault(); {
+		case quorum && c.Evictions < 1:
+			v = append(v, id+": variant-fault plan evicted no variant")
+		case !quorum && c.Evictions != 0:
+			v = append(v, fmt.Sprintf("%s: %d evictions without a variant-fault plan", id, c.Evictions))
+		}
+		if c.Respawned != c.Evictions {
+			v = append(v, fmt.Sprintf("%s: %d evictions but %d respawns", id, c.Evictions, c.Respawned))
+		}
 	}
 	return v
 }
@@ -303,11 +325,6 @@ func (r *ChaosCampaignResult) Fprint(w io.Writer) {
 // matrix.
 func RunChaosCampaign(cfg ChaosCampaignConfig) (*ChaosCampaignResult, error) {
 	cfg = cfg.withDefaults()
-	for _, plan := range cfg.Faults {
-		if plan.Kernel != nil && plan.Kernel.CrashAfter > 0 {
-			return nil, fmt.Errorf("mesh chaos campaign: kernel crash plan %q cannot replay across a pool (see chaos fleet cells)", plan.Name)
-		}
-	}
 	for _, p := range cfg.Pools {
 		if p < 1 {
 			return nil, fmt.Errorf("mesh chaos campaign: pool count %d < 1", p)
@@ -349,6 +366,7 @@ func RunChaosCampaign(cfg ChaosCampaignConfig) (*ChaosCampaignResult, error) {
 func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.Plan, att string) (ChaosCell, error) {
 	cell := ChaosCell{Pools: pools, Rotation: rotation, Fault: plan.Name, Attack: att}
 	seed := campaignCellSeed(cfg.Seed, "meshchaos", fmt.Sprint(pools), fmt.Sprint(rotation), plan.Name, att)
+	quorum := plan.VariantFault()
 
 	opts := Options{
 		Pools:        pools,
@@ -366,6 +384,10 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	if rotation {
 		opts.RotateEvery = cfg.RotateEvery
 	}
+	if quorum {
+		opts.Fleet.Variants = chaos.QuorumK + 1
+		opts.Fleet.Quorum = chaos.QuorumK
+	}
 	// Thread the plan into every pool: each pool's injector and hook
 	// draw from the pool's own derived seed (offset so the two streams
 	// decorrelate), and the fleet carries them into every group it
@@ -377,7 +399,11 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	if plan.Kernel != nil {
 		kp := plan.Kernel
 		opts.Kernel = func(poolSeed int64) []nvkernel.Option {
-			return []nvkernel.Option{nvkernel.WithFaultHook(kp.Hook(poolSeed + 2))}
+			ko := []nvkernel.Option{nvkernel.WithFaultHook(kp.Hook(poolSeed + 2))}
+			if quorum {
+				ko = append(ko, nvkernel.WithTimeout(chaos.QuorumTimeout))
+			}
+			return ko
 		}
 	}
 	m, err := New(opts)
@@ -395,18 +421,17 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	// RestartEvery-th request the plan shuts down the oldest group of a
 	// deterministically walked pool, and the cell waits for the
 	// replacement before dispatching on — the group-crash fault the
-	// mesh must absorb without losing a request.
+	// mesh must absorb without losing a request. Variant-fault cells
+	// likewise wait for every pool to be back at full width after each
+	// request.
 	for r := 0; r < cfg.Requests; r++ {
 		if plan.RestartEvery > 0 && r > 0 && r%plan.RestartEvery == 0 {
 			f := m.Pool((r/plan.RestartEvery - 1) % pools)
 			before := f.Stats().Replaced
-			restarted, err := chaos.RestartOldest(f, func(s fleet.Stats) bool {
-				return s.Replaced > before && len(s.Healthy) >= cfg.Groups
-			})
-			if err != nil {
-				return cell, err
-			}
-			if restarted {
+			if f.ShutdownGroup(f.OldestGroupID()) {
+				if err := awaitFullWidth(f, cfg.Groups, func(s fleet.Stats) bool { return s.Replaced > before }); err != nil {
+					return cell, err
+				}
 				cell.Restarts++
 			}
 		}
@@ -433,12 +458,17 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 				return cell, err
 			}
 		}
+		for i := 0; quorum && i < pools; i++ {
+			if err := awaitFullWidth(m.Pool(i), cfg.Groups, nil); err != nil {
+				return cell, err
+			}
+		}
 	}
 	cell.Availability = availability(cell.BenignOK, cell.BenignShed, cell.BenignErrs)
 
 	// Attack phase: forged-UID probes against the pool each attacker
 	// key routes to, striking its oldest group directly (the
-	// attacker-knows-a-backend model, same as the chaos fleet cells).
+	// attacker-knows-a-backend model, see strikeOldest).
 	// The direct client rides the pool's faulted network segment, so
 	// the adaptive probe rounds also prove detection is not maskable
 	// by the fault plan. Serialized probe-and-await keeps detection
@@ -450,16 +480,26 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 		for i := 0; i < cfg.Probes; i++ {
 			pi := m.RouteKey(fmt.Sprintf("attacker-%d", i))
 			f := m.Pool(pi)
-			detected, leaked := chaos.StrikeOldest(f, rng)
+			if quorum && f.Stats().Evictions == 0 {
+				// The benign phase never reached this pool, so its variant
+				// fault is still armed and would fire inside the strike,
+				// racing the respawn against the alarm. Fire it with one
+				// benign request and settle first.
+				if port, ok := healthyPort(f.Stats(), f.OldestGroupID()); ok {
+					_, _, _ = httpd.NewClient(f.Net(), port).Get(benignMix[0])
+				}
+				if err := awaitFullWidth(f, cfg.Groups, nil); err != nil {
+					return cell, err
+				}
+			}
+			detected, leaked := strikeOldest(f, rng)
 			cell.Leaked = cell.Leaked || leaked
 			if !detected {
 				break
 			}
 			perPool[pi]++
 			want := perPool[pi]
-			if err := f.Await(func(s fleet.Stats) bool {
-				return s.Detections >= want && len(s.Healthy) >= cfg.Groups
-			}, 30*time.Second); err != nil {
+			if err := awaitFullWidth(f, cfg.Groups, func(s fleet.Stats) bool { return s.Detections >= want }); err != nil {
 				return cell, err
 			}
 		}
@@ -476,6 +516,8 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	cell.RotationsSkipped = stats.RotationsSkipped
 	for _, ps := range stats.Pools {
 		cell.Detections += ps.Fleet.Detections
+		cell.Evictions += ps.Fleet.Evictions
+		cell.Respawned += ps.Fleet.Respawned
 	}
 	cell.MissedDetection = cell.Detections < cell.Probes
 	cell.FalseAlarm = cell.Detections > cell.Probes
@@ -507,6 +549,56 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	cell.ExposureP50 = percentileVTicks(samples, 0.50)
 	cell.ExposureP99 = percentileVTicks(samples, 0.99)
 	return cell, nil
+}
+
+// awaitFullWidth waits until pool f is back at full strength — groups
+// groups serving, every quorum eviction respawned, none degraded — and
+// also holds when set: the settle step after restarts, variant faults
+// and probes.
+func awaitFullWidth(f *fleet.Fleet, groups int, also func(fleet.Stats) bool) error {
+	return f.Await(func(s fleet.Stats) bool {
+		return len(s.Healthy) >= groups && s.Respawned >= s.Evictions && s.DegradedGroups == 0 &&
+			(also == nil || also(s))
+	}, 30*time.Second)
+}
+
+// strikeOldest is one forged-UID probe with a payload drawn from rng,
+// striking f's oldest healthy group *directly* (the
+// attacker-knows-a-backend model): corruption stays confined to one
+// deterministic victim, so the settled detection count is exactly the
+// probe count. Through the dispatcher, a fault-severed exchange would
+// force resends that spray corruption across round-robin-chosen groups
+// — the recovery counters would then depend on alarm-observation
+// timing and the matrix would not replay.
+func strikeOldest(f *fleet.Fleet, rng *rand.Rand) (detected, leaked bool) {
+	payload := attack.ForgeUIDPayload(word.Word(rng.Uint32()) &^ word.HighBit)
+	id := f.OldestGroupID()
+	port, ok := healthyPort(f.Stats(), id)
+	if !ok {
+		return false, false
+	}
+	return strikeGroup(f, id, port, payload)
+}
+
+// strikeGroup strikes group id on port and stops once the group has
+// left the pool: the fleet recycles a dead group's port, and its
+// replacement must not take the victim's hits.
+func strikeGroup(f *fleet.Fleet, id int, port uint16, payload []byte) (detected, leaked bool) {
+	return chaos.Strike(httpd.NewClient(f.Net(), port), payload, func() bool {
+		_, ok := healthyPort(f.Stats(), id)
+		return !ok
+	})
+}
+
+// healthyPort resolves the port of the healthy group with the given
+// id in s.
+func healthyPort(s fleet.Stats, id int) (uint16, bool) {
+	for _, g := range s.Healthy {
+		if g.ID == id {
+			return g.Port, true
+		}
+	}
+	return 0, false
 }
 
 // campaignCellSeed derives one cell's seed from the campaign seed and

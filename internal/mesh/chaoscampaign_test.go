@@ -5,15 +5,21 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"nvariant/internal/attack"
 	"nvariant/internal/chaos"
+	"nvariant/internal/fleet"
+	"nvariant/internal/harness"
+	"nvariant/internal/httpd"
 	"nvariant/internal/obs"
+	"nvariant/internal/vos"
 )
 
 // testChaosConfig is the reduced sweep the determinism tests replay:
 // P ∈ {1,2,4} and both rotation settings, but only the fault plans
-// that exercise distinct machinery (control, lossy wire, group crash)
-// so the double-run stays fast under -race.
+// that exercise distinct machinery (control, lossy wire, group crash,
+// variant crash under quorum) so the double-run stays fast under -race.
 func testChaosConfig(seed int64) ChaosCampaignConfig {
 	return ChaosCampaignConfig{
 		Seed:     seed,
@@ -27,7 +33,7 @@ func testChaosConfig(seed int64) ChaosCampaignConfig {
 
 func testChaosPlans() []chaos.Plan {
 	var out []chaos.Plan
-	for _, name := range []string{"none", "net-mixed", "group-restart"} {
+	for _, name := range []string{"none", "net-mixed", "group-restart", "variant-crash"} {
 		p, err := chaos.PlanByName(name)
 		if err != nil {
 			panic(err)
@@ -188,19 +194,16 @@ func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
 	}
 }
 
-// TestChaosCampaignRejectsCrashPlans: kernel crash plans cannot replay
-// across a pool (the chaos fleet cells document why), so the unified
-// campaign refuses them instead of emitting a nondeterministic matrix.
-// It refuses the other configurations it cannot run faithfully the
-// same way: a pool count below 1 (mesh.New would silently run its
-// default under a cell labelled 0) and an unknown attack mode (which
-// would run as a benign cell under the attack's label).
-func TestChaosCampaignRejectsCrashPlans(t *testing.T) {
+// TestChaosCampaignRejectsBadConfig: the unified campaign refuses the
+// configurations it cannot run faithfully: a pool count below 1
+// (mesh.New would silently run its default under a cell labelled 0)
+// and an unknown attack mode (which would run as a benign cell under
+// the attack's label).
+func TestChaosCampaignRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		modify func(*ChaosCampaignConfig)
 	}{
-		{"variant-crash", func(c *ChaosCampaignConfig) { c.Faults = append(c.Faults, mustPlan(t, "variant-crash")) }},
 		{"pools-0", func(c *ChaosCampaignConfig) { c.Pools = []int{1, 0} }},
 		{"pools-negative", func(c *ChaosCampaignConfig) { c.Pools = []int{-2} }},
 		{"attack-bogus", func(c *ChaosCampaignConfig) { c.Attacks = []string{"none", "bogus"} }},
@@ -234,11 +237,68 @@ func TestChaosCampaignCheckFlagsViolations(t *testing.T) {
 			// rotation enabled but never ran, missed detection, false alarm, leak
 			{Pools: 1, Rotation: true, Fault: "none", Attack: "forge-uid", Availability: 1,
 				Probes: 2, Detections: 1, MissedDetection: true, FalseAlarm: true, Leaked: true},
+			// variant-fault plan without an eviction
+			{Pools: 1, Fault: "variant-crash", Attack: "none", Availability: 1},
+			// eviction not respawned
+			{Pools: 1, Fault: "variant-stall", Attack: "none", Availability: 1, Evictions: 2, Respawned: 1},
+			// eviction under a plan without a variant fault
+			{Pools: 1, Fault: "net-mixed", Attack: "none", Availability: 1, Evictions: 1, Respawned: 1},
 		},
 	}
 	v := r.Check()
-	want := 11
+	want := 14
 	if len(v) != want {
 		t.Fatalf("Check found %d violations, want %d:\n%v", len(v), want, v)
+	}
+}
+
+// TestStrikeSparesRecycledPort: a strike whose victim has already left
+// the pool must stop, not hit the replacement that took over the
+// victim's recycled port. Under a lossy plan the kill can surface as a
+// dropped exchange instead of a refused dial, and the old strike went
+// on to corrupt the replacement — an extra detection the campaign
+// counted as a false alarm.
+func TestStrikeSparesRecycledPort(t *testing.T) {
+	f, err := fleet.New(fleet.Options{
+		Groups: 2,
+		Config: harness.Config4UIDVariation,
+		Server: httpd.DefaultOptions(),
+		Seed:   3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _, _ = f.Stop() }()
+	victim := f.OldestGroupID()
+	port, ok := healthyPort(f.Stats(), victim)
+	if !ok || !f.ShutdownGroup(victim) {
+		t.Fatalf("could not shut down group %d", victim)
+	}
+	replacement := -1
+	if err := f.Await(func(s fleet.Stats) bool {
+		for _, g := range s.Healthy {
+			if g.Port == port && g.ID != victim {
+				replacement = g.ID
+				return true
+			}
+		}
+		return false
+	}, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	detected, leaked := strikeGroup(f, victim, port, attack.ForgeUIDPayload(vos.Root))
+	if !detected || leaked {
+		t.Errorf("strike on a departed victim: detected=%v leaked=%v, want true/false", detected, leaked)
+	}
+	stats, err := f.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Detections != 0 {
+		t.Errorf("detections = %d, want 0: the strike hit the replacement on port %d", stats.Detections, port)
+	}
+	if _, ok := healthyPort(stats, replacement); !ok {
+		t.Errorf("replacement group %d left the pool", replacement)
 	}
 }
