@@ -14,10 +14,11 @@
 // given trajectory and exits non-zero when any shared benchmark
 // regressed beyond tolerance — the CI tripwire that makes performance
 // regressions fail loudly. Two regression classes are gated: allocs/op
-// growth (-tolerance), and the custom throughput/latency metrics KB/s
-// (which must not drop) and ms/req (which must not grow) within
-// -metric-tolerance — so a change that keeps allocations flat but
-// halves saturated throughput still fails the build.
+// and B/op growth (-tolerance), and the custom throughput/latency
+// metrics KB/s (which must not drop) and ms/req (which must not grow)
+// within -metric-tolerance — so a change that keeps allocations flat
+// but halves saturated throughput still fails the build, and so does
+// one that keeps the allocation count but makes each allocation larger.
 package main
 
 import (
@@ -87,7 +88,7 @@ func main() {
 	label := flag.String("label", "", "label recorded on the emitted report")
 	appendTo := flag.String("append", "", "existing trajectory file to extend (output is the whole array)")
 	gate := flag.String("gate", "", "trajectory file to regression-gate against (no JSON output)")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional allocs/op growth before -gate fails")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional allocs/op and B/op growth before -gate fails")
 	metricTolerance := flag.Float64("metric-tolerance", 0.25, "allowed fractional KB/s drop or ms/req growth before -gate fails (throughput benches are noisier than allocation counts)")
 	flag.Parse()
 
@@ -218,7 +219,7 @@ func metricRegression(base, cur float64, higherBetter bool, tolerance float64) b
 	return cur > base*(1+tolerance)
 }
 
-// gateAgainst compares cur's allocs/op and gated custom metrics
+// gateAgainst compares cur's allocs/op, B/op and gated custom metrics
 // against the newest report in the trajectory at path.
 func gateAgainst(path string, cur Report, tolerance, metricTolerance float64) error {
 	traj, err := readTrajectory(path)
@@ -241,13 +242,20 @@ func gateAgainst(path string, cur Report, tolerance, metricTolerance float64) er
 		if !ok {
 			continue
 		}
-		limit := bb.AllocsPerOp * (1 + tolerance)
-		status := "ok"
-		if b.AllocsPerOp > limit {
-			status = "REGRESSED"
-			regressed = append(regressed, b.Name)
+		for _, m := range [...]struct {
+			unit      string
+			base, cur float64
+		}{
+			{"allocs/op", bb.AllocsPerOp, b.AllocsPerOp},
+			{"B/op", bb.BytesPerOp, b.BytesPerOp},
+		} {
+			status := "ok"
+			if metricRegression(m.base, m.cur, false, tolerance) {
+				status = "REGRESSED"
+				regressed = append(regressed, b.Name+" ["+m.unit+"]")
+			}
+			fmt.Printf("%-48s %-9s %10.0f -> %10.0f  %s\n", b.Name, m.unit, m.base, m.cur, status)
 		}
-		fmt.Printf("%-48s allocs/op %10.0f -> %10.0f  %s\n", b.Name, bb.AllocsPerOp, b.AllocsPerOp, status)
 		for _, gm := range gatedMetrics {
 			bv, inBase := bb.Metrics[gm.unit]
 			if !inBase {
@@ -286,7 +294,7 @@ func gateAgainst(path string, cur Report, tolerance, metricTolerance float64) er
 			strings.Join(missing, ", "))
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("regressed beyond tolerance (allocs/op %.0f%%, metrics %.0f%%) vs %q: %s",
+		return fmt.Errorf("regressed beyond tolerance (allocs/op and B/op %.0f%%, metrics %.0f%%) vs %q: %s",
 			tolerance*100, metricTolerance*100, base.Label, strings.Join(regressed, ", "))
 	}
 	return nil

@@ -26,6 +26,7 @@ func TestGateMetricRegressions(t *testing.T) {
 	base := []Bench{{
 		Name:        "BenchmarkSaturated",
 		Iters:       3,
+		BytesPerOp:  50000,
 		AllocsPerOp: 1000,
 		Metrics:     map[string]float64{"KB/s": 1000, "ms/req": 20},
 	}}
@@ -36,7 +37,7 @@ func TestGateMetricRegressions(t *testing.T) {
 	}{
 		{
 			name: "within-tolerance",
-			cur: Bench{Name: "BenchmarkSaturated", AllocsPerOp: 1050,
+			cur: Bench{Name: "BenchmarkSaturated", BytesPerOp: 54000, AllocsPerOp: 1050,
 				Metrics: map[string]float64{"KB/s": 900, "ms/req": 22}},
 		},
 		{
@@ -55,13 +56,21 @@ func TestGateMetricRegressions(t *testing.T) {
 			name: "allocs-growth",
 			cur: Bench{Name: "BenchmarkSaturated", AllocsPerOp: 2000,
 				Metrics: map[string]float64{"KB/s": 1000, "ms/req": 20}},
-			wantErr: "BenchmarkSaturated",
+			wantErr: "BenchmarkSaturated [allocs/op]",
+		},
+		{
+			// Same allocation count, bigger allocations: a buffer that
+			// grew tenfold must not hide behind a flat allocs/op.
+			name: "bytes-growth",
+			cur: Bench{Name: "BenchmarkSaturated", BytesPerOp: 500000, AllocsPerOp: 1000,
+				Metrics: map[string]float64{"KB/s": 1000, "ms/req": 20}},
+			wantErr: "BenchmarkSaturated [B/op]",
 		},
 		{
 			// A higher-is-better metric improving sharply must not trip
 			// the gate, nor must a latency improvement.
 			name: "improvements",
-			cur: Bench{Name: "BenchmarkSaturated", AllocsPerOp: 10,
+			cur: Bench{Name: "BenchmarkSaturated", BytesPerOp: 2000, AllocsPerOp: 10,
 				Metrics: map[string]float64{"KB/s": 4000, "ms/req": 5}},
 		},
 	}

@@ -66,6 +66,14 @@ type Table3Row struct {
 	Unsaturated, Saturated Table3Cell
 	// Errors counts failed requests across both runs (should be 0).
 	Errors int
+	// Requests counts completed requests across both runs.
+	Requests int
+	// VariantSyscalls counts the syscalls the variants issued across
+	// both runs (each run's readiness probe and shutdown included):
+	// the monitor's rendezvous count times the variant count. Unlike
+	// the wall-clock cells it is deterministic — the redundant work
+	// behind the saturated ratios.
+	VariantSyscalls int
 }
 
 // Table3Result is the regenerated Table 3.
@@ -120,7 +128,7 @@ func measureConfig(c harness.Configuration, opts Table3Options) (Table3Row, erro
 	serverOpts := httpd.DefaultOptions()
 	serverOpts.WorkFactor = opts.WorkFactor
 
-	unsat, err := measureLoad(c, serverOpts, opts.Latency, webbench.Options{
+	unsat, err := measureLoad(&row, serverOpts, opts.Latency, webbench.Options{
 		Engines:           1,
 		RequestsPerEngine: opts.UnsatRequests,
 	})
@@ -128,9 +136,8 @@ func measureConfig(c harness.Configuration, opts Table3Options) (Table3Row, erro
 		return row, fmt.Errorf("unsaturated: %w", err)
 	}
 	row.Unsaturated = toCell(unsat)
-	row.Errors += unsat.Errors
 
-	sat, err := measureLoad(c, serverOpts, opts.Latency, webbench.Options{
+	sat, err := measureLoad(&row, serverOpts, opts.Latency, webbench.Options{
 		Engines:           opts.SatEngines,
 		RequestsPerEngine: opts.SatRequestsPerEngine,
 	})
@@ -138,13 +145,13 @@ func measureConfig(c harness.Configuration, opts Table3Options) (Table3Row, erro
 		return row, fmt.Errorf("saturated: %w", err)
 	}
 	row.Saturated = toCell(sat)
-	row.Errors += sat.Errors
 	return row, nil
 }
 
-// measureLoad starts a fresh server, applies the load, and stops it.
-func measureLoad(c harness.Configuration, serverOpts httpd.Options, latency time.Duration, load webbench.Options) (webbench.Metrics, error) {
-	h, err := harness.Start(c, serverOpts, latency)
+// measureLoad starts a fresh server for row's configuration, applies
+// the load, stops it, and adds the run's counts to row.
+func measureLoad(row *Table3Row, serverOpts httpd.Options, latency time.Duration, load webbench.Options) (webbench.Metrics, error) {
+	h, err := harness.Start(row.Config, serverOpts, latency)
 	if err != nil {
 		return webbench.Metrics{}, err
 	}
@@ -160,6 +167,9 @@ func measureLoad(c harness.Configuration, serverOpts httpd.Options, latency time
 	if res.Alarm != nil {
 		return metrics, fmt.Errorf("false alarm under benign load: %s", res.Alarm)
 	}
+	row.Errors += metrics.Errors
+	row.Requests += metrics.Requests
+	row.VariantSyscalls += res.Rendezvous * row.Config.Variants()
 	return metrics, nil
 }
 
@@ -204,6 +214,11 @@ func (r Table3Result) fprintShape(w io.Writer) {
 		ratio(r.Rows[1].Saturated.ThroughputKBps, base.Saturated.ThroughputKBps))
 	fmt.Fprintf(w, "  config3/config1 unsaturated throughput: %.2f (paper 0.88)\n",
 		ratio(twoVar.Unsaturated.ThroughputKBps, base.Unsaturated.ThroughputKBps))
+	fmt.Fprintf(w, "  variant syscalls per request:")
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, " config%d %.2f", int(row.Config), ratio(float64(row.VariantSyscalls), float64(row.Requests)))
+	}
+	fmt.Fprintln(w)
 }
 
 func ratio(a, b float64) float64 {

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,38 @@ import (
 // server's request loop relies on. Seed corpora live under
 // testdata/fuzz; CI runs each target briefly (-fuzztime) in the
 // chaos-smoke job.
+
+// referenceParseRequestLine is the string-splitting parser that
+// ParseRequestLine replaced, kept as the fuzz oracle: the
+// allocation-free parser must accept, reject and report exactly as it
+// did.
+func referenceParseRequestLine(buf []byte) (Request, error) {
+	text := string(buf)
+	nl := strings.IndexByte(text, '\n')
+	if nl < 0 {
+		return Request{}, fmt.Errorf("httpd: request line missing terminator")
+	}
+	line := strings.TrimRight(text[:nl], "\r")
+	// Control bytes have no place in a request line; accepting them
+	// would let tokens like a bare CR pose as a method (fuzz-found).
+	for i := 0; i < len(line); i++ {
+		if line[i] < 0x20 || line[i] == 0x7F {
+			return Request{}, fmt.Errorf("httpd: control byte in request line %q", line)
+		}
+	}
+	parts := strings.Split(line, " ")
+	if len(parts) != 3 {
+		return Request{}, fmt.Errorf("httpd: malformed request line %q", line)
+	}
+	req := Request{Method: parts[0], URI: parts[1], Version: parts[2]}
+	if req.Method == "" || !strings.HasPrefix(req.URI, "/") {
+		return Request{}, fmt.Errorf("httpd: malformed request line %q", line)
+	}
+	if !strings.HasPrefix(req.Version, "HTTP/") {
+		return Request{}, fmt.Errorf("httpd: bad version %q", req.Version)
+	}
+	return req, nil
+}
 
 func FuzzParseRequestLine(f *testing.F) {
 	for _, seed := range [][]byte{
@@ -29,6 +62,10 @@ func FuzzParseRequestLine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, err := ParseRequestLine(raw)
+		want, wantErr := referenceParseRequestLine(raw)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || req != want {
+			t.Fatalf("ParseRequestLine(%q) = %+v, %v; reference %+v, %v", raw, req, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}

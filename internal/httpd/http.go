@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Request is a parsed HTTP request line.
@@ -19,33 +20,36 @@ type Request struct {
 
 // ParseRequestLine parses the first line of an HTTP request from the
 // (bounded) buffer contents. It is strict about shape so malformed —
-// including overflowing — requests get a 400.
+// including overflowing — requests get a 400. An accepted parse
+// allocates nothing: the returned fields alias buf, so they are valid
+// only until buf is next written. The server is done with a Request
+// before its next receive reuses the parse buffer; a caller that keeps
+// one longer must copy its fields (strings.Clone).
 func ParseRequestLine(buf []byte) (Request, error) {
-	text := string(buf)
-	nl := strings.IndexByte(text, '\n')
+	nl := bytes.IndexByte(buf, '\n')
 	if nl < 0 {
 		return Request{}, fmt.Errorf("httpd: request line missing terminator")
 	}
-	line := strings.TrimRight(text[:nl], "\r")
+	line := bytes.TrimRight(buf[:nl], "\r")
+	text := unsafe.String(unsafe.SliceData(line), len(line))
 	// Control bytes have no place in a request line; accepting them
 	// would let tokens like a bare CR pose as a method (fuzz-found).
-	for i := 0; i < len(line); i++ {
-		if line[i] < 0x20 || line[i] == 0x7F {
-			return Request{}, fmt.Errorf("httpd: control byte in request line %q", line)
+	for i := 0; i < len(text); i++ {
+		if text[i] < 0x20 || text[i] == 0x7F {
+			return Request{}, fmt.Errorf("httpd: control byte in request line %q", text)
 		}
 	}
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 {
-		return Request{}, fmt.Errorf("httpd: malformed request line %q", line)
+	// Exactly three space-separated tokens.
+	method, rest, ok1 := strings.Cut(text, " ")
+	uri, version, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 || strings.IndexByte(version, ' ') >= 0 ||
+		method == "" || !strings.HasPrefix(uri, "/") {
+		return Request{}, fmt.Errorf("httpd: malformed request line %q", text)
 	}
-	req := Request{Method: parts[0], URI: parts[1], Version: parts[2]}
-	if req.Method == "" || !strings.HasPrefix(req.URI, "/") {
-		return Request{}, fmt.Errorf("httpd: malformed request line %q", line)
+	if !strings.HasPrefix(version, "HTTP/") {
+		return Request{}, fmt.Errorf("httpd: bad version %q", version)
 	}
-	if !strings.HasPrefix(req.Version, "HTTP/") {
-		return Request{}, fmt.Errorf("httpd: bad version %q", req.Version)
-	}
-	return req, nil
+	return Request{Method: method, URI: uri, Version: version}, nil
 }
 
 // Status texts for the codes the server emits.

@@ -47,12 +47,16 @@ func TestParseConfigSkipsComments(t *testing.T) {
 }
 
 func TestParseRequestLine(t *testing.T) {
-	req, err := ParseRequestLine([]byte("GET /index.html HTTP/1.0\r\nHost: x\r\n\r\n"))
+	raw := []byte("GET /index.html HTTP/1.0\r\nHost: x\r\n\r\n")
+	req, err := ParseRequestLine(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "GET" || req.URI != "/index.html" || req.Version != "HTTP/1.0" {
 		t.Errorf("req = %+v", req)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ParseRequestLine(raw) }); allocs != 0 {
+		t.Errorf("ParseRequestLine: %.0f allocs, want 0", allocs)
 	}
 }
 

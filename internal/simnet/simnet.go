@@ -8,6 +8,11 @@
 // performs network input syscalls once and replicates the received
 // bytes to every variant, so clients are oblivious to how many
 // variants serve them — exactly the paper's architecture (Figure 1).
+//
+// Two bounds shape the data plane. backlog is the listener's SYN
+// queue: a Dial that finds it full is refused. mailbox is each
+// connection endpoint's inbound queue: a Send that finds the peer's
+// full blocks until the peer receives or closes.
 package simnet
 
 import (
@@ -27,7 +32,30 @@ var (
 	ErrInUse = errors.New("simnet: address in use")
 )
 
-const backlog = 256
+// Closed-endpoint errors, built once: the proxy pumps of every
+// forwarded request meet end of stream, so these are on the hot path.
+var (
+	errRecvClosed     = fmt.Errorf("recv: %w", ErrClosed)
+	errSendClosed     = fmt.Errorf("send: %w", ErrClosed)
+	errSendPeerClosed = fmt.Errorf("send: peer: %w", ErrClosed)
+)
+
+const (
+	// backlog bounds a listener's queue of connections not yet
+	// accepted (the SYN queue); Dial refuses once it is full.
+	backlog = 256
+	// mailbox bounds the messages queued at one endpoint and not yet
+	// received. HTTP/1.0 carries one request and one response per
+	// connection, the fleet proxy forwards them one for one, and a
+	// Hold fault parks at most one more: across the test suite,
+	// cmd/campaign, meshbench -chaos and the nvbench workloads no
+	// mailbox held more than 2 messages, except in this package's
+	// unpaced streaming stress tests. The capacity is the smallest
+	// power of two at or above twice that. A full mailbox blocks the
+	// sender until the peer receives or closes (deliver); only a held
+	// message's release drops instead (deliverHeld).
+	mailbox = 4
+)
 
 // Network is an in-process switched network. The zero value is not
 // usable; construct with New.
@@ -284,11 +312,17 @@ type Conn struct {
 	held    *message
 }
 
+// newPair allocates both endpoints of a connection in one block.
 func newPair(n *Network) (a, b *Conn) {
-	a = &Conn{net: n, in: make(chan message, backlog), closed: make(chan struct{})}
-	b = &Conn{net: n, in: make(chan message, backlog), closed: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
+	pair := new([2]Conn)
+	for i := range pair {
+		c := &pair[i]
+		c.net = n
+		c.in = make(chan message, mailbox)
+		c.closed = make(chan struct{})
+		c.peer = &pair[1-i]
+	}
+	return &pair[0], &pair[1]
 }
 
 // Send transmits data to the peer. The data is copied (into a pooled
@@ -324,9 +358,9 @@ func (c *Conn) SendOwned(data []byte) error {
 func (c *Conn) sendRaw(data []byte, extra time.Duration) error {
 	select {
 	case <-c.closed:
-		return fmt.Errorf("send: %w", ErrClosed)
+		return errSendClosed
 	case <-c.peer.closed:
-		return fmt.Errorf("send: peer: %w", ErrClosed)
+		return errSendPeerClosed
 	default:
 	}
 	return c.deliver(message{data: data, readyAt: time.Now().Add(c.net.latency + extra)})
@@ -338,7 +372,7 @@ func (c *Conn) deliver(msg message) error {
 	case c.peer.in <- msg:
 		return nil
 	case <-c.peer.closed:
-		return fmt.Errorf("send: peer: %w", ErrClosed)
+		return errSendPeerClosed
 	}
 }
 
@@ -351,9 +385,9 @@ func (c *Conn) deliver(msg message) error {
 func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
 	select {
 	case <-c.closed:
-		return fmt.Errorf("send: %w", ErrClosed)
+		return errSendClosed
 	case <-c.peer.closed:
-		return fmt.Errorf("send: peer: %w", ErrClosed)
+		return errSendPeerClosed
 	default:
 	}
 	v := f.FaultFor(len(data))
@@ -402,7 +436,7 @@ func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
 
 // deliverHeld releases a parked message without ever blocking: Close
 // runs it under callers' locks (the monitor kernel tears descriptors
-// down holding its mutex), so a full peer backlog must lose the
+// down holding its mutex), so a full peer mailbox must lose the
 // message — as a congested link would — rather than wedge the caller.
 func (c *Conn) deliverHeld(msg message) {
 	select {
@@ -437,7 +471,7 @@ func (c *Conn) Recv() ([]byte, error) {
 		c.waitWire(msg)
 		return msg.data, nil
 	case <-c.closed:
-		return nil, fmt.Errorf("recv: %w", ErrClosed)
+		return nil, errRecvClosed
 	case <-c.peer.closed:
 		// The peer may have sent messages before closing; drain first.
 		select {

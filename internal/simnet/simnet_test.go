@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -340,5 +341,138 @@ func TestQueuedConnsClosedOnListenerClose(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("dialer hung in Recv after listener close")
+	}
+}
+
+// TestConnExchangeAllocBound pins the per-connection cost: one Dial,
+// one message each way and both Closes. Each endpoint's mailbox is
+// sized to request/response traffic, so the whole exchange stays
+// within 2 KiB.
+func TestConnExchangeAllocBound(t *testing.T) {
+	const maxBytes, maxAllocs = 2048, 7
+	n := New(0)
+	l, err := n.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	pass := func(from, to *Conn, msg string) {
+		if err := from.Send([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := to.Recv()
+		if err != nil || string(got) != msg {
+			t.Fatalf("Recv = %q, %v; want %q", got, err, msg)
+		}
+		PutBuffer(got)
+	}
+	exchange := func() {
+		client, err := n.Dial(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass(client, server, "GET / HTTP/1.0\r\n\r\n")
+		pass(server, client, "HTTP/1.0 200 OK\r\n\r\n")
+		_ = client.Close()
+		_ = server.Close()
+	}
+	exchange() // warm the buffer pool
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, exchange)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one extra warm-up call.
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("per connection: %.0f allocs, %.0f B", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("per connection: %.0f allocs, %.0f B; want <= %d allocs and <= %d B",
+			allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// TestSendBlocksOnFullMailbox pins the backpressure contract: once the
+// peer's mailbox is full, Send waits until the peer receives, and
+// fails with ErrClosed instead if the peer closes.
+func TestSendBlocksOnFullMailbox(t *testing.T) {
+	for _, peerCloses := range []bool{false, true} {
+		n := New(0)
+		client, server := newPair(n)
+		for i := 0; i < mailbox; i++ {
+			if err := client.Send([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent := make(chan error, 1)
+		go func() { sent <- client.Send([]byte("over")) }()
+		select {
+		case err := <-sent:
+			t.Fatalf("Send into a full mailbox returned %v without waiting", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if peerCloses {
+			_ = server.Close()
+			if err := <-sent; !errors.Is(err, ErrClosed) || err.Error() != "send: peer: simnet: endpoint closed" {
+				t.Errorf("Send after peer close = %v, want send: peer: ErrClosed", err)
+			}
+			continue
+		}
+		if got, err := server.Recv(); err != nil || len(got) != 1 || got[0] != 0 {
+			t.Fatalf("Recv = %q, %v", got, err)
+		}
+		if err := <-sent; err != nil {
+			t.Errorf("Send after the peer drained one message = %v", err)
+		}
+	}
+}
+
+// TestHeldReleaseDropsOnFullMailbox pins deliverHeld's contract: the
+// release of a held message never blocks, so it loses the message when
+// the peer's mailbox is full.
+func TestHeldReleaseDropsOnFullMailbox(t *testing.T) {
+	n := New(0)
+	client, server := newPair(n)
+	for i := 0; i < mailbox; i++ {
+		if err := client.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.deliverHeld(message{data: []byte("held")})
+	for i := 0; i < mailbox; i++ {
+		if got, err := server.Recv(); err != nil || len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("Recv %d = %q, %v", i, got, err)
+		}
+	}
+	_ = client.Close()
+	if got, err := server.Recv(); got != nil || err != nil {
+		t.Errorf("Recv after drain = %q, %v; want end of stream (held message dropped)", got, err)
+	}
+}
+
+// TestClosedErrorsKeepTextAndIdentity pins the preallocated
+// closed-endpoint errors: the same text as before, still ErrClosed,
+// and no allocation to report them.
+func TestClosedErrorsKeepTextAndIdentity(t *testing.T) {
+	n := New(0)
+	client, server := newPair(n)
+	_ = server.Close()
+	if err := client.Send([]byte("x")); !errors.Is(err, ErrClosed) || err.Error() != "send: peer: simnet: endpoint closed" {
+		t.Errorf("Send to a closed peer = %v", err)
+	}
+	client, _ = newPair(n)
+	_ = client.Close()
+	if err := client.Send([]byte("x")); !errors.Is(err, ErrClosed) || err.Error() != "send: simnet: endpoint closed" {
+		t.Errorf("Send on a closed endpoint = %v", err)
+	}
+	if _, err := client.Recv(); !errors.Is(err, ErrClosed) || err.Error() != "recv: simnet: endpoint closed" {
+		t.Errorf("Recv on a closed endpoint = %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = client.Recv() }); allocs != 0 {
+		t.Errorf("Recv on a closed endpoint: %.0f allocs, want 0", allocs)
 	}
 }

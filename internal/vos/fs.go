@@ -91,19 +91,23 @@ func NewFS() *FS {
 	}}
 }
 
-// splitPath normalizes an absolute path into elements.
-func splitPath(path string) ([]string, error) {
+// splitPath normalizes an absolute path into its elements, appended
+// to dst[:0] — lookup passes a stack array, so resolving a path
+// allocates nothing. ".." is resolved lexically: it drops the previous
+// element without checking that it exists or may be searched.
+func splitPath(dst []string, path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, fmt.Errorf("path %q: %w (must be absolute)", path, ErrInval)
 	}
 	if len(path) > 4096 {
 		return nil, fmt.Errorf("path: %w", ErrNameTooLong)
 	}
-	var parts []string
-	for _, p := range strings.Split(path, "/") {
+	parts := dst[:0]
+	for rest := path; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, "/")
 		switch p {
 		case "", ".":
-			continue
 		case "..":
 			if len(parts) > 0 {
 				parts = parts[:len(parts)-1]
@@ -148,7 +152,8 @@ func canWrite(cred Cred, owner UID, group GID, mode Mode) bool {
 // permission is approximated by read permission to keep the model
 // small.
 func (fs *FS) lookup(path string, cred Cred) (*inode, error) {
-	parts, err := splitPath(path)
+	var buf [16]string
+	parts, err := splitPath(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +176,7 @@ func (fs *FS) lookup(path string, cred Cred) (*inode, error) {
 
 // lookupParent returns the parent directory inode and final element.
 func (fs *FS) lookupParent(path string, cred Cred) (*inode, string, error) {
-	parts, err := splitPath(path)
+	parts, err := splitPath(nil, path)
 	if err != nil {
 		return nil, "", err
 	}
@@ -223,7 +228,7 @@ func (fs *FS) Mkdir(path string, perm Mode, cred Cred) error {
 
 // MkdirAll creates path and any missing parents.
 func (fs *FS) MkdirAll(path string, perm Mode, cred Cred) error {
-	parts, err := splitPath(path)
+	parts, err := splitPath(nil, path)
 	if err != nil {
 		return err
 	}

@@ -292,6 +292,58 @@ func TestFSErrnos(t *testing.T) {
 	}
 }
 
+// TestFSPathResolution pins how paths resolve: empty and "." elements
+// vanish, and ".." is lexical — /missing/../index.html reaches
+// /index.html without looking up (or needing search permission on)
+// missing.
+func TestFSPathResolution(t *testing.T) {
+	fs := NewFS()
+	if err := fs.MkdirAll("/www/docs", 0755, root()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/index.html", []byte("top"), 0644, root()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/www/docs/index.html", []byte("docs"), 0644, root()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll("/locked", 0700, root()); err != nil {
+		t.Fatal(err)
+	}
+	user := CredFor(1000, 100)
+	for _, tc := range []struct {
+		path, want string
+		parts      []string
+	}{
+		{"/missing/../index.html", "top", []string{"index.html"}},
+		{"/locked/../index.html", "top", []string{"index.html"}},
+		{"/www/./docs/index.html", "docs", []string{"www", "docs", "index.html"}},
+		{"//www//docs//index.html", "docs", []string{"www", "docs", "index.html"}},
+		{"/www/docs/../../index.html", "top", []string{"index.html"}},
+		{"/../../index.html", "top", []string{"index.html"}},
+		{"/www/docs/index.html/", "docs", []string{"www", "docs", "index.html"}},
+	} {
+		got, err := splitPath(nil, tc.path)
+		if err != nil || strings.Join(got, "|") != strings.Join(tc.parts, "|") {
+			t.Errorf("splitPath(%q) = %q, %v; want %q", tc.path, got, err, tc.parts)
+		}
+		data, err := fs.ReadFile(tc.path, user)
+		if err != nil || string(data) != tc.want {
+			t.Errorf("ReadFile(%q) = %q, %v; want %q", tc.path, data, err, tc.want)
+		}
+	}
+	for _, p := range []string{"/", "//", "/./", "/.."} {
+		if got, err := splitPath(nil, p); err != nil || len(got) != 0 {
+			t.Errorf("splitPath(%q) = %q, %v; want the root", p, got, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _ = fs.lookup("/www/docs/index.html", user)
+	}); allocs != 0 {
+		t.Errorf("lookup: %.0f allocs, want 0", allocs)
+	}
+}
+
 func errnoIs(err error, want *Errno) bool {
 	e, ok := AsErrno(err)
 	return ok && e == want
