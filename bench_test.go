@@ -527,30 +527,6 @@ func BenchmarkFleetSaturatedPool2(b *testing.B) { benchFleetSaturated(b, 2, 15) 
 func BenchmarkFleetSaturatedPool4(b *testing.B) { benchFleetSaturated(b, 4, 15) }
 func BenchmarkFleetSaturatedPool8(b *testing.B) { benchFleetSaturated(b, 8, 15) }
 
-// BenchmarkFleetUnderAttack runs the fleet-under-attack scenario and
-// reports the availability headline: throughput retained relative to
-// the attack-free baseline while every probe is detected and every
-// struck group is quarantined and replaced.
-func BenchmarkFleetUnderAttack(b *testing.B) {
-	var retained, errRate float64
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFleetAttackOptions()
-		opts.RequestsPerEngine = 12
-		opts.Probes = 3
-		r, err := experiments.RunFleetAttack(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Detections != opts.Probes {
-			b.Fatalf("detections = %d, want %d", r.Detections, opts.Probes)
-		}
-		retained += r.ThroughputRetained()
-		errRate += r.ErrorRate()
-	}
-	b.ReportMetric(retained/float64(b.N), "retained")
-	b.ReportMetric(errRate/float64(b.N), "err-rate")
-}
-
 // BenchmarkFleetDispatchOverhead measures the per-request cost the
 // dispatcher adds over a directly-dialed group (pool of one, so the
 // difference is pure proxy overhead). The fleet runs instrumented so

@@ -1,10 +1,14 @@
 // Command campaign runs the chaos campaign: the expanded attack corpus
 // swept against seeded fault plans across group size, worker-lane
-// count and variation stack, plus the K-of-N quorum survival cells,
-// emitting a deterministic JSON matrix of detection / false-alarm /
-// throughput-retained results on stdout. The same -seed reproduces
-// byte-identical output, so any finding is a replayable regression
-// test. Pool topologies (fleets and meshes) run in meshbench -chaos.
+// count and variation stack, emitting a deterministic JSON matrix of
+// detection / false-alarm / throughput-retained results on stdout. The
+// default matrix ends with the K-of-N cells (entries with "k" set):
+// the variant crash and stall against 2-of-3 groups, which must survive
+// and still detect forge-root-uid, and against 2-of-2 groups, which
+// must die quorum-lost. The same -seed reproduces byte-identical
+// output, at any GOMAXPROCS and under -race, so any finding is a
+// replayable regression test. Pool topologies (fleets and meshes, and
+// attacks on them) run in meshbench -chaos.
 //
 //	go run ./cmd/campaign -seed 1 -check
 //	go run ./cmd/campaign -seed 1 -fault-only -check   # transparency matrix

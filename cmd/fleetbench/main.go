@@ -1,9 +1,10 @@
 // Command fleetbench measures how a fleet of N-variant server groups
 // scales: it sweeps pool size × webbench engine count and prints a
-// scaling table (throughput, mean and tail latency, errors), and can
-// run the fleet-under-attack scenario to show availability during an
-// attack campaign. Groups are deployed from generated DiversitySpecs:
-// -variants sets the per-group N and -stack the variation stack.
+// scaling table (throughput, mean and tail latency, errors). Groups are
+// deployed from generated DiversitySpecs: -variants sets the per-group
+// N and -stack the variation stack. Availability and detection under
+// attack are measured, seed-replayably, by the mesh×chaos campaign:
+// meshbench -chaos -pools 1 -fault none -attack forge-uid.
 //
 // Usage:
 //
@@ -14,7 +15,6 @@
 //	fleetbench -variants 2-4        # each group draws N from [2,4]
 //	fleetbench -stack uid,files     # variation stack per group spec
 //	fleetbench -json                # machine-readable sweep (BENCH_fleet.json)
-//	fleetbench -attack              # fleet-under-attack scenario
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"nvariant/internal/experiments"
 	"nvariant/internal/fleet"
 	"nvariant/internal/httpd"
 	"nvariant/internal/obs"
@@ -75,8 +74,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "per-group prefork worker-lane count (0 = serial groups)")
 	stackFlag := flag.String("stack", "", "variation stack per group spec (e.g. uid,addr,files; default: the full §4 stack)")
 	jsonOut := flag.Bool("json", false, "emit the sweep as JSON on stdout")
-	attackMode := flag.Bool("attack", false, "run the fleet-under-attack scenario instead of the sweep")
-	probes := flag.Int("probes", 5, "attack probes in -attack mode")
 	opsAddr := flag.String("ops", "", "serve /metrics, /audit and pprof on this host address (e.g. 127.0.0.1:9090)")
 	linger := flag.Duration("linger", 0, "after the sweep, keep an instrumented fleet under trickle load for this long (requires -ops)")
 	flag.Parse()
@@ -114,46 +111,6 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "fleetbench: ops server on http://%s (/metrics, /audit, /debug/pprof)\n", srv.Addr)
 	} else if *linger > 0 {
 		return fmt.Errorf("-linger requires -ops")
-	}
-
-	if *attackMode {
-		if *jsonOut {
-			return fmt.Errorf("-json applies to the scaling sweep, not -attack")
-		}
-		if *opsAddr != "" {
-			return fmt.Errorf("-ops applies to the scaling sweep, not -attack")
-		}
-		opts := experiments.DefaultFleetAttackOptions()
-		// -pools/-engines are sweep lists; the attack scenario runs one
-		// fleet, so honor them only as single values (and only when
-		// explicitly set — the sweep defaults are multi-valued).
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["pools"] {
-			if opts.Groups, err = parseSingle("pools", *pools); err != nil {
-				return err
-			}
-		}
-		if explicit["engines"] {
-			if opts.Engines, err = parseSingle("engines", *engines); err != nil {
-				return err
-			}
-		}
-		opts.RequestsPerEngine = *requests
-		opts.WorkFactor = *workFactor
-		opts.Latency = *latency
-		opts.Policy = policy
-		opts.Probes = *probes
-		opts.Variants = minVariants
-		opts.MaxVariants = maxVariants
-		opts.Stack = stack
-		opts.Workers = *workers
-		r, err := experiments.RunFleetAttack(opts)
-		if err != nil {
-			return err
-		}
-		r.Fprint(os.Stdout)
-		return nil
 	}
 
 	poolSizes, err := parseInts(*pools)
@@ -310,19 +267,6 @@ func parseVariants(s string) (int, int, error) {
 		return 0, 0, fmt.Errorf("bad variant range %q", s)
 	}
 	return n, m, nil
-}
-
-// parseSingle parses a flag that must carry exactly one count in
-// -attack mode.
-func parseSingle(name, csv string) (int, error) {
-	vals, err := parseInts(csv)
-	if err != nil {
-		return 0, fmt.Errorf("-%s: %w", name, err)
-	}
-	if len(vals) != 1 {
-		return 0, fmt.Errorf("-%s: -attack runs one fleet, want a single value (got %q)", name, csv)
-	}
-	return vals[0], nil
 }
 
 func parseInts(csv string) ([]int, error) {

@@ -3,7 +3,10 @@ package chaos
 // The campaign runner: sweep the expanded attack corpus against every
 // fault plan across group size N, worker-lane count W, and variation
 // stack, from one seed, and emit a deterministic JSON matrix of
-// detection / false-alarm / throughput-retained results.
+// detection / false-alarm / throughput-retained results. The K-of-N
+// cells are the same group cells with a quorum K set: the
+// variant-fault plans against groups that can (N = K+1) or cannot
+// (N = K) afford to lose a variant.
 //
 // Byte-identical replay is a hard requirement (a chaos finding must be
 // a replayable regression test), so the matrix records only values
@@ -70,12 +73,13 @@ type Config struct {
 	// ByteSweep includes the word-level exhaustive mask-byte brute
 	// force per N.
 	ByteSweep bool
-	// Quorum, when K ≥ 1, adds the quorum section: the variant-fault
-	// plans (excluded from the headline detection rate in unanimous
-	// mode) run as quorum-survival cells against K-of-(K+1) groups —
-	// gating availability across the fault, the eviction record, and
-	// post-fault divergence detection among the live variants — plus
-	// quorum-lost cells at N = K.
+	// Quorum, when K ≥ 1, adds the K-of-N cells: every variant-fault
+	// plan (excluded from the headline detection rate in unanimous
+	// mode) against a full-stack K-of-(K+1) group attacked with
+	// forge-root-uid — it must evict the faulted variant, serve every
+	// benign request and still detect the attack among the live
+	// variants — and against an unattacked K-of-K group, which must
+	// die quorum-lost.
 	Quorum int
 	// Obs, when set, instruments every cell's kernel, network and
 	// server on the registry. Metrics record wall-clock data outside
@@ -90,7 +94,7 @@ func NoAttack() attack.Scenario { return attack.Scenario{Name: "none"} }
 
 // DefaultConfig is the standard campaign at the given seed: the full
 // corpus and fault-plan crossing over N ∈ {2,3}, W ∈ {1,2}, both
-// stacks, plus byte sweeps and the quorum section.
+// stacks, plus byte sweeps and the K-of-N cells.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:          seed,
@@ -134,25 +138,32 @@ func mustPlan(name string) Plan {
 }
 
 // Cell is one campaign matrix entry: one attack scenario against one
-// group deployment under one fault plan.
+// group deployment under one fault plan. K > 0 marks a K-of-N quorum
+// group; K, Evicted and EvictedKind are omitted from the JSON of a
+// unanimous cell.
 type Cell struct {
 	Attack  string `json:"attack"`
 	Fault   string `json:"fault"`
 	Stack   string `json:"stack"`
 	N       int    `json:"n"`
+	K       int    `json:"k,omitempty"`
 	Workers int    `json:"workers"`
 
 	// ExpectDetect: a correctly deployed UID stack must alarm on this
 	// scenario.
 	ExpectDetect bool `json:"expect_detect"`
 	// ExpectFaultAlarm: the fault plan itself must be detected
-	// (crash-class faults).
+	// (crash-class faults that kill the group).
 	ExpectFaultAlarm bool `json:"expect_fault_alarm"`
 
 	// BenignOK / BenignErrs count the serialized benign phase's
 	// request outcomes (the deterministic throughput measure).
 	BenignOK   int `json:"benign_ok"`
 	BenignErrs int `json:"benign_errs"`
+	// Evicted counts the variants a quorum group evicted; EvictedKind
+	// is the first eviction's kind (crash or stall).
+	Evicted     int    `json:"evicted,omitempty"`
+	EvictedKind string `json:"evicted_kind,omitempty"`
 
 	Detected    bool   `json:"detected"`
 	AlarmReason string `json:"alarm_reason,omitempty"`
@@ -161,6 +172,10 @@ type Cell struct {
 	MissedDetection bool `json:"missed_detection"`
 	FalseAlarm      bool `json:"false_alarm"`
 }
+
+// survivesFault reports whether the cell's group can lose one variant
+// and keep serving: a quorum group with a spare live variant.
+func (c Cell) survivesFault() bool { return c.K > 0 && c.N > c.K }
 
 // ByteSweepRow is one word-level exhaustive brute-force result.
 type ByteSweepRow struct {
@@ -172,7 +187,8 @@ type ByteSweepRow struct {
 	Harmless  int    `json:"harmless"`
 }
 
-// FaultSummary aggregates one fault plan across all its group cells.
+// FaultSummary aggregates one fault plan across its unanimous group
+// cells.
 type FaultSummary struct {
 	Fault      string `json:"fault"`
 	Cells      int    `json:"cells"`
@@ -184,12 +200,12 @@ type FaultSummary struct {
 	FalseAlarms        int     `json:"false_alarms"`
 }
 
-// Summary is the campaign headline. The quorum probe detections fold
-// into ExpectedDetections / Detections: in quorum mode a crash-plan
-// cell *does* count toward the headline rate again — what it must
-// detect is the divergence probe among the live variants, not the
-// fault itself. The Quorum* fields are zero (and omitted from JSON)
-// when the campaign has no quorum section.
+// Summary is the campaign headline. A K-of-(K+1) cell's attack counts
+// toward ExpectedDetections / Detections: with a quorum a variant-fault
+// cell counts toward the headline rate again — what it must detect is
+// the attack among the live variants, not the fault itself. The
+// Quorum* fields count the K-of-N cells and are zero (and omitted from
+// JSON) when the campaign has none.
 type Summary struct {
 	Cells              int            `json:"cells"`
 	ExpectedDetections int            `json:"expected_detections"`
@@ -212,7 +228,6 @@ type Result struct {
 	Requests   int            `json:"requests"`
 	Cells      []Cell         `json:"cells"`
 	ByteSweeps []ByteSweepRow `json:"byte_sweeps,omitempty"`
-	Quorum     []QuorumCell   `json:"quorum,omitempty"`
 	Summary    Summary        `json:"summary"`
 }
 
@@ -227,13 +242,17 @@ func (r *Result) JSON() ([]byte, error) {
 
 // Check returns the list of contract violations in the matrix: missed
 // detections, false alarms, leaks from defended (UID-stack) cells,
-// undetected word-level corruptions, and quorum cells that did not
-// survive, evict, or detect as required. An empty list is the passing
-// campaign.
+// undetected word-level corruptions, K-of-(K+1) cells that did not
+// survive the fault, evict exactly one variant and alarm on the attack
+// as uid-divergence, and K-of-K cells that did not die quorum-lost. An
+// empty list is the passing campaign.
 func (r *Result) Check() []string {
 	var v []string
 	for _, c := range r.Cells {
 		id := fmt.Sprintf("cell %s/%s/%s n=%d w=%d", c.Attack, c.Fault, c.Stack, c.N, c.Workers)
+		if c.K > 0 {
+			id += fmt.Sprintf(" k=%d", c.K)
+		}
 		if c.MissedDetection {
 			v = append(v, id+": missed detection")
 		}
@@ -243,31 +262,25 @@ func (r *Result) Check() []string {
 		if c.Leaked && c.Stack == StackFull {
 			v = append(v, id+": secret leaked from a defended group")
 		}
+		switch {
+		case c.survivesFault():
+			if c.BenignErrs > 0 {
+				v = append(v, fmt.Sprintf("%s: group did not survive the fault (%d/%d benign ok)",
+					id, c.BenignOK, c.BenignOK+c.BenignErrs))
+			}
+			if c.Evicted != 1 {
+				v = append(v, fmt.Sprintf("%s: %d evictions, want exactly 1", id, c.Evicted))
+			}
+			if c.AlarmReason != nvkernel.ReasonUIDDivergence.String() {
+				v = append(v, fmt.Sprintf("%s: alarm %q, want uid-divergence among the live variants", id, c.AlarmReason))
+			}
+		case c.K > 0 && c.AlarmReason != nvkernel.ReasonQuorumLost.String():
+			v = append(v, fmt.Sprintf("%s: alarm %q, want quorum-lost", id, c.AlarmReason))
+		}
 	}
 	for _, b := range r.ByteSweeps {
 		if b.Corrupted > 0 {
 			v = append(v, fmt.Sprintf("byte-sweep %s n=%d: %d undetected corruptions", b.Name, b.N, b.Corrupted))
-		}
-	}
-	for _, q := range r.Quorum {
-		id := fmt.Sprintf("quorum %s/%s n=%d k=%d", q.Scenario, q.Fault, q.N, q.K)
-		switch {
-		case q.ExpectSurvive && !q.Survived:
-			v = append(v, fmt.Sprintf("%s: group did not survive the fault (%d/%d benign ok, %d evicted)",
-				id, q.BenignOK, q.BenignOK+q.BenignErrs, q.Evicted))
-		case q.ExpectSurvive && q.Evicted != 1:
-			v = append(v, fmt.Sprintf("%s: %d evictions, want exactly 1", id, q.Evicted))
-		case !q.ExpectSurvive && q.AlarmReason != nvkernel.ReasonQuorumLost.String():
-			v = append(v, fmt.Sprintf("%s: alarm %q, want quorum-lost", id, q.AlarmReason))
-		}
-		if q.MissedDetection && q.ExpectSurvive {
-			v = append(v, id+": divergence probe not detected in degraded mode")
-		}
-		if q.FalseAlarm {
-			v = append(v, fmt.Sprintf("%s: false alarm (%s)", id, q.AlarmReason))
-		}
-		if q.Leaked {
-			v = append(v, id+": secret leaked from a degraded group")
 		}
 	}
 	return v
@@ -290,19 +303,44 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	res := &Result{Seed: cfg.Seed, Requests: cfg.Requests}
+	addCell := func(sc attack.Scenario, plan Plan, stack string, n, k, w int) error {
+		cell, err := runGroupCell(cfg, sc, plan, stack, n, k, w)
+		if err != nil {
+			return fmt.Errorf("chaos: cell %s/%s/%s n=%d k=%d w=%d: %w", sc.Name, plan.Name, stack, n, k, w, err)
+		}
+		res.Cells = append(res.Cells, cell)
+		return nil
+	}
 	for _, sc := range cfg.Attacks {
 		for _, plan := range cfg.Faults {
 			for _, stack := range cfg.Stacks {
 				for _, n := range cfg.Ns {
 					for _, w := range cfg.Workers {
-						cell, err := runGroupCell(cfg, sc, plan, stack, n, w)
-						if err != nil {
-							return nil, fmt.Errorf("chaos: cell %s/%s/%s n=%d w=%d: %w",
-								sc.Name, plan.Name, stack, n, w, err)
+						if err := addCell(sc, plan, stack, n, 0, w); err != nil {
+							return nil, err
 						}
-						res.Cells = append(res.Cells, cell)
 					}
 				}
+			}
+		}
+	}
+	if cfg.Quorum > 0 {
+		// The K-of-N cells: each variant fault against a group that can
+		// afford to lose one variant (attacked, so the live variants must
+		// still detect) and against one that cannot.
+		forge, err := attack.ScenarioByName("forge-root-uid")
+		if err != nil {
+			return nil, err
+		}
+		for _, plan := range Plans() {
+			if !plan.VariantFault() {
+				continue
+			}
+			if err := addCell(forge, plan, StackFull, cfg.Quorum+1, cfg.Quorum, 1); err != nil {
+				return nil, err
+			}
+			if err := addCell(NoAttack(), plan, StackFull, cfg.Quorum, cfg.Quorum, 1); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -312,13 +350,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		res.ByteSweeps = rows
-	}
-	if cfg.Quorum > 0 {
-		cells, err := runQuorumCells(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Quorum = cells
 	}
 	res.Summary = summarize(cfg, res)
 	return res, nil
@@ -358,20 +389,20 @@ func buildGroupSpec(stack string, n, w int, seed int64, kopts []nvkernel.Option)
 	return gs, nil
 }
 
-// runGroupCell runs one attack × fault × deployment cell.
-func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w int) (Cell, error) {
-	cell := Cell{
-		Attack: sc.Name, Fault: plan.Name, Stack: stack, N: n, Workers: w,
-		// Attack detection is only demanded of cells where the attack
-		// actually reaches the group: under a crash-class plan the
-		// monitor kills the group during the benign phase, so the
-		// alarm there certifies crash-and-drain (ExpectFaultAlarm),
-		// not the attack — counting it as an attack detection would
-		// inflate the headline rate with cells that never exercised
-		// the exploit.
-		ExpectDetect:     sc.Build != nil && sc.ExpectDetect && stack == StackFull && plan.Transparent,
-		ExpectFaultAlarm: !plan.Transparent,
-	}
+// runGroupCell runs one attack × fault × deployment cell; k > 0
+// deploys a K-of-N quorum group.
+func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, k, w int) (Cell, error) {
+	cell := Cell{Attack: sc.Name, Fault: plan.Name, Stack: stack, N: n, K: k, Workers: w}
+	// Attack detection is only demanded of cells where the attack
+	// actually reaches the group: under a crash-class plan a unanimous
+	// monitor (or a quorum group without a spare variant) kills the
+	// group during the benign phase, so the alarm there certifies
+	// crash-and-drain (ExpectFaultAlarm), not the attack — counting it
+	// as an attack detection would inflate the headline rate with cells
+	// that never exercised the exploit.
+	reached := plan.Transparent || cell.survivesFault()
+	cell.ExpectDetect = sc.Build != nil && sc.ExpectDetect && stack == StackFull && reached
+	cell.ExpectFaultAlarm = !reached
 	seed := CellSeed(cfg.Seed, "group", sc.Name, plan.Name, stack, fmt.Sprint(n), fmt.Sprint(w))
 
 	world, err := vos.NewWorld()
@@ -388,9 +419,10 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 	var kopts []nvkernel.Option
 	if plan.Kernel != nil {
 		kopts = append(kopts, nvkernel.WithFaultHook(plan.Kernel.Hook(seed+2)))
-		if plan.Kernel.StallAfter > 0 {
+		if plan.Kernel.StallAfter > 0 || k > 0 {
 			// A deterministic stall is sized against the quorum deadline;
 			// under the default one a unanimous group would wait it out.
+			// Quorum groups always run on that deadline.
 			kopts = append(kopts, nvkernel.WithTimeout(QuorumTimeout))
 		}
 	}
@@ -401,6 +433,7 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 	if err != nil {
 		return cell, err
 	}
+	gs.Quorum = k
 	if cfg.Obs != nil {
 		gs.Server.Metrics = httpd.NewMetrics(cfg.Obs)
 	}
@@ -412,7 +445,9 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 
 	// Serialized benign phase: the deterministic throughput measure.
 	// Under a crash plan the group may die mid-phase; the remaining
-	// requests fail deterministically (refused dials).
+	// requests fail deterministically (refused dials). A quorum group
+	// with a spare variant evicts the faulted one instead and serves
+	// every request.
 	for r := 0; r < cfg.Requests; r++ {
 		code, _, err := client.Get(benignMix[r%len(benignMix)])
 		if err == nil && code == 200 {
@@ -424,16 +459,12 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 
 	// Attack phase: scripted payloads plus first-use trigger probes.
 	// Only booleans leave this phase — probe counts depend on which
-	// lane wins accept and are not replayable at W > 1. The adaptive
-	// retry rounds exist to outlast a lossy network; against a
-	// deployment that cannot detect anyway, one round decides the
-	// leak outcome.
+	// lane wins accept and are not replayable at W > 1. Every trigger
+	// scenario gets the same adaptive rounds, defended or not: at W > 1
+	// the outcome of a single round also depends on which lane wins
+	// accept, so the undefended leak flag would not replay.
 	if sc.Build != nil {
-		rounds := 1
-		if cell.ExpectDetect {
-			rounds = 4
-		}
-		cell.Leaked = driveAttack(client, sc, rand.New(rand.NewSource(seed+4)), w, cfg.TriggerBudget, rounds)
+		cell.Leaked = driveAttack(client, sc, rand.New(rand.NewSource(seed+4)), w, cfg.TriggerBudget)
 	}
 
 	res, err := h.Stop()
@@ -443,6 +474,10 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 	if res.Alarm != nil {
 		cell.Detected = true
 		cell.AlarmReason = res.Alarm.Reason.String()
+	}
+	cell.Evicted = len(res.Evictions)
+	if cell.Evicted > 0 {
+		cell.EvictedKind = res.Evictions[0].Kind.String()
 	}
 	cell.MissedDetection = (cell.ExpectDetect || cell.ExpectFaultAlarm) && !cell.Detected
 	cell.FalseAlarm = cell.Detected && !cell.ExpectDetect && !cell.ExpectFaultAlarm
@@ -457,10 +492,12 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, w 
 // network: a dropped or truncated exchange may have destroyed the
 // overwrite, so payloads are resent and trigger rounds repeated until
 // the group's port refuses — the monitor killed it (detection) — or
-// the budget is spent. The terminal alarm state is read from the run
-// result afterwards; only booleans leave this phase.
-func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w, budget, rounds int) (leaked bool) {
+// the budget of attackRounds rounds is spent. The terminal alarm state
+// is read from the run result afterwards; only booleans leave this
+// phase.
+func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w, budget int) (leaked bool) {
 	payloads := sc.Build(rng)
+	rounds := attackRounds
 	if !sc.Trigger {
 		rounds = 1
 	}
@@ -503,6 +540,10 @@ func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w, bu
 	return leaked
 }
 
+// attackRounds is how many times driveAttack replays a trigger
+// scenario's payloads and probes.
+const attackRounds = 4
+
 // byteSweepVictim is the canonical worker UID the word-level brute
 // force corrupts (wwwrun, the httpd worker identity in the stock
 // world).
@@ -531,42 +572,6 @@ func runByteSweeps(cfg Config) ([]ByteSweepRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// Strike delivers a forged-UID payload on client and fires trigger
-// requests for its first use. It is adaptive — up to 8 rounds of
-// overwrite + 64 triggers, until the victim's port refuses (the monitor
-// killed it) — so a fault plan cannot mask a detection. gone, when
-// non-nil, reports that a pooled victim has left its pool: the pool
-// recycles a dead group's port, so a kill the fault plan turned into a
-// dropped exchange must not leave the strike sending into the
-// replacement. Strike reports whether the victim was killed and
-// whether any trigger leaked the secret.
-func Strike(client *httpd.Client, payload []byte, gone func() bool) (detected, leaked bool) {
-	if gone == nil {
-		gone = func() bool { return false }
-	}
-	for round := 0; round < 8 && !detected; round++ {
-		if gone() {
-			return true, leaked // the pool already pruned the killed victim
-		}
-		if _, err := client.Raw(payload); errors.Is(err, simnet.ErrRefused) {
-			return true, leaked // victim already killed by a prior round's trigger
-		}
-		for t := 0; t < 64 && !detected; t++ {
-			if gone() {
-				return true, leaked
-			}
-			code, body, err := client.Get("/private/secret.html")
-			switch {
-			case errors.Is(err, simnet.ErrRefused):
-				detected = true
-			case err == nil && code == 200 && httpd.ContainsSecret(body):
-				leaked = true
-			}
-		}
-	}
-	return detected, leaked
 }
 
 // summarize computes the campaign headline from the matrix.
@@ -599,6 +604,14 @@ func summarize(cfg Config, r *Result) Summary {
 				s.UndefendedLeaks++
 			}
 		}
+		if c.K > 0 {
+			s.QuorumCells++
+			s.QuorumEvictions += c.Evicted
+			if c.BenignErrs == 0 && c.Evicted == 1 {
+				s.QuorumSurvived++
+			}
+			continue // per_fault aggregates the unanimous cells
+		}
 		if fs := perFault[c.Fault]; fs != nil {
 			fs.Cells++
 			fs.BenignOK += c.BenignOK
@@ -606,27 +619,6 @@ func summarize(cfg Config, r *Result) Summary {
 			if c.FalseAlarm {
 				fs.FalseAlarms++
 			}
-		}
-	}
-	for _, q := range r.Quorum {
-		s.QuorumCells++
-		if q.Survived {
-			s.QuorumSurvived++
-		}
-		s.QuorumEvictions += q.Evicted
-		if q.ExpectSurvive {
-			// The re-included crash/stall cells count toward the headline
-			// rate through their divergence probes.
-			s.ExpectedDetections++
-			if q.ProbeDetected {
-				s.Detections++
-			}
-		}
-		if q.MissedDetection {
-			s.MissedDetections++
-		}
-		if q.FalseAlarm {
-			s.FalseAlarms++
 		}
 	}
 	if s.ExpectedDetections > 0 {
@@ -650,8 +642,8 @@ func summarize(cfg Config, r *Result) Summary {
 // the JSON matrix is the machine artifact.
 func (r *Result) Fprint(w io.Writer) {
 	s := r.Summary
-	fmt.Fprintf(w, "Chaos campaign (seed %d): %d group cells, %d quorum cells, %d byte sweeps\n",
-		r.Seed, len(r.Cells), len(r.Quorum), len(r.ByteSweeps))
+	fmt.Fprintf(w, "Chaos campaign (seed %d): %d group cells (%d K-of-N: %d survived, %d evictions), %d byte sweeps\n",
+		r.Seed, len(r.Cells), s.QuorumCells, s.QuorumSurvived, s.QuorumEvictions, len(r.ByteSweeps))
 	fmt.Fprintf(w, "  detection: %d/%d expected (rate %.2f); missed %d; false alarms %d\n",
 		s.Detections, s.ExpectedDetections, s.DetectionRate, s.MissedDetections, s.FalseAlarms)
 	fmt.Fprintf(w, "  leaks: %d defended (must be 0), %d undefended-baseline (expected)\n",
@@ -664,10 +656,6 @@ func (r *Result) Fprint(w io.Writer) {
 	for _, b := range r.ByteSweeps {
 		fmt.Fprintf(w, "  byte-sweep %-16s n=%d: %d/%d detected, %d corrupted, %d harmless\n",
 			b.Name, b.N, b.Detected, b.Trials, b.Corrupted, b.Harmless)
-	}
-	for _, q := range r.Quorum {
-		fmt.Fprintf(w, "  quorum %-12s %-14s n=%d k=%d: %d ok / %d errs, survived %v, evicted %d (%s), probe-detected %v (%s)\n",
-			q.Scenario, q.Fault, q.N, q.K, q.BenignOK, q.BenignErrs, q.Survived, q.Evicted, q.EvictedKind, q.ProbeDetected, q.AlarmReason)
 	}
 	if v := r.Check(); len(v) > 0 {
 		fmt.Fprintf(w, "  VIOLATIONS (%d):\n", len(v))

@@ -11,7 +11,7 @@ import (
 
 // smallConfig is a fast campaign crossing that still exercises every
 // moving part: benign + detecting + flood scenarios, transparent and
-// crash fault plans, serial and prefork groups, and the quorum section.
+// crash fault plans, serial and prefork groups, and the K-of-N cells.
 func smallConfig(seed int64) chaos.Config {
 	forge, err := attack.ScenarioByName("forge-root-uid")
 	if err != nil {
@@ -188,5 +188,35 @@ func TestCampaignRejectsPoolOnlyPlans(t *testing.T) {
 	}
 	if _, err := chaos.Run(cfg); err == nil {
 		t.Fatal("campaign accepted a pool-only plan")
+	}
+}
+
+// TestUndefendedCrossLaneLeakReplays: the cross-lane attack against a
+// prefork group without the UID layer must leak on every run. Its
+// trigger probes alternate with benign requests, so with two lanes a
+// single attack round can land every trigger on the lane the payload
+// did not corrupt; the leak flag replays only because every trigger
+// scenario gets the same adaptive rounds.
+func TestUndefendedCrossLaneLeakReplays(t *testing.T) {
+	crossLane, err := attack.ScenarioByName("cross-lane-corruption")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaos.DefaultConfig(1)
+	cfg.Ns = []int{2}
+	cfg.Workers = []int{2}
+	cfg.Stacks = []string{chaos.StackBaseline}
+	cfg.Attacks = []attack.Scenario{crossLane}
+	cfg.Faults = []chaos.Plan{{Name: "none", Transparent: true}}
+	cfg.ByteSweep = false
+	cfg.Quorum = 0
+	for run := 0; run < 3; run++ {
+		r, err := chaos.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Cells) != 1 || !r.Cells[0].Leaked {
+			t.Fatalf("run %d: cells %+v, want one cell that leaked", run, r.Cells)
+		}
 	}
 }

@@ -62,8 +62,8 @@ func (p Plan) VariantFault() bool {
 	return p.Kernel != nil && (p.Kernel.CrashAfter > 0 || p.Kernel.StallAfter > 0)
 }
 
-// Quorum cells — the chaos quorum section's group cells and the mesh
-// campaign's variant-fault cells — run QuorumK-of-(QuorumK+1) groups
+// Quorum cells — the chaos campaign's K-of-N group cells and the mesh
+// campaign's variant-fault cells — run K-of-N groups with K = QuorumK
 // whose rendezvous deadline is QuorumTimeout: short enough that the
 // variant-stall plan's quorumStall reliably blows it.
 const (

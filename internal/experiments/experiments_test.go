@@ -204,45 +204,6 @@ func TestTable3SmallRun(t *testing.T) {
 	}
 }
 
-func TestFleetAttackSmallRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet campaign takes a second")
-	}
-	opts := FleetAttackOptions{
-		Groups:            2,
-		Engines:           4,
-		RequestsPerEngine: 10,
-		Probes:            2,
-		WorkFactor:        50,
-	}
-	r, err := RunFleetAttack(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Detections != opts.Probes || r.DefendedLeaks != 0 {
-		t.Errorf("detections = %d leaks = %d, want %d and 0", r.Detections, r.DefendedLeaks, opts.Probes)
-	}
-	if r.UndefendedLeaks < 1 {
-		t.Errorf("undefended leaks = %d, want >= 1", r.UndefendedLeaks)
-	}
-	if len(r.Audit) != opts.Probes {
-		t.Errorf("audit entries = %d, want %d", len(r.Audit), opts.Probes)
-	}
-	var b strings.Builder
-	r.Fprint(&b)
-	for _, want := range []string{"Fleet under attack", "throughput retained", "audit log", "detections: 2/2"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("rendering missing %q:\n%s", want, b.String())
-		}
-	}
-}
-
-func TestFleetAttackRejectsBadSizing(t *testing.T) {
-	if _, err := RunFleetAttack(FleetAttackOptions{}); err == nil {
-		t.Error("zero sizing accepted")
-	}
-}
-
 func TestPaperTable3Values(t *testing.T) {
 	p := PaperTable3()
 	if len(p) != 4 {

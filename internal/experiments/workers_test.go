@@ -35,30 +35,3 @@ func TestNSweepDetectsWithWorkers(t *testing.T) {
 		}
 	}
 }
-
-func TestFleetAttackWithWorkers(t *testing.T) {
-	// The full availability experiment at W > 1: all probes detected,
-	// no defended leaks, and the undefended fleet still leaks (the
-	// corrupted lane keeps serving there, proving the attack works
-	// without diversity even under prefork).
-	opts := experiments.DefaultFleetAttackOptions()
-	opts.Groups = 2
-	opts.Engines = 4
-	opts.RequestsPerEngine = 8
-	opts.Probes = 2
-	opts.WorkFactor = 20
-	opts.Workers = 2
-	rep, err := experiments.RunFleetAttack(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Detections != opts.Probes {
-		t.Errorf("detections = %d, want %d", rep.Detections, opts.Probes)
-	}
-	if rep.DefendedLeaks != 0 {
-		t.Errorf("defended leaks = %d, want 0", rep.DefendedLeaks)
-	}
-	if rep.UndefendedLeaks == 0 {
-		t.Error("undefended fleet never leaked: attack did not work under prefork")
-	}
-}

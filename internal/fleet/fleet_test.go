@@ -1,13 +1,10 @@
 package fleet_test
 
 import (
-	"math/bits"
-	"math/rand"
 	"testing"
 	"time"
 
 	"nvariant/internal/attack"
-	"nvariant/internal/experiments"
 	"nvariant/internal/fleet"
 	"nvariant/internal/harness"
 	"nvariant/internal/httpd"
@@ -15,7 +12,6 @@ import (
 	"nvariant/internal/reexpress"
 	"nvariant/internal/vos"
 	"nvariant/internal/webbench"
-	"nvariant/internal/word"
 )
 
 func startFleet(t *testing.T, opts fleet.Options) *fleet.Fleet {
@@ -164,101 +160,6 @@ func TestFleetQuarantineAndReplacement(t *testing.T) {
 	}
 	if e.ReplacementR1 == e.R1 {
 		t.Errorf("replacement reuses the dead group's functions: %q", e.R1)
-	}
-}
-
-// TestFleetUnderSaturatedAttackCampaign is the acceptance scenario: a
-// 4-group fleet serves the paper's saturated 15-engine load while a
-// UID-forging campaign runs through the same dispatcher. Every probe
-// must be detected, every struck group quarantined and replaced with
-// an audit record, the secret must never leak, and throughput must
-// stay within 2x of the attack-free baseline.
-func TestFleetUnderSaturatedAttackCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign in -short mode")
-	}
-	opts := experiments.DefaultFleetAttackOptions()
-	opts.Groups = 4
-	opts.Engines = 15
-	opts.RequestsPerEngine = 20
-	opts.Probes = 4
-	opts.WorkFactor = 200
-
-	r, err := experiments.RunFleetAttack(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if r.Detections != opts.Probes {
-		t.Errorf("detections = %d, want %d (every probe detected)", r.Detections, opts.Probes)
-	}
-	if r.DefendedLeaks != 0 {
-		t.Errorf("secret leaked %d times through the defended fleet", r.DefendedLeaks)
-	}
-	if r.UndefendedLeaks < 1 {
-		t.Errorf("undefended leaks = %d, want >= 1 (the attack works without diversity)", r.UndefendedLeaks)
-	}
-	if got := r.AttackedStats.Quarantined; got != opts.Probes {
-		t.Errorf("quarantined = %d, want %d", got, opts.Probes)
-	}
-	if got := r.AttackedStats.Replaced; got != opts.Probes {
-		t.Errorf("replaced = %d, want %d", got, opts.Probes)
-	}
-	if got := len(r.AttackedStats.Healthy); got != opts.Groups {
-		t.Errorf("healthy at end = %d, want %d (pool replenished)", got, opts.Groups)
-	}
-
-	// The audit log records each alarm.
-	alarmed := 0
-	for _, e := range r.Audit {
-		if e.Alarm != nil {
-			alarmed++
-			if e.Alarm.Reason != nvkernel.ReasonUIDDivergence {
-				t.Errorf("audit alarm reason = %v", e.Alarm.Reason)
-			}
-		}
-	}
-	if alarmed != opts.Probes {
-		t.Errorf("audit records %d alarms, want %d", alarmed, opts.Probes)
-	}
-
-	if retained := r.ThroughputRetained(); retained < 0.5 {
-		t.Errorf("throughput retained = %.2f, want >= 0.5 (within 2x of baseline)\nbaseline: %v\nattacked: %v",
-			retained, r.Baseline, r.Attacked)
-	}
-	// Lost requests are bounded by in-flight work on killed groups.
-	if rate := r.ErrorRate(); rate > 0.25 {
-		t.Errorf("error rate = %.3f, want <= 0.25", rate)
-	}
-}
-
-func TestSelectPairProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	seen := map[word.Word]bool{}
-	for i := 0; i < 50; i++ {
-		pair := fleet.SelectPair(rng)
-		xm, ok := pair.R1.(reexpress.XORMask)
-		if !ok {
-			t.Fatalf("R1 = %T, want XORMask", pair.R1)
-		}
-		if xm.Mask&word.HighBit != 0 {
-			t.Errorf("mask %s has the sign bit set", xm.Mask)
-		}
-		if bits.OnesCount32(uint32(xm.Mask)) < 16 {
-			t.Errorf("mask %s flips fewer than 16 bits", xm.Mask)
-		}
-		for b := 0; b < word.Size; b++ {
-			if byt, _ := xm.Mask.Byte(b); byt == 0 {
-				t.Errorf("mask %s has zero byte %d (single-byte overwrites there would go undetected)", xm.Mask, b)
-			}
-		}
-		if err := reexpress.CheckPair(pair, reexpress.BoundarySamples()); err != nil {
-			t.Errorf("selected pair fails properties: %v", err)
-		}
-		seen[xm.Mask] = true
-	}
-	if len(seen) < 40 {
-		t.Errorf("only %d distinct masks in 50 draws", len(seen))
 	}
 }
 

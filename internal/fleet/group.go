@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -69,18 +68,6 @@ const (
 	// slot comes back re-expressed, never resurrected in place).
 	retireRespawn
 )
-
-// SelectPair draws a fresh two-variant UID pair: R₀ = identity and
-// R₁ = XOR with a freshly selected mask satisfying the §2.2/§2.3
-// properties.
-//
-// Deprecated-style adapter over reexpress.GenerateFrom, kept so
-// pre-DiversitySpec call sites compile unchanged; replacements now
-// draw whole specs (possibly N-wide and multi-layer) instead of pairs.
-func SelectPair(rng *rand.Rand) reexpress.Pair {
-	funcs := reexpress.GenerateFrom(rng, 2).UIDFuncs()
-	return reexpress.Pair{R0: funcs[0], R1: funcs[1]}
-}
 
 // defaultStack is the variation stack generated for Config4 groups
 // when Options.Stack is empty: the paper's full §4 deployment.

@@ -14,6 +14,7 @@ import (
 
 	"nvariant/internal/attack"
 	"nvariant/internal/fleet"
+	"nvariant/internal/nvkernel"
 	"nvariant/internal/testutil"
 	"nvariant/internal/vos"
 )
@@ -96,11 +97,22 @@ func TestFleetConcurrentDispatchRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Detections != 2 {
-		t.Errorf("detections = %d, want 2", stats.Detections)
+	if stats.Detections != 2 || stats.Quarantined != 2 || stats.Replaced != 2 {
+		t.Errorf("detections/quarantined/replaced = %d/%d/%d, want 2/2/2",
+			stats.Detections, stats.Quarantined, stats.Replaced)
 	}
 	if len(stats.Healthy) != 3 {
 		t.Errorf("healthy at end = %d, want 3", len(stats.Healthy))
+	}
+	// Every struck group leaves one audit record of its alarm.
+	alarmed := 0
+	for _, e := range f.Audit().Entries() {
+		if e.Alarm != nil && e.Alarm.Reason == nvkernel.ReasonUIDDivergence {
+			alarmed++
+		}
+	}
+	if alarmed != 2 {
+		t.Errorf("audit records %d uid-divergence alarms, want 2", alarmed)
 	}
 }
 

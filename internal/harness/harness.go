@@ -77,10 +77,6 @@ type GroupSpec struct {
 	// use this to come back with freshly generated specs — possibly
 	// differing in N and stack, not just masks.
 	Diversity *reexpress.Spec
-	// Pair is the deprecated two-variant override for
-	// Config4UIDVariation, kept so pre-DiversitySpec call sites
-	// continue to compile; it is ignored when Diversity is set.
-	Pair *reexpress.Pair
 	// Workers is the per-group prefork worker-lane count; when > 0 it
 	// overrides Server.Workers, so fleets can widen every spawned
 	// group without touching the server options. The group then serves
@@ -123,11 +119,7 @@ func (s GroupSpec) diversity() *reexpress.Spec {
 			reexpress.UnsharedFilesLayer(reexpress.DefaultUnsharedPaths...),
 		)
 	case Config4UIDVariation:
-		pair := reexpress.UIDVariation().Pair
-		if s.Pair != nil {
-			pair = *s.Pair
-		}
-		return reexpress.FullStack(pair.Funcs())
+		return reexpress.FullStack(reexpress.UIDVariation().Pair.Funcs())
 	}
 	return nil
 }

@@ -455,17 +455,3 @@ func TestConfig3RejectsUIDLayer(t *testing.T) {
 		t.Fatal("config 3 accepted a UID layer over untransformed programs")
 	}
 }
-
-func TestDeprecatedPairFieldStillWorks(t *testing.T) {
-	// Pre-DiversitySpec call sites pass a raw Pair; it must still
-	// select the group's representations.
-	pair := reexpress.UIDVariation().Pair
-	h, err := StartSpec(simnet.New(0), GroupSpec{Config: Config4UIDVariation, Pair: &pair})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _, _ = h.Stop() }()
-	if code, _, err := h.Client().Get("/index.html"); err != nil || code != 200 {
-		t.Fatalf("request = %d, %v", code, err)
-	}
-}

@@ -464,13 +464,3 @@ func RunSpec(canonical []word.Word, spec *reexpress.Spec, inject []word.Word, in
 	}
 	return RunN(canonical, funcs, inject, injectAt, maxSteps)
 }
-
-// RunPair is RunN for the two-variant deployments of the paper.
-func RunPair(canonical []word.Word, pair reexpress.Pair, inject []word.Word, injectAt int, maxSteps int) ([2][]word.Word, error) {
-	var outs [2][]word.Word
-	res, err := RunN(canonical, pair.Funcs(), inject, injectAt, maxSteps)
-	for i := 0; i < len(res) && i < 2; i++ {
-		outs[i] = res[i]
-	}
-	return outs, err
-}

@@ -48,7 +48,7 @@ func TestTaggedVariantsProduceIdenticalOutput(t *testing.T) {
 	// Normal equivalence for instruction tagging: both variants run
 	// the same canonical program under different tags.
 	code := assemble(t, sumProgram)
-	outs, err := RunPair(code, reexpress.InstructionTagging().Pair, nil, 0, 1000)
+	outs, err := RunN(code, reexpress.InstructionTagging().Pair.Funcs(), nil, 0, 1000)
 	if err != nil {
 		t.Fatalf("benign divergence: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestCodeInjectionDetected(t *testing.T) {
 	// fetch — detection, exactly the Table 1 argument.
 	code := assemble(t, sumProgram)
 	payload := assemble(t, "movi r1, 1337\nout r1\nhalt")
-	_, err := RunPair(code, reexpress.InstructionTagging().Pair, payload, 3, 1000)
+	_, err := RunN(code, reexpress.InstructionTagging().Pair.Funcs(), payload, 3, 1000)
 	if err == nil {
 		t.Fatal("injected code ran in both variants undetected")
 	}

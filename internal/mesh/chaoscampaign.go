@@ -580,14 +580,42 @@ func strikeOldest(f *fleet.Fleet, rng *rand.Rand) (detected, leaked bool) {
 	return strikeGroup(f, id, port, payload)
 }
 
-// strikeGroup strikes group id on port and stops once the group has
-// left the pool: the fleet recycles a dead group's port, and its
-// replacement must not take the victim's hits.
+// strikeGroup delivers a forged-UID payload to group id on port and
+// fires trigger requests for its first use. It is adaptive — up to 8
+// rounds of overwrite + 64 triggers, until the victim's port refuses
+// (the monitor killed it) — so a fault plan cannot mask a detection.
+// It stops once the group has left the pool: the fleet recycles a dead
+// group's port, so a kill the fault plan turned into a dropped exchange
+// must not leave the strike sending into the replacement. It reports
+// whether the victim was killed and whether any trigger leaked the
+// secret.
 func strikeGroup(f *fleet.Fleet, id int, port uint16, payload []byte) (detected, leaked bool) {
-	return chaos.Strike(httpd.NewClient(f.Net(), port), payload, func() bool {
+	client := httpd.NewClient(f.Net(), port)
+	gone := func() bool {
 		_, ok := healthyPort(f.Stats(), id)
 		return !ok
-	})
+	}
+	for round := 0; round < 8 && !detected; round++ {
+		if gone() {
+			return true, leaked // the pool already pruned the killed victim
+		}
+		if _, err := client.Raw(payload); errors.Is(err, simnet.ErrRefused) {
+			return true, leaked // victim already killed by a prior round's trigger
+		}
+		for t := 0; t < 64 && !detected; t++ {
+			if gone() {
+				return true, leaked
+			}
+			code, body, err := client.Get("/private/secret.html")
+			switch {
+			case errors.Is(err, simnet.ErrRefused):
+				detected = true
+			case err == nil && code == 200 && httpd.ContainsSecret(body):
+				leaked = true
+			}
+		}
+	}
+	return detected, leaked
 }
 
 // healthyPort resolves the port of the healthy group with the given

@@ -78,18 +78,6 @@ func DispatchErrorName(err error) string {
 	return ""
 }
 
-// DispatchErrorByName resolves a label from DispatchErrorName back to
-// its sentinel — the round-trip campaigns rely on when re-deriving
-// typed outcomes from a serialized matrix.
-func DispatchErrorByName(name string) (error, bool) {
-	for s, n := range dispatchErrorNames {
-		if n == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // classifyDispatchError attributes a dispatch error to the recovery
 // activity observed in the routed pool while the request was in
 // flight: alarmDelta and quorumDelta are the advances of the fleet's

@@ -6,23 +6,21 @@ import (
 	"testing"
 )
 
-// TestDispatchErrorRoundTrip: every sentinel's stable label resolves
-// back to the identical sentinel, and classification survives wrapping
-// — the property campaigns rely on when re-deriving typed outcomes
-// from a serialized matrix.
+// TestDispatchErrorRoundTrip: every sentinel carries its own stable
+// label, and the label survives a round trip through wrapping — the
+// property the mesh×chaos matrix relies on when it labels dispatch
+// outcomes.
 func TestDispatchErrorRoundTrip(t *testing.T) {
+	seen := map[string]bool{}
 	for _, s := range dispatchSentinels {
 		name := DispatchErrorName(s)
 		if name == "" {
 			t.Fatalf("sentinel %v has no stable label", s)
 		}
-		back, ok := DispatchErrorByName(name)
-		if !ok {
-			t.Fatalf("label %q does not resolve", name)
+		if seen[name] {
+			t.Errorf("label %q names two sentinels", name)
 		}
-		if back != s {
-			t.Errorf("label %q resolved to %v, want %v", name, back, s)
-		}
+		seen[name] = true
 		// Wrapped sentinels keep their label.
 		wrapped := fmt.Errorf("outer context: %w", s)
 		if got := DispatchErrorName(wrapped); got != name {
@@ -31,9 +29,6 @@ func TestDispatchErrorRoundTrip(t *testing.T) {
 	}
 	if got := DispatchErrorName(errors.New("unrelated")); got != "" {
 		t.Errorf("unrelated error labeled %q, want empty", got)
-	}
-	if _, ok := DispatchErrorByName("no-such-label"); ok {
-		t.Error("unknown label resolved to a sentinel")
 	}
 }
 

@@ -106,17 +106,6 @@ func CheckSpec(s *Spec, samples []word.Word) error {
 	return nil
 }
 
-// CheckPair runs both property checks on a variant pair.
-func CheckPair(p Pair, samples []word.Word) error {
-	if err := CheckInverse(p.R0, samples); err != nil {
-		return err
-	}
-	if err := CheckInverse(p.R1, samples); err != nil {
-		return err
-	}
-	return CheckDisjoint(p.R0, p.R1, samples)
-}
-
 // BoundarySamples returns a deterministic set of adversarial sample
 // values: all 16-bit values, plus every single-bit word, plus byte
 // boundary patterns in every byte position. The set is designed so a

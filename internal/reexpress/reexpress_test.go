@@ -122,16 +122,27 @@ func TestTable1Properties(t *testing.T) {
 	for _, v := range Table1() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
-			if err := CheckPair(v.Pair, samples); err != nil {
-				t.Errorf("property check: %v", err)
+			for _, f := range v.Pair.Funcs() {
+				if err := CheckInverse(f, samples); err != nil {
+					t.Errorf("inverse property: %v", err)
+				}
+			}
+			if err := CheckDisjoint(v.Pair.R0, v.Pair.R1, samples); err != nil {
+				t.Errorf("disjointness property: %v", err)
 			}
 		})
 	}
 }
 
 func TestFullFlipVariationProperties(t *testing.T) {
-	if err := CheckPair(UIDFullFlipVariation().Pair, BoundarySamples()); err != nil {
-		t.Errorf("property check: %v", err)
+	pair, samples := UIDFullFlipVariation().Pair, BoundarySamples()
+	for _, f := range pair.Funcs() {
+		if err := CheckInverse(f, samples); err != nil {
+			t.Errorf("inverse property: %v", err)
+		}
+	}
+	if err := CheckDisjoint(pair.R0, pair.R1, samples); err != nil {
+		t.Errorf("disjointness property: %v", err)
 	}
 }
 

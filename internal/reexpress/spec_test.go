@@ -1,6 +1,7 @@
 package reexpress
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -91,6 +92,9 @@ func TestGeneratedMasksPairwiseByteDistinct(t *testing.T) {
 			}
 			if masks[i]&word.HighBit != 0 {
 				t.Errorf("variant %d mask %s has the sign bit set", i, masks[i])
+			}
+			if i > 0 && bits.OnesCount32(uint32(masks[i])) < MinMaskBits {
+				t.Errorf("variant %d mask %s flips fewer than %d bits", i, masks[i], MinMaskBits)
 			}
 		}
 		for i := 0; i < len(masks); i++ {
