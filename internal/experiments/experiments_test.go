@@ -9,6 +9,41 @@ import (
 	"nvariant/internal/word"
 )
 
+// allPropertiesHold reports whether every Table 1 row passed both
+// checks.
+func allPropertiesHold(r Table1Result) bool {
+	for _, row := range r.Rows {
+		if !row.InverseHolds || !row.DisjointHolds {
+			return false
+		}
+	}
+	return len(r.Rows) > 0
+}
+
+// allBehave reports whether every Table 2 call passed both
+// behavioural checks. (cond_chk's "identical args" case is the
+// divergent-condition case.)
+func allBehave(r Table2Result) bool {
+	for _, row := range r.Rows {
+		if !row.AgreeClean || !row.DivergeDetected {
+			return false
+		}
+	}
+	return len(r.Rows) > 0
+}
+
+// undetectedUnderFullFlip lists undetected write-style corruptions
+// under the ideal mask (the paper's argument implies none).
+func undetectedUnderFullFlip(r OverwriteResult) []string {
+	var out []string
+	for _, row := range r.Rows {
+		if row.Style == attack.StyleWrite && row.FullFlip == attack.OutcomeCorrupted {
+			out = append(out, row.Name)
+		}
+	}
+	return out
+}
+
 func TestTable1AllPropertiesHold(t *testing.T) {
 	res, err := RunTable1()
 	if err != nil {
@@ -17,7 +52,7 @@ func TestTable1AllPropertiesHold(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}
-	if !res.AllPropertiesHold() {
+	if !allPropertiesHold(res) {
 		t.Errorf("property violation in Table 1: %+v", res.Rows)
 	}
 	var b strings.Builder
@@ -51,7 +86,7 @@ func TestTable2AllBehave(t *testing.T) {
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8 (Table 2 lists 8 calls)", len(res.Rows))
 	}
-	if !res.AllBehave() {
+	if !allBehave(res) {
 		t.Errorf("detection call misbehaved: %+v", res.Rows)
 	}
 	var b strings.Builder
@@ -119,7 +154,7 @@ func TestOverwriteCampaign(t *testing.T) {
 		t.Error("expected the high-bit residual to survive the deployed mask")
 	}
 	// The ideal mask closes every write-style gap.
-	if w := res.UndetectedUnderFullFlip(); len(w) != 0 {
+	if w := undetectedUnderFullFlip(res); len(w) != 0 {
 		t.Errorf("full flip left undetected writes: %v", w)
 	}
 	// Flip-style faults commute with XOR masks: every effective flip

@@ -73,18 +73,6 @@ func (r OverwriteResult) UndetectedUnderUIDMask() []string {
 	return out
 }
 
-// UndetectedUnderFullFlip lists undetected write-style corruptions
-// under the ideal mask (the paper's argument implies none).
-func (r OverwriteResult) UndetectedUnderFullFlip() []string {
-	var out []string
-	for _, row := range r.Rows {
-		if row.Style == attack.StyleWrite && row.FullFlip == attack.OutcomeCorrupted {
-			out = append(out, row.Name)
-		}
-	}
-	return out
-}
-
 // FlipFaultsUndetected lists flip-style faults that corrupt without
 // detection under the deployed mask. XOR reexpression commutes with
 // XOR faults, so every effective flip lands here: flip-granularity

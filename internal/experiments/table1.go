@@ -65,16 +65,6 @@ func (r Table1Result) Fprint(w io.Writer) {
 	}
 }
 
-// AllPropertiesHold reports whether every row passed both checks.
-func (r Table1Result) AllPropertiesHold() bool {
-	for _, row := range r.Rows {
-		if !row.InverseHolds || !row.DisjointHolds {
-			return false
-		}
-	}
-	return len(r.Rows) > 0
-}
-
 // UIDRepresentationExamples demonstrates the UID variation's concrete
 // representations (§3.2): for each canonical UID, the value each
 // variant stores.

@@ -129,14 +129,3 @@ func (r Table2Result) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "%-12s %-28s %-18s %-18s\n", row.Call, row.Signature, agree, diverge)
 	}
 }
-
-// AllBehave reports whether every call passed both behavioural checks.
-// (cond_chk's "identical args" case is the divergent-condition case.)
-func (r Table2Result) AllBehave() bool {
-	for _, row := range r.Rows {
-		if !row.AgreeClean || !row.DivergeDetected {
-			return false
-		}
-	}
-	return len(r.Rows) > 0
-}

@@ -27,12 +27,6 @@ const DefaultConfigPath = "/etc/httpd.conf"
 // DefaultPort is the stock Listen port.
 const DefaultPort uint16 = 8080
 
-// DefaultConfigFile renders the stock configuration used by the
-// experiments.
-func DefaultConfigFile() []byte {
-	return ConfigFileForPort(DefaultPort)
-}
-
 // ConfigFileForPort renders the stock configuration with an explicit
 // Listen port.
 func ConfigFileForPort(port uint16) []byte {

@@ -10,7 +10,7 @@ import (
 func quickCheck(f any) error { return quick.Check(f, nil) }
 
 func TestParseConfigDefaults(t *testing.T) {
-	cfg, err := ParseConfig(DefaultConfigFile())
+	cfg, err := ParseConfig(ConfigFileForPort(DefaultPort))
 	if err != nil {
 		t.Fatal(err)
 	}

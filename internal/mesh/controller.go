@@ -12,6 +12,7 @@ package mesh
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,8 +36,9 @@ type controller struct {
 	grown   atomic.Uint64
 	shrunk  atomic.Uint64
 
-	wake chan struct{}
-	stop chan struct{}
+	wake   chan struct{}
+	stop   chan struct{}
+	halted sync.Once
 }
 
 func newController(m *Mesh, rng *rand.Rand) *controller {
@@ -53,9 +55,10 @@ func (c *controller) kick() {
 	}
 }
 
-// halt stops the loop. Pending triggers are abandoned — Stop tears
-// the pools down anyway; campaigns settle via Await first.
-func (c *controller) halt() { close(c.stop) }
+// halt stops the loop; it is idempotent. Pending triggers are
+// abandoned — Stop tears the pools down anyway; campaigns settle via
+// Await first.
+func (c *controller) halt() { c.halted.Do(func() { close(c.stop) }) }
 
 func (c *controller) run() {
 	defer c.m.wg.Done()

@@ -20,6 +20,10 @@ package mesh
 //	ErrRetriesExhausted the session's retry budget was spent without a
 //	                    successful dispatch (wraps the last classified
 //	                    attempt error)
+//	ErrSettleTimeout    a retry's backoff fired control-plane triggers
+//	                    (rotation, elastic sizing) that were not handled
+//	                    within RecoverTimeout; the retry is abandoned
+//	                    rather than dispatched against an unsettled mesh
 //
 // Classification is counter-delta based and lock-free: the session
 // snapshots the routed fleet's alarm and quorum-kill counters before
@@ -50,11 +54,17 @@ var (
 	// ErrRetriesExhausted reports that a session's retry budget was
 	// spent; it wraps the final attempt's classified error.
 	ErrRetriesExhausted = errors.New("mesh: retry budget exhausted")
+	// ErrSettleTimeout reports that a retry's charged backoff fired
+	// controller triggers the control plane did not finish within
+	// RecoverTimeout. Carrying on would dispatch against a mesh whose
+	// rotation state depends on wall-clock timing, so the session
+	// returns this instead.
+	ErrSettleTimeout = errors.New("mesh: control plane did not settle")
 )
 
 // dispatchSentinels lists every sentinel a classified dispatch error
 // can carry, in the order classification prefers them.
-var dispatchSentinels = []error{ErrSaturated, ErrQuorumLostKill, ErrQuarantineWindow, ErrBadResponse, ErrRetriesExhausted}
+var dispatchSentinels = []error{ErrSaturated, ErrQuorumLostKill, ErrQuarantineWindow, ErrBadResponse, ErrRetriesExhausted, ErrSettleTimeout}
 
 // dispatchErrorNames maps each sentinel to its stable matrix label.
 var dispatchErrorNames = map[error]string{
@@ -63,12 +73,13 @@ var dispatchErrorNames = map[error]string{
 	ErrQuarantineWindow: "quarantine-window",
 	ErrBadResponse:      "bad-response",
 	ErrRetriesExhausted: "retries-exhausted",
+	ErrSettleTimeout:    "settle-timeout",
 }
 
 // DispatchErrorName returns the stable label of the sentinel err
 // carries ("saturated", "quorum-lost-kill", "quarantine-window",
-// "bad-response", "retries-exhausted"), or "" when err matches none of
-// them.
+// "bad-response", "retries-exhausted", "settle-timeout"), or "" when
+// err matches none of them.
 func DispatchErrorName(err error) string {
 	for _, s := range dispatchSentinels {
 		if errors.Is(err, s) {

@@ -432,23 +432,26 @@ func (m *Mesh) chargeBackoff(n uint64) {
 	}
 }
 
-// settleControllers blocks (bounded by RecoverTimeout) until every
-// rotation and sizing trigger fired so far has been fully handled.
-// The retry path calls this after charging backoff: on the vtick
-// clock, "waiting out the backoff" means letting the control-plane
-// work those ticks scheduled finish — which is also what keeps a
-// retried dispatch from racing a rotation its own backoff triggered,
-// so seeded campaign runs stay byte-identical. Only wall-clock
-// polling lives here; no decision depends on real time.
-func (m *Mesh) settleControllers() {
+// settleControllers blocks until every rotation and sizing trigger
+// fired so far has been fully handled, or fails with
+// ErrSettleTimeout once RecoverTimeout has passed. The retry path
+// calls this after charging backoff: on the vtick clock, "waiting out
+// the backoff" means letting the control-plane work those ticks
+// scheduled finish — which is also what keeps a retried dispatch from
+// racing a rotation its own backoff triggered, so seeded campaign
+// runs stay byte-identical. Only wall-clock polling lives here; a
+// deadline that expires is reported, never silently carried past.
+func (m *Mesh) settleControllers() error {
 	deadline := time.Now().Add(m.opts.RecoverTimeout)
 	for {
 		if m.ctl.rotHandled.Load() >= m.ctl.rotWanted.Load() &&
 			m.ctl.elHandled.Load() >= m.ctl.elWanted.Load() {
-			return
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return
+			return fmt.Errorf("%w: rotation %d/%d, sizing %d/%d handled within %v", ErrSettleTimeout,
+				m.ctl.rotHandled.Load(), m.ctl.rotWanted.Load(),
+				m.ctl.elHandled.Load(), m.ctl.elWanted.Load(), m.opts.RecoverTimeout)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

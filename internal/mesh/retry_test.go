@@ -245,3 +245,33 @@ func TestRetryRacesRotationSafely(t *testing.T) {
 		t.Errorf("rotation never triggered under retry load: %s", st)
 	}
 }
+
+// TestSettleTimeoutReported: a retry whose backoff leaves a controller
+// trigger unhandled past RecoverTimeout fails with ErrSettleTimeout
+// (label "settle-timeout") instead of dispatching the retry against an
+// unsettled mesh — on both the Fetch and the Get path.
+func TestSettleTimeoutReported(t *testing.T) {
+	m := mustMesh(t, Options{Pools: 2, MaxInflight: 1, RetryBudget: 2,
+		RecoverTimeout: time.Millisecond, Fleet: lightFleet(1)})
+	m.ctl.halt()
+	m.ctl.rotWanted.Add(1) // a rotation trigger nobody will handle
+
+	s := m.Session("settle-probe")
+	s.pool.inflight.Add(1) // the first attempt is shed, so a retry follows
+	defer s.pool.inflight.Add(-1)
+
+	_, _, getErr := s.Get("/index.html")
+	_, _, fetchErr := s.Fetch([]byte("GET /index.html HTTP/1.0\r\n\r\n"))
+	for name, err := range map[string]error{"Get": getErr, "Fetch": fetchErr} {
+		if !errors.Is(err, ErrSettleTimeout) {
+			t.Errorf("%s: err = %v, want ErrSettleTimeout", name, err)
+		}
+		if got := DispatchErrorName(err); got != "settle-timeout" {
+			t.Errorf("%s: label %q, want settle-timeout", name, got)
+		}
+	}
+	if st := m.Stats(); st.Retries != 0 || st.Dispatched != 0 {
+		t.Errorf("retries=%d dispatched=%d, want 0/0: nothing may dispatch past an unsettled control plane",
+			st.Retries, st.Dispatched)
+	}
+}

@@ -251,15 +251,19 @@ func (s *Session) retryTarget(attempt int) (*pool, *httpd.Client) {
 // control-plane triggers those ticks fired settle, then rank pools
 // with the post-settle health state and resolve the attempt's target.
 // Counters: every attempt past the first is a retry; an attempt on a
-// non-home pool is additionally a re-route.
-func (s *Session) retryAttempt(attempt int) (*pool, *httpd.Client) {
+// non-home pool is additionally a re-route. A control plane that does
+// not settle within RecoverTimeout fails the attempt with
+// ErrSettleTimeout before anything is dispatched or counted.
+func (s *Session) retryAttempt(attempt int) (*pool, *httpd.Client, error) {
 	m := s.mesh
 	shift := uint(attempt - 1)
 	if shift > 32 {
 		shift = 32
 	}
 	m.chargeBackoff(m.opts.RetryBackoff << shift)
-	m.settleControllers()
+	if err := m.settleControllers(); err != nil {
+		return nil, nil, err
+	}
 	p, c := s.retryTarget(attempt)
 	m.retries.Add(1)
 	if m.obs != nil {
@@ -271,7 +275,7 @@ func (s *Session) retryAttempt(attempt int) (*pool, *httpd.Client) {
 			m.obs.reroutes.Inc()
 		}
 	}
-	return p, c
+	return p, c, nil
 }
 
 // exhausted wraps the final attempt's classified error in
@@ -291,7 +295,10 @@ func (s *Session) Fetch(req []byte) (code, bodyLen int, err error) {
 		return code, bodyLen, err
 	}
 	for attempt := 1; attempt <= s.mesh.opts.RetryBudget; attempt++ {
-		p, c := s.retryAttempt(attempt)
+		p, c, settleErr := s.retryAttempt(attempt)
+		if settleErr != nil {
+			return 0, 0, settleErr
+		}
 		if code, bodyLen, err = s.fetchOn(p, c, req); err == nil {
 			return code, bodyLen, nil
 		}
@@ -307,7 +314,10 @@ func (s *Session) Get(uri string) (int, []byte, error) {
 		return code, body, err
 	}
 	for attempt := 1; attempt <= s.mesh.opts.RetryBudget; attempt++ {
-		p, c := s.retryAttempt(attempt)
+		p, c, settleErr := s.retryAttempt(attempt)
+		if settleErr != nil {
+			return 0, nil, settleErr
+		}
 		if code, body, err = s.getOn(p, c, uri); err == nil {
 			return code, body, nil
 		}

@@ -71,18 +71,6 @@ func (r Reason) String() string {
 	}
 }
 
-// ReasonFromString parses a reason name back to its constant — the
-// inverse of String for every defined reason. Audit consumers replay
-// NDJSON trails through this; an unknown name returns false.
-func ReasonFromString(s string) (Reason, bool) {
-	for r := Reason(1); r < reasonEnd; r++ {
-		if r.String() == s {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
 // MarshalJSON renders the reason as its name, so audit NDJSON carries
 // "uid-divergence" rather than an enum ordinal.
 func (r Reason) MarshalJSON() ([]byte, error) {

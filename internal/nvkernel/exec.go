@@ -432,7 +432,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 	n := uint32(canon[2])
 
 	if entry.shared {
-		buf := l.ioScratch(n)
+		buf := l.readScratch(n, entry.files[0])
 		cnt, err := entry.files[0].Read(buf)
 		s.mu.Unlock()
 		if err != nil {
@@ -466,7 +466,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 		if m == nil {
 			continue
 		}
-		buf := l.ioScratch(uint32(m.call.Args[2]))
+		buf := l.readScratch(uint32(m.call.Args[2]), entry.files[i])
 		cnt, err := entry.files[i].Read(buf)
 		if err != nil {
 			s.mu.Unlock()
@@ -496,6 +496,17 @@ func (l *lane) ioScratch(n uint32) []byte {
 		l.ioBuf = make([]byte, n)
 	}
 	return l.ioBuf[:n]
+}
+
+// readScratch is ioScratch for a read of up to n bytes from f, sized
+// to min(n, bytes left in f): a read never returns more than the file
+// holds, so a large requested count does not grow the lane's staging
+// past the data it actually carries.
+func (l *lane) readScratch(n uint32, f *vos.OpenFile) []byte {
+	if left := f.Remaining(); int64(n) > left {
+		n = uint32(left)
+	}
+	return l.ioScratch(n)
 }
 
 // cmpScratch is ioScratch's sibling for cross-variant comparison.

@@ -73,10 +73,6 @@ type Result struct {
 // Detected reports whether the run ended in an alarm.
 func (r *Result) Detected() bool { return r.Alarm != nil }
 
-// Degraded reports whether the group evicted at least one variant and
-// finished on a K-of-N quorum.
-func (r *Result) Degraded() bool { return len(r.Evictions) > 0 }
-
 // callMsg is one variant's arrival at a syscall rendezvous.
 type callMsg struct {
 	call  sys.Call
@@ -109,6 +105,16 @@ type variantRT struct {
 // systems. A program that calls Context.Prefork widens the group into
 // W concurrent worker lanes (each lane runs all N variants).
 func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Option) (*Result, error) {
+	s, err := newSystem(world, net, progs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(), nil
+}
+
+// newSystem validates the configuration and builds the group-wide
+// kernel state; no variant runs until run.
+func newSystem(world *vos.World, net *simnet.Network, progs []sys.Program, opts []Option) (*system, error) {
 	n := len(progs)
 	if n == 0 {
 		return nil, errors.New("nvkernel: no variants")
@@ -165,7 +171,7 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 		}
 	}
 
-	s := &system{
+	return &system{
 		world:    world,
 		net:      net,
 		cfg:      cfg,
@@ -182,8 +188,14 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 		// killed is closed on the first alarm: the group-wide kill
 		// fan-out that makes every sibling lane's monitor retire.
 		killed: make(chan struct{}),
-	}
+	}, nil
+}
 
+// run executes the group to completion: the primary lane's variants
+// and monitor (worker lanes join through Prefork), then the post-run
+// drain.
+func (s *system) run() *Result {
+	n, progs, cfg := s.n, s.progs, s.cfg
 	primary := s.newLane(0)
 	s.lanes = []*lane{primary}
 	for i := 0; i < n; i++ {
@@ -280,7 +292,7 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // errStillRunning marks a variant that had not terminated when the

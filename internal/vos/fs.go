@@ -433,6 +433,15 @@ func (f *OpenFile) Path() string { return f.path }
 // Size returns the current file size.
 func (f *OpenFile) Size() int64 { return int64(len(f.node.data)) }
 
+// Remaining returns the bytes between the current offset and the end
+// of the file: the most the next Read can return.
+func (f *OpenFile) Remaining() int64 {
+	if left := int64(len(f.node.data)) - f.offset; left > 0 {
+		return left
+	}
+	return 0
+}
+
 // Read reads up to len(p) bytes at the current offset. At end of file
 // it returns 0, nil (Unix read semantics rather than io.EOF, since
 // programs observe the syscall return value).
