@@ -16,7 +16,6 @@ import (
 	"nvariant/internal/fleet"
 	"nvariant/internal/harness"
 	"nvariant/internal/httpd"
-	"nvariant/internal/isa"
 	"nvariant/internal/mesh"
 	"nvariant/internal/nvkernel"
 	"nvariant/internal/obs"
@@ -82,7 +81,7 @@ func benchDetectionCalls(b *testing.B, num sys.Num) {
 			}
 			// Warmup rendezvous: proves the whole group is up before
 			// the clock starts.
-			if _, err := ctx.Time(); err != nil {
+			if _, err := ctx.Syscall(sys.Call{Num: sys.Time}); err != nil {
 				return err
 			}
 			warm.Done()
@@ -110,7 +109,7 @@ func benchDetectionCalls(b *testing.B, num sys.Num) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, runErr = nvkernel.Run(world, simnet.New(0), progs, nvkernel.WithUIDVariation(pair))
+		res, runErr = nvkernel.Run(world, simnet.New(0), progs, nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))))
 	}()
 	warm.Wait()
 	b.ResetTimer()
@@ -298,7 +297,7 @@ func BenchmarkFigure2Detection(b *testing.B) {
 			b.Fatal(err)
 		}
 		res, err := nvkernel.Run(world, simnet.New(0),
-			[]sys.Program{forged, forged}, nvkernel.WithUIDVariation(pair))
+			[]sys.Program{forged, forged}, nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,13 +394,13 @@ func BenchmarkAblationRendezvous(b *testing.B) {
 			progs := make([]sys.Program, n)
 			for i := range progs {
 				progs[i] = sys.ProgramFunc{ProgName: "spin", Fn: func(ctx *sys.Context) error {
-					if _, err := ctx.Time(); err != nil {
+					if _, err := ctx.Syscall(sys.Call{Num: sys.Time}); err != nil {
 						return err
 					}
 					warm.Done()
 					<-start
 					for k := 0; k < iters; k++ {
-						if _, err := ctx.Time(); err != nil {
+						if _, err := ctx.Syscall(sys.Call{Num: sys.Time}); err != nil {
 							return err
 						}
 					}
@@ -419,7 +418,7 @@ func BenchmarkAblationRendezvous(b *testing.B) {
 			go func() {
 				defer close(done)
 				res, runErr = nvkernel.Run(world, simnet.New(0), progs,
-					nvkernel.WithUIDFuncs(funcs...),
+					nvkernel.WithSpec(reexpress.UncheckedSpec(len(funcs), reexpress.UIDLayer(funcs...))),
 					nvkernel.WithMetrics(nvkernel.NewMetrics(reg)))
 			}()
 			warm.Wait()
@@ -636,36 +635,6 @@ func BenchmarkSpecDetection(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- Instruction-set tagging substrate ---------------------------------
-
-func BenchmarkISATaggedExecution(b *testing.B) {
-	code, err := isa.Assemble(`
-    movi r1, 0
-    movi r2, 100
-    movi r3, 1
-    jz   r2, 7
-    add  r1, r2
-    sub  r2, r3
-    jmp  3
-    out  r1
-    halt
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img, err := isa.TagImage(code, reexpress.TagBit{Tag: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		vm := isa.NewVM(img, reexpress.TagBit{Tag: true})
-		if err := vm.Run(10000); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

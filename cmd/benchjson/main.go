@@ -10,6 +10,10 @@
 //	... | benchjson -gate BENCH_core.json                                # fail on regressions
 //
 // A trajectory file is a JSON array of reports, ordered oldest first.
+// -append also records go_loc, the module's non-test Go line count
+// (every *.go file except *_test.go files and nvbench/, counted from
+// the trajectory file's directory), so code size is tracked alongside
+// the benchmarks; -gate ignores it.
 // -gate compares the parsed input against the newest report in the
 // given trajectory and exits non-zero when any shared benchmark
 // regressed beyond tolerance — the CI tripwire that makes performance
@@ -23,10 +27,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -49,6 +56,7 @@ type Report struct {
 	Goos    string  `json:"goos,omitempty"`
 	Goarch  string  `json:"goarch,omitempty"`
 	CPU     string  `json:"cpu,omitempty"`
+	GoLOC   int     `json:"go_loc,omitempty"`
 	Benches []Bench `json:"benches"`
 }
 
@@ -113,6 +121,9 @@ func main() {
 	var out any = rep
 	if *appendTo != "" {
 		traj, err := readTrajectory(*appendTo)
+		if err == nil {
+			rep.GoLOC, err = goLOC(filepath.Dir(*appendTo))
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -176,6 +187,30 @@ func parse(f *os.File, label string) (Report, error) {
 	}
 	normalizeNames(&rep)
 	return rep, sc.Err()
+}
+
+// goLOC counts the lines of every non-test Go file under root, except
+// those under root/nvbench (the separate benchmark module).
+func goLOC(root string) (int, error) {
+	lines := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join(root, "nvbench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		lines += bytes.Count(data, []byte("\n"))
+		return err
+	})
+	return lines, err
 }
 
 // readTrajectory loads a trajectory array (or a single report, which

@@ -126,3 +126,33 @@ func TestGateFailsOnVanishedMetric(t *testing.T) {
 		t.Fatalf("gate error = %v, want vanished-metric failure", err)
 	}
 }
+
+func TestGoLOCCountsNonTestGoOutsideNvbench(t *testing.T) {
+	root := t.TempDir()
+	for path, lines := range map[string]int{
+		"a.go":                 3,
+		"a_test.go":            5,
+		"internal/x/b.go":      2,
+		"internal/x/b.txt":     7,
+		"nvbench/c.go":         4,
+		"cmd/nvbench/d.go":     1,
+		"internal/x/e_test.go": 6,
+	} {
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(strings.Repeat("x\n", lines)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := goLOC(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a.go + internal/x/b.go + cmd/nvbench/d.go: only the top-level
+	// nvbench module is excluded.
+	if got != 6 {
+		t.Errorf("goLOC = %d, want 6", got)
+	}
+}

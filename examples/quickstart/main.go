@@ -24,7 +24,12 @@ func main() {
 }
 
 func run() error {
-	pair := nvariant.UIDVariation().Pair
+	// The deployment: the paper's UID variation as a validated
+	// two-variant DiversitySpec.
+	spec, err := nvariant.SpecFromVariation(nvariant.UIDVariation())
+	if err != nil {
+		return err
+	}
 
 	// The variant program: look wwwrun up in (this variant's copy of)
 	// /etc/passwd, expose the UID to the monitor, then drop privileges.
@@ -57,12 +62,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := nvariant.SetupUnsharedPasswd(world, pair.Funcs()); err != nil {
+	if err := nvariant.SetupUnsharedPasswd(world, spec.UIDFuncs()); err != nil {
 		return err
 	}
 	res, err := nvariant.Run(world, nvariant.NewNetwork(0),
 		[]nvariant.Program{variant, variant},
-		nvariant.WithUIDVariation(pair),
+		nvariant.WithSpec(spec),
 		nvariant.WithUnsharedFiles("/etc/passwd", "/etc/group"),
 	)
 	if err != nil {
@@ -85,7 +90,7 @@ func run() error {
 	}
 	res2, err := nvariant.Run(world2, nvariant.NewNetwork(0),
 		[]nvariant.Program{forged, forged},
-		nvariant.WithUIDVariation(pair),
+		nvariant.WithSpec(spec),
 	)
 	if err != nil {
 		return err

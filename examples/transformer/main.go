@@ -22,10 +22,13 @@ func main() {
 }
 
 func run() error {
-	pair := nvariant.UIDVariation().Pair
+	spec, err := nvariant.SpecFromVariation(nvariant.UIDVariation())
+	if err != nil {
+		return err
+	}
 
 	// Show the transformation product for variant 1.
-	res, err := nvariant.TransformMinic(nvariant.SampleServerSource, pair.R1)
+	res, err := nvariant.TransformMinic(nvariant.SampleServerSource, spec.UIDFuncs()[1])
 	if err != nil {
 		return err
 	}
@@ -35,7 +38,7 @@ func run() error {
 		c.Constants, c.UIDValues, c.Comparisons, c.CondChks, c.LogScrubs, c.Total())
 
 	// Run the transformed pair on benign input.
-	clean, err := runPair(pair, nil)
+	clean, err := runSpec(spec, nil)
 	if err != nil {
 		return err
 	}
@@ -43,7 +46,7 @@ func run() error {
 
 	// Corrupt the stored worker UID with the same concrete word in
 	// both variants — what any input-driven overflow achieves.
-	corrupted, err := runPair(pair, map[string]nvariant.Word{"worker_uid": 0})
+	corrupted, err := runSpec(spec, map[string]nvariant.Word{"worker_uid": 0})
 	if err != nil {
 		return err
 	}
@@ -51,21 +54,21 @@ func run() error {
 	return nil
 }
 
-func runPair(pair nvariant.Pair, corrupt map[string]nvariant.Word) (*nvariant.Result, error) {
+func runSpec(spec *nvariant.DiversitySpec, corrupt map[string]nvariant.Word) (*nvariant.Result, error) {
 	world, err := nvariant.NewWorld()
 	if err != nil {
 		return nil, err
 	}
-	if err := nvariant.SetupUnsharedPasswd(world, pair.Funcs()); err != nil {
+	if err := nvariant.SetupUnsharedPasswd(world, spec.UIDFuncs()); err != nil {
 		return nil, err
 	}
-	progs, err := nvariant.BuildMinicVariants("unixd", nvariant.SampleServerSource, pair.Funcs(),
+	progs, err := nvariant.BuildMinicVariants("unixd", nvariant.SampleServerSource, spec.UIDFuncs(),
 		nvariant.MinicInterpOptions{CorruptOnAssign: corrupt})
 	if err != nil {
 		return nil, err
 	}
 	return nvariant.Run(world, nvariant.NewNetwork(0), progs,
-		nvariant.WithUIDVariation(pair),
+		nvariant.WithSpec(spec),
 		nvariant.WithUnsharedFiles("/etc/passwd", "/etc/group"),
 	)
 }

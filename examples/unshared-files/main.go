@@ -21,12 +21,15 @@ func main() {
 }
 
 func run() error {
-	pair := nvariant.UIDVariation().Pair
+	spec, err := nvariant.SpecFromVariation(nvariant.UIDVariation())
+	if err != nil {
+		return err
+	}
 	world, err := nvariant.NewWorld()
 	if err != nil {
 		return err
 	}
-	if err := nvariant.SetupUnsharedPasswd(world, pair.Funcs()); err != nil {
+	if err := nvariant.SetupUnsharedPasswd(world, spec.UIDFuncs()); err != nil {
 		return err
 	}
 
@@ -67,7 +70,7 @@ func run() error {
 
 	res, err := nvariant.Run(world, nvariant.NewNetwork(0),
 		[]nvariant.Program{reader, reader},
-		nvariant.WithUIDVariation(pair),
+		nvariant.WithSpec(spec),
 		nvariant.WithUnsharedFiles("/etc/passwd", "/etc/group", "/tmp/view"),
 	)
 	if err != nil {

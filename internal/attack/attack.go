@@ -251,31 +251,6 @@ func StandardOverwrites() []Overwrite {
 	return ows
 }
 
-// CampaignRow is one line of the overwrite-campaign table.
-type CampaignRow struct {
-	// Overwrite names the primitive.
-	Overwrite string
-	// Granularity classifies it.
-	Granularity Granularity
-	// Outcome is the monitor-visible result.
-	Outcome Outcome
-}
-
-// Campaign evaluates the standard overwrites against a variant pair
-// for the given victim value.
-func Campaign(p reexpress.Pair, victim word.Word) ([]CampaignRow, error) {
-	ows := StandardOverwrites()
-	rows := make([]CampaignRow, 0, len(ows))
-	for _, ow := range ows {
-		out, err := Evaluate(p, victim, ow)
-		if err != nil {
-			return nil, fmt.Errorf("evaluate %q: %w", ow.Name, err)
-		}
-		rows = append(rows, CampaignRow{Overwrite: ow.Name, Granularity: ow.Granularity, Outcome: out})
-	}
-	return rows, nil
-}
-
 // --- HTTP exploit payloads for the httpd case study (§4) -------------
 
 // OverflowPayload builds the request that overflows httpd's parse

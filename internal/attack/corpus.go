@@ -201,16 +201,6 @@ type ByteSweepReport struct {
 	Harmless int
 }
 
-// DetectionRate is Detected over the non-harmless trials — the §3.2
-// metric: of the overwrites that changed anything, how many alarmed.
-func (r ByteSweepReport) DetectionRate() float64 {
-	effective := r.Trials - r.Harmless
-	if effective == 0 {
-		return 0
-	}
-	return float64(r.Detected) / float64(effective)
-}
-
 // ByteSweep brute-forces every single-byte overwrite — all 256 values
 // in all word.Size positions — against the N variant representations
 // of victim. With pairwise byte-distinct masks (the Generate

@@ -82,7 +82,7 @@ func runTransformedSample(pair reexpress.Pair, corrupt map[string]word.Word) (*n
 	}
 	progs := []sys.Program{compiled[0].Program, compiled[1].Program}
 	return nvkernel.Run(world, simnet.New(0), progs,
-		nvkernel.WithUIDVariation(pair),
+		nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))),
 		nvkernel.WithUnsharedFiles("/etc/passwd", "/etc/group"),
 	)
 }

@@ -206,7 +206,7 @@ func runUIDGroup(pair reexpress.Pair, fn func(*sys.Context) error) (*nvkernel.Re
 		sys.ProgramFunc{ProgName: "flow", Fn: fn},
 	}
 	return nvkernel.Run(world, simnet.New(0), progs,
-		nvkernel.WithUIDVariation(pair),
+		nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))),
 		nvkernel.WithUnsharedFiles("/etc/passwd", "/etc/group"),
 	)
 }

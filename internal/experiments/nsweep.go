@@ -71,14 +71,6 @@ type NSweepRow struct {
 	Leaks int
 }
 
-// DetectionRate is Detections over Trials.
-func (r NSweepRow) DetectionRate() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return float64(r.Detections) / float64(r.Trials)
-}
-
 // NSweepReport is the sweep result.
 type NSweepReport struct {
 	// Opts is the sizing used.

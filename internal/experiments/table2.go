@@ -110,7 +110,7 @@ func runDetection(pair reexpress.Pair, num sys.Num, reexpressArgs bool) (*nvkern
 			return ctx.Exit(0)
 		}}
 	}
-	return nvkernel.Run(world, simnet.New(0), progs, nvkernel.WithUIDVariation(pair))
+	return nvkernel.Run(world, simnet.New(0), progs, nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))))
 }
 
 // Fprint renders the table.

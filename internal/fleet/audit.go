@@ -228,16 +228,3 @@ func (m *MultiAudit) TailNDJSON(since, max int) ([]byte, int, error) {
 	}
 	return buf, last, nil
 }
-
-// Alarms returns only the alarm-bearing entries — the detected attacks.
-func (l *AuditLog) Alarms() []AuditEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []AuditEntry
-	for _, e := range l.entries {
-		if e.Alarm != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -176,6 +176,10 @@ type Fleet struct {
 	evictions   int
 	respawned   int
 	closed      bool
+	// starting holds the evictions of groups spawn has not registered
+	// yet, keyed by group id: a variant can fault during the readiness
+	// probe, and registration replays what arrived meanwhile.
+	starting map[int][]nvkernel.Eviction
 
 	// rngMu guards rng separately from mu: mask selection scans a
 	// ~65k-sample corpus and must not stall the dispatcher's pick().
@@ -211,7 +215,7 @@ func New(opts Options) (*Fleet, error) {
 		case reexpress.LayerUID, reexpress.LayerAddressPartition, reexpress.LayerUnsharedFiles:
 			// Deployable by the monitor kernel.
 		case reexpress.LayerInstructionTags:
-			return nil, fmt.Errorf("fleet: instruction-tag layers deploy on the isa substrate, not in server groups")
+			return nil, fmt.Errorf("fleet: instruction-tag layers cannot be deployed in server groups")
 		default:
 			return nil, fmt.Errorf("fleet: unknown stack layer kind %d", k)
 		}
@@ -221,6 +225,7 @@ func New(opts Options) (*Fleet, error) {
 		net:      simnet.New(opts.Latency),
 		audit:    newAuditLog(opts.AuditTo),
 		nextPort: opts.BasePort,
+		starting: make(map[int][]nvkernel.Eviction),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
 	if opts.Obs != nil {
@@ -264,6 +269,7 @@ func (f *Fleet) spawn() (*group, error) {
 	}
 	id := f.nextID
 	f.nextID++
+	f.starting[id] = nil
 	var port uint16
 	if k := len(f.freePorts); k > 0 {
 		// Recycle a quarantined group's port: its listener closed
@@ -279,6 +285,7 @@ func (f *Fleet) spawn() (*group, error) {
 			// is free to recycle: continuing would collide with the
 			// front port or remap to the default. Fail the spawn; the
 			// audit log records it.
+			delete(f.starting, id)
 			f.mu.Unlock()
 			return nil, fmt.Errorf("fleet: group port space exhausted")
 		}
@@ -287,6 +294,7 @@ func (f *Fleet) spawn() (*group, error) {
 			// ports never exceed the peak pool size (exited groups
 			// recycle theirs), so this only fires when the pool really
 			// holds PortSpan groups at once.
+			delete(f.starting, id)
 			f.mu.Unlock()
 			return nil, fmt.Errorf("fleet: port budget [%d,%d) exhausted", f.opts.BasePort, int(f.opts.BasePort)+int(span))
 		}
@@ -310,6 +318,7 @@ func (f *Fleet) spawn() (*group, error) {
 	if err != nil {
 		f.mu.Lock()
 		f.freePorts = append(f.freePorts, port)
+		delete(f.starting, id)
 		f.mu.Unlock()
 		return nil, err
 	}
@@ -320,6 +329,8 @@ func (f *Fleet) spawn() (*group, error) {
 	g := &group{id: id, port: port, spec: spec, variants: variants, workers: workers, r1: r1, handle: h, born: time.Now()}
 
 	f.mu.Lock()
+	early := f.starting[id]
+	delete(f.starting, id)
 	if f.closed {
 		f.mu.Unlock()
 		_, _ = h.Stop()
@@ -328,7 +339,14 @@ func (f *Fleet) spawn() (*group, error) {
 	f.groups = append(f.groups, g)
 	f.publishLocked()
 	f.spawned++
+	entries := make([]AuditEntry, len(early))
+	for i, ev := range early {
+		entries[i] = f.evictLocked(g, ev)
+	}
 	f.mu.Unlock()
+	for _, e := range entries {
+		f.audit.append(e)
+	}
 
 	f.wg.Add(1)
 	go f.watch(g)
@@ -742,11 +760,25 @@ func (f *Fleet) variantEvicted(id int, ev nvkernel.Eviction) {
 		}
 	}
 	if g == nil {
-		// The group already left the roster (quarantine racing the
-		// eviction): nothing to degrade.
+		// Either spawn has not registered the group yet (a fault during
+		// its readiness probe), and registration replays the eviction,
+		// or the group already left the roster (quarantine racing the
+		// eviction) and there is nothing to degrade.
+		if early, ok := f.starting[id]; ok {
+			f.starting[id] = append(early, ev)
+		}
 		f.mu.Unlock()
 		return
 	}
+	entry := f.evictLocked(g, ev)
+	f.mu.Unlock()
+	f.audit.append(entry)
+}
+
+// evictLocked counts one eviction from g, marks it degraded and, on its
+// first eviction, starts the background drain and respawn. It returns
+// the audit entry for the caller to append once mu is released.
+func (f *Fleet) evictLocked(g *group, ev nvkernel.Eviction) AuditEntry {
 	f.evictions++
 	first := !g.degraded.Swap(true)
 	entry := f.entryFor(g, "evict")
@@ -762,11 +794,10 @@ func (f *Fleet) variantEvicted(id int, ev nvkernel.Eviction) {
 			defer f.wg.Done()
 			// Already-draining and shutdown races surface as errors here;
 			// both mean someone else is tearing the group down.
-			_ = f.retire(id, retireRespawn, respawnDrain)
+			_ = f.retire(g.id, retireRespawn, respawnDrain)
 		}()
 	}
-	f.mu.Unlock()
-	f.audit.append(entry)
+	return entry
 }
 
 // retire marks the group as draining, waits (bounded) for its

@@ -185,3 +185,34 @@ func TestFleetQuorumRespawnUnderLoadRace(t *testing.T) {
 		t.Errorf("fault counted as detection: %+v", stats)
 	}
 }
+
+// TestFleetEvictionDuringReadinessProbe crashes a variant on the very
+// first recv, which is the readiness probe of the first group, before
+// the fleet has registered that group. The eviction must still be
+// counted, and the group must still be respawned and leave the
+// degraded set.
+func TestFleetEvictionDuringReadinessProbe(t *testing.T) {
+	hook := &crashOnce{variant: 1, num: sys.Recv, nth: 1}
+	f := startFleet(t, fleet.Options{
+		Groups:   1,
+		Variants: 3,
+		Quorum:   2,
+		Kernel:   []nvkernel.Option{nvkernel.WithFaultHook(hook)},
+	})
+	if err := f.Await(func(s fleet.Stats) bool {
+		return s.Evictions == 1 && s.Respawned == 1 && s.DegradedGroups == 0 && len(s.Healthy) == 1
+	}, 20*time.Second); err != nil {
+		t.Fatalf("probe-time eviction not recovered: %v (stats %+v)", err, f.Stats())
+	}
+	if code, _, err := f.Client().Get("/index.html"); err != nil || code != 200 {
+		t.Fatalf("request after respawn = %d, %v", code, err)
+	}
+	stats, err := f.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Evictions != 1 || stats.Respawned != 1 || stats.Detections != 0 {
+		t.Errorf("evictions = %d respawned = %d detections = %d, want 1/1/0",
+			stats.Evictions, stats.Respawned, stats.Detections)
+	}
+}

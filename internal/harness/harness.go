@@ -124,20 +124,6 @@ func (s GroupSpec) diversity() *reexpress.Spec {
 	return nil
 }
 
-// Variants returns the group's process-group size.
-func (s GroupSpec) Variants() int {
-	if d := s.diversity(); d != nil {
-		return d.N()
-	}
-	return s.Config.Variants()
-}
-
-// Build prepares the world and returns the variant programs plus
-// kernel options for the configuration.
-func Build(c Configuration, world *vos.World, serverOpts httpd.Options) ([]sys.Program, []nvkernel.Option, error) {
-	return BuildSpec(world, GroupSpec{Config: c, Server: serverOpts})
-}
-
 // BuildSpec prepares the world for a group spec and returns the variant
 // programs plus kernel options (the configuration's own options
 // followed by the spec's extra Kernel options).

@@ -422,15 +422,27 @@ func TestSpecDrivenGroupServesAndDetectsAtEveryN(t *testing.T) {
 }
 
 func TestGroupSpecVariants(t *testing.T) {
-	if got := (GroupSpec{Config: Config4UIDVariation}).Variants(); got != 2 {
-		t.Errorf("default config4 variants = %d, want 2", got)
-	}
 	spec := reexpress.Generate(7, 4, reexpress.LayerUID, reexpress.LayerUnsharedFiles)
-	if got := (GroupSpec{Config: Config4UIDVariation, Diversity: spec}).Variants(); got != 4 {
-		t.Errorf("spec-driven variants = %d, want 4", got)
-	}
-	if got := (GroupSpec{Config: Config1Unmodified}).Variants(); got != 1 {
-		t.Errorf("config1 variants = %d, want 1", got)
+	for _, tc := range []struct {
+		name string
+		gs   GroupSpec
+		want int
+	}{
+		{"default config4", GroupSpec{Config: Config4UIDVariation}, 2},
+		{"spec-driven", GroupSpec{Config: Config4UIDVariation, Diversity: spec}, 4},
+		{"config1", GroupSpec{Config: Config1Unmodified}, 1},
+	} {
+		world, err := vos.NewWorld()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, _, err := BuildSpec(world, tc.gs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(progs) != tc.want {
+			t.Errorf("%s variants = %d, want %d", tc.name, len(progs), tc.want)
+		}
 	}
 }
 

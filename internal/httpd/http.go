@@ -97,11 +97,6 @@ func AppendResponse(dst []byte, code int, contentType string, body []byte) []byt
 	return dst
 }
 
-// FormatResponse renders a complete HTTP response.
-func FormatResponse(code int, contentType string, body []byte) string {
-	return string(AppendResponse(nil, code, contentType, body))
-}
-
 // ErrorBody renders a small HTML error page.
 func ErrorBody(code int) []byte {
 	return []byte(fmt.Sprintf("<html><body><h1>%d %s</h1></body></html>\n", code, statusText[code]))

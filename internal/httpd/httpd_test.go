@@ -78,7 +78,7 @@ func TestParseRequestLineErrors(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	body := []byte("<html>hi</html>")
-	raw := []byte(FormatResponse(200, "text/html", body))
+	raw := AppendResponse(nil, 200, "text/html", body)
 	code, err := ParseStatus(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestQuickResponseRoundTrip(t *testing.T) {
 	codes := []int{200, 400, 403, 404, 405, 500}
 	f := func(codeIdx uint8, body []byte) bool {
 		code := codes[int(codeIdx)%len(codes)]
-		raw := []byte(FormatResponse(code, "text/html", body))
+		raw := AppendResponse(nil, code, "text/html", body)
 		got, err := ParseStatus(raw)
 		if err != nil || got != code {
 			return false

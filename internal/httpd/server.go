@@ -576,11 +576,6 @@ func (st *state) logf(format string, args ...any) error {
 	return st.ctx.WriteString(st.logFD, line)
 }
 
-// SetupWorld installs the server's configuration file into a world.
-func SetupWorld(w *vos.World) error {
-	return SetupWorldAt(w, DefaultPort)
-}
-
 // SetupWorldAt installs the configuration file with a Listen directive
 // for the given port, so independent server groups (e.g. members of a
 // fleet) can share one network without colliding.

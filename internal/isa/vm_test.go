@@ -9,8 +9,12 @@
 // bytes in every variant — can carry at most one variant's tag, so at
 // least one variant faults at fetch, and the monitor reports the
 // divergence. This reproduces the code-injection defence the paper
-// cites from the original N-variant work, providing the third Table 1
-// row as a running system rather than a formula.
+// cites from the original N-variant work.
+//
+// The package is test-only: the monitor refuses instruction-tags
+// layers and Table 1 row 3's properties are checked through
+// reexpress.TagBit, so nothing in the program runs this VM. Its tests
+// keep the tagged-execution demonstration checked.
 package isa
 
 import (

@@ -117,7 +117,7 @@ func TestGetpwnamThroughUnsharedFiles(t *testing.T) {
 		sys.ProgramFunc{ProgName: "v", Fn: fn},
 	}
 	res, err := nvkernel.Run(world, simnet.New(0), progs,
-		nvkernel.WithUIDVariation(pair),
+		nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))),
 		nvkernel.WithUnsharedFiles("/etc/passwd", "/etc/group"))
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +128,8 @@ func TestGetpwnamThroughUnsharedFiles(t *testing.T) {
 }
 
 func TestGetpwnamMissingPasswd(t *testing.T) {
-	world, err := vos.NewWorld()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := vos.CredFor(vos.Root, 0)
-	if err := world.FS.Remove("/etc/passwd", root); err != nil {
-		t.Fatal(err)
-	}
+	// A world whose filesystem has no /etc/passwd at all.
+	world := &vos.World{FS: vos.NewFS(), Users: vos.BaseUsers(), Groups: vos.BaseGroups()}
 	res, err := nvkernel.Run(world, simnet.New(0), []sys.Program{
 		sys.ProgramFunc{ProgName: "v", Fn: func(ctx *sys.Context) error {
 			if _, _, err := Getpwnam(ctx, "root"); err == nil {

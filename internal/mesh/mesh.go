@@ -394,11 +394,6 @@ func (m *Mesh) Audit() *fleet.MultiAudit { return m.audit }
 // retry-backoff ticks.
 func (m *Mesh) Ticks() uint64 { return m.ticks.Load() }
 
-// RotationsHandled returns how many rotation triggers the controller
-// has fully processed (rotated or deliberately skipped). Campaigns
-// await this to settle before reading counters.
-func (m *Mesh) RotationsHandled() uint64 { return m.ctl.rotHandled.Load() }
-
 // tick advances the mesh clock (one completed dispatch or one charged
 // backoff tick) and fires the controllers on their cadences. Hot path:
 // atomic adds and a non-blocking channel send only.

@@ -324,22 +324,3 @@ func (s *Session) Get(uri string) (int, []byte, error) {
 	}
 	return 0, nil, s.exhausted(err)
 }
-
-// Raw dispatches an arbitrary payload (the campaign's attack probes)
-// and returns the raw response bytes. Raw never retries: a probe that
-// died with its target is a result, not a fault to recover from — and
-// re-routing an attack payload would spray corruption across pools.
-func (s *Session) Raw(payload []byte) ([]byte, error) {
-	p := s.pool
-	if !s.admitOn(p) {
-		return nil, ErrSaturated
-	}
-	alarms, quorum := p.fleet.AlarmCount(), p.fleet.QuorumLostCount()
-	raw, err := s.client.Raw(payload)
-	s.doneOn(p)
-	if err != nil {
-		err = classifyDispatchError(err, p.fleet.AlarmCount()-alarms, p.fleet.QuorumLostCount()-quorum)
-		p.healthAdd(s.mesh, healthCostFor(err))
-	}
-	return raw, err
-}

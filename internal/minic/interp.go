@@ -52,16 +52,6 @@ type InterpOptions struct {
 	MaxSteps int
 }
 
-// Compile parses, checks and wraps source as a runnable variant
-// program.
-func Compile(name, src string, opts InterpOptions) (sys.Program, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileAST(name, prog, opts)
-}
-
 // CompileAST checks and wraps an AST (e.g. a transformed variant) as a
 // runnable program.
 func CompileAST(name string, prog *Program, opts InterpOptions) (sys.Program, error) {

@@ -18,7 +18,7 @@ func runPlain(t *testing.T, src string, opts InterpOptions) *nvkernel.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile("test", src, opts)
+	prog, err := compile("test", src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func TestTwoIdenticalMinicVariants(t *testing.T) {
     return 0;
 }
 `
-	p1, err := Compile("v0", src, InterpOptions{})
+	p1, err := compile("v0", src, InterpOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Compile("v1", src, InterpOptions{})
+	p2, err := compile("v1", src, InterpOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"nvariant/internal/sys"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -341,16 +343,16 @@ int main() {
 }
 
 func TestCompileErrors(t *testing.T) {
-	if _, err := Compile("x", "not a program", InterpOptions{}); err == nil {
+	if _, err := compile("x", "not a program", InterpOptions{}); err == nil {
 		t.Error("bad source compiled")
 	}
 	var syn *SyntaxError
-	_, err := Compile("x", "int main() { return }", InterpOptions{})
+	_, err := compile("x", "int main() { return }", InterpOptions{})
 	if !errors.As(err, &syn) {
 		t.Errorf("error = %v, want SyntaxError", err)
 	}
 	var te *TypeError
-	_, err = Compile("x", "int main() { uid_t u; u = u * u; return 0; }", InterpOptions{})
+	_, err = compile("x", "int main() { uid_t u; u = u * u; return 0; }", InterpOptions{})
 	if !errors.As(err, &te) {
 		t.Errorf("error = %v, want TypeError", err)
 	}
@@ -366,4 +368,13 @@ func TestTypeStrings(t *testing.T) {
 			t.Errorf("Type(%d) = %q, want %q", ty, got, want)
 		}
 	}
+}
+
+// compile parses, checks and wraps source as a runnable program.
+func compile(name, src string, opts InterpOptions) (sys.Program, error) {
+	prog, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return CompileAST(name, prog, opts)
 }

@@ -37,7 +37,7 @@ func TestFaultHookStallIsTransparent(t *testing.T) {
 	}}
 	res := mustRun(t, newWorld(t), same(2, "stalled", func(ctx *sys.Context) error {
 		for i := 0; i < 3; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -62,7 +62,7 @@ func TestFaultHookCrashRaisesVariantFault(t *testing.T) {
 	}}
 	res := mustRun(t, newWorld(t), same(2, "crashy", func(ctx *sys.Context) error {
 		for i := 0; i < 4; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -92,19 +92,19 @@ func TestCrashedVariantStaysDead(t *testing.T) {
 	sawSecond := false
 	progs := []sys.Program{
 		prog("healthy", func(ctx *sys.Context) error {
-			_, err := ctx.Time()
+			_, err := vtime(ctx)
 			if err != nil {
 				return err
 			}
 			return ctx.Exit(0)
 		}),
 		prog("crashy", func(ctx *sys.Context) error {
-			if _, err := ctx.Time(); !errors.Is(err, sys.ErrCrashed) {
+			if _, err := vtime(ctx); !errors.Is(err, sys.ErrCrashed) {
 				return err
 			}
 			// The program (buggily) ignores its own death; the context
 			// must refuse to let it back into the rendezvous.
-			_, err := ctx.Time()
+			_, err := vtime(ctx)
 			sawSecond = true
 			return err
 		}),

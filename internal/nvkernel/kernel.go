@@ -134,11 +134,10 @@ func newSystem(world *vos.World, net *simnet.Network, progs []sys.Program, opts 
 			return nil, fmt.Errorf("nvkernel: spec describes %d variants, got %d programs", cfg.Spec.N(), n)
 		}
 		if cfg.Spec.HasLayer(reexpress.LayerInstructionTags) {
-			// Variants here are native programs; instruction words only
-			// exist on the tagged-ISA substrate. Refusing is better
-			// than reporting a security layer as deployed while
-			// ignoring it.
-			return nil, fmt.Errorf("nvkernel: instruction-tag layers deploy on the isa substrate (isa.RunSpec), not under the monitor kernel")
+			// Variants here are native programs with no instruction
+			// words to tag. Refusing is better than reporting a
+			// security layer as deployed while ignoring it.
+			return nil, fmt.Errorf("nvkernel: instruction-tag layers cannot be deployed under the monitor kernel")
 		}
 	}
 

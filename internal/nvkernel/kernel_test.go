@@ -36,6 +36,18 @@ func newWorld(t *testing.T) *vos.World {
 	return w
 }
 
+// withUIDFuncs configures an unchecked single-UID-layer spec, so tests
+// can install property-violating or mismatched functions.
+func withUIDFuncs(funcs ...reexpress.Func) Option {
+	return WithSpec(reexpress.UncheckedSpec(len(funcs), reexpress.UIDLayer(funcs...)))
+}
+
+// vtime issues the time syscall, whose virtual timestamp every
+// variant agrees on.
+func vtime(ctx *sys.Context) (word.Word, error) {
+	return ctx.Syscall(sys.Call{Num: sys.Time})
+}
+
 func mustRun(t *testing.T, w *vos.World, progs []sys.Program, opts ...Option) *Result {
 	t.Helper()
 	res, err := Run(w, simnet.New(0), progs, opts...)
@@ -109,7 +121,7 @@ func TestUIDVariationRoundTrip(t *testing.T) {
 			return err
 		}
 		return ctx.Exit(0)
-	}), WithUIDVariation(reexpress.UIDVariation().Pair))
+	}), withUIDFuncs(reexpress.UIDVariation().Pair.Funcs()...))
 	if !res.Clean {
 		t.Fatalf("round trip alarmed: %v", res.Alarm)
 	}
@@ -143,7 +155,7 @@ func TestUIDVariationGetuidValuesDiffer(t *testing.T) {
 		}
 		return ctx.Exit(0)
 	}),
-		WithUIDVariation(reexpress.UIDVariation().Pair),
+		withUIDFuncs(reexpress.UIDVariation().Pair.Funcs()...),
 		WithUnsharedFiles("/tmp/uid"),
 	)
 	if !res.Clean {
@@ -175,7 +187,7 @@ func TestUIDDivergenceDetected(t *testing.T) {
 			return err
 		}
 		return ctx.Exit(0)
-	}), WithUIDVariation(reexpress.UIDVariation().Pair))
+	}), withUIDFuncs(reexpress.UIDVariation().Pair.Funcs()...))
 	if res.Alarm == nil {
 		t.Fatal("identical injected UID not detected")
 	}
@@ -198,7 +210,7 @@ func TestSetuidInjectedRootDetected(t *testing.T) {
 			return err
 		}
 		return ctx.Exit(0)
-	}), WithUIDVariation(reexpress.UIDVariation().Pair))
+	}), withUIDFuncs(reexpress.UIDVariation().Pair.Funcs()...))
 	if res.Alarm == nil || res.Alarm.Reason != ReasonUIDDivergence {
 		t.Fatalf("alarm = %v, want uid-divergence", res.Alarm)
 	}
@@ -240,7 +252,7 @@ func TestSyscallMismatchDetected(t *testing.T) {
 			return ctx.Exit(0)
 		}),
 		prog("b", func(ctx *sys.Context) error {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 			return ctx.Exit(0)
@@ -437,7 +449,7 @@ func TestUnsharedPasswdPipeline(t *testing.T) {
 		}
 		return ctx.Exit(0)
 	}),
-		WithUIDVariation(pair),
+		withUIDFuncs(pair.Funcs()...),
 		WithUnsharedFiles("/etc/passwd", "/etc/group"),
 	)
 	if !res.Clean {
@@ -502,7 +514,7 @@ func TestCCComparisons(t *testing.T) {
 			return ctx.Exit(0)
 		})
 	}
-	res := mustRun(t, w, progs, WithUIDVariation(pair))
+	res := mustRun(t, w, progs, withUIDFuncs(pair.Funcs()...))
 	if !res.Clean || res.Status != 0 {
 		t.Fatalf("cc comparisons: clean=%v status=%d alarm=%v", res.Clean, res.Status, res.Alarm)
 	}
@@ -539,7 +551,7 @@ func TestCCLtSemanticsOnCanonicalValues(t *testing.T) {
 			return ctx.Exit(0)
 		})
 	}
-	res := mustRun(t, w, progs, WithUIDVariation(pair))
+	res := mustRun(t, w, progs, withUIDFuncs(pair.Funcs()...))
 	if !res.Clean || res.Status != 0 {
 		t.Fatalf("canonical lt: clean=%v status=%d alarm=%v", res.Clean, res.Status, res.Alarm)
 	}
@@ -741,11 +753,11 @@ func TestTimeReplication(t *testing.T) {
 	// so using it in shared output does not diverge.
 	w := newWorld(t)
 	res := mustRun(t, w, same(2, "time", func(ctx *sys.Context) error {
-		t1, err := ctx.Time()
+		t1, err := vtime(ctx)
 		if err != nil {
 			return err
 		}
-		t2, err := ctx.Time()
+		t2, err := vtime(ctx)
 		if err != nil {
 			return err
 		}
@@ -771,7 +783,7 @@ func TestSetuidPermissionErrno(t *testing.T) {
 			return ctx.Exit(1)
 		}
 		return ctx.Exit(0)
-	}), WithCred(vos.CredFor(1000, 100)))
+	}), func(c *Config) { c.Cred = vos.CredFor(1000, 100) })
 	if !res.Clean || res.Status != 0 {
 		t.Fatalf("eperm: status=%d alarm=%v", res.Status, res.Alarm)
 	}
@@ -795,7 +807,7 @@ func TestThreeVariants(t *testing.T) {
 			return err
 		}
 		return ctx.Exit(0)
-	}), WithUIDFuncs(funcs...))
+	}), withUIDFuncs(funcs...))
 	if !res.Clean {
 		t.Fatalf("3-variant run alarmed: %v", res.Alarm)
 	}
@@ -807,7 +819,7 @@ func TestRunValidation(t *testing.T) {
 		t.Error("Run with no variants succeeded")
 	}
 	if _, err := Run(w, simnet.New(0), same(2, "x", func(ctx *sys.Context) error { return ctx.Exit(0) }),
-		WithUIDFuncs(reexpress.Identity{})); err == nil {
+		withUIDFuncs(reexpress.Identity{})); err == nil {
 		t.Error("Run with mismatched UID funcs succeeded")
 	}
 }
@@ -1047,7 +1059,7 @@ func TestWithSpecComposesWithOptions(t *testing.T) {
 func TestRunRefusesInstructionTagLayer(t *testing.T) {
 	// The kernel's variants are native programs; a spec advertising
 	// instruction tagging must be refused rather than silently
-	// deployed without it (the isa substrate runs that layer).
+	// deployed without it.
 	spec, err := reexpress.NewSpec(2,
 		reexpress.UIDLayer(reexpress.UIDVariation().Pair.Funcs()...),
 		reexpress.InstructionTagLayer(2))
@@ -1074,25 +1086,5 @@ func TestRunRefusesSpecWidthMismatch(t *testing.T) {
 	}), WithSpec(spec))
 	if err == nil {
 		t.Fatal("3-variant spec accepted over 2 programs")
-	}
-}
-
-func TestUIDFuncsOverrideKeepsDeploymentSpec(t *testing.T) {
-	// WithUIDFuncs after WithSpec overrides the UID layer only: the
-	// deployment spec stays recorded, so Run's spec checks (e.g. the
-	// instruction-tags refusal) cannot be bypassed by stacking an
-	// adapter option.
-	tagSpec, err := reexpress.NewSpec(2,
-		reexpress.UIDLayer(reexpress.UIDVariation().Pair.Funcs()...),
-		reexpress.InstructionTagLayer(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWorld(t)
-	_, err = Run(w, simnet.New(0), same(2, "noop", func(ctx *sys.Context) error {
-		return ctx.Exit(0)
-	}), WithSpec(tagSpec), WithUIDFuncs(reexpress.Identity{}, reexpress.Identity{}))
-	if err == nil {
-		t.Fatal("instruction-tags refusal bypassed by a trailing WithUIDFuncs")
 	}
 }

@@ -69,11 +69,6 @@ func (m *Metrics) observeRendezvous(num sys.Num, d time.Duration) {
 	}
 }
 
-// RendezvousCount reports how many rendezvous the latency histogram
-// has observed — a cheap way for tests to assert instrumentation is
-// actually attached.
-func (m *Metrics) RendezvousCount() uint64 { return m.rendezvous.Count() }
-
 // observeAlarm records the group's winning alarm and its raise-to-kill
 // latency.
 func (m *Metrics) observeAlarm(r Reason, killLatency time.Duration) {

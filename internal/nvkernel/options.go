@@ -111,30 +111,6 @@ func WithSpec(s *reexpress.Spec) Option {
 	}
 }
 
-// WithUIDVariation installs the UID data variation: variant i's
-// trusted UID data is reexpressed with pair's function i and the
-// kernel applies the inverse at every UID-bearing syscall.
-//
-// Deprecated-style adapter: it builds a single UID layer under the
-// hood; new code should construct a DiversitySpec and use WithSpec.
-func WithUIDVariation(pair reexpress.Pair) Option {
-	return WithUIDFuncs(pair.Funcs()...)
-}
-
-// WithUIDFuncs installs explicit per-variant UID functions (for N≠2 or
-// ablation experiments). Like WithUIDVariation it is a thin adapter
-// that builds an unchecked UID layer — ablations deliberately install
-// property-violating functions, so no validation runs here. Unlike
-// WithSpec it does not record a deployment spec: it composes with an
-// earlier WithSpec as a per-layer override without erasing what the
-// spec otherwise deployed.
-func WithUIDFuncs(funcs ...reexpress.Func) Option {
-	layer := reexpress.UIDLayer(funcs...)
-	return func(c *Config) {
-		c.UIDFuncs = append([]reexpress.Func(nil), layer.Funcs...)
-	}
-}
-
 // WithAddressPartition runs variants in disjoint simulated address
 // partitions (Figure 1).
 func WithAddressPartition() Option {
@@ -180,11 +156,6 @@ func WithFaultHook(h FaultHook) Option {
 // group: per-rendezvous latency, syscall counts, and alarm latency.
 func WithMetrics(m *Metrics) Option {
 	return func(c *Config) { c.Metrics = m }
-}
-
-// WithCred sets the group's initial credentials (default root).
-func WithCred(cred vos.Cred) Option {
-	return func(c *Config) { c.Cred = cred }
 }
 
 // UnsharedPath returns the per-variant path for an unshared file.

@@ -77,7 +77,7 @@ func TestQuorumCrashEvictsAndContinues(t *testing.T) {
 	// finish cleanly in degraded mode with the eviction on record.
 	res := mustRun(t, newWorld(t), same(3, "crashy", func(ctx *sys.Context) error {
 		for i := 0; i < 6; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -108,7 +108,7 @@ func TestQuorumCrashOfReferenceVariant(t *testing.T) {
 	// cleanly.
 	res := mustRun(t, newWorld(t), same(3, "refcrash", func(ctx *sys.Context) error {
 		for i := 0; i < 4; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -148,7 +148,7 @@ func TestQuorumStallEvictsAndContinues(t *testing.T) {
 	}}
 	res := mustRun(t, newWorld(t), same(3, "stalled", func(ctx *sys.Context) error {
 		for i := 0; i < 4; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -173,7 +173,7 @@ func TestQuorumLostKillsGroup(t *testing.T) {
 		// silently serving.
 		res := mustRun(t, newWorld(t), same(2, "crashy", func(ctx *sys.Context) error {
 			for i := 0; i < 4; i++ {
-				if _, err := ctx.Time(); err != nil {
+				if _, err := vtime(ctx); err != nil {
 					return err
 				}
 			}
@@ -206,7 +206,7 @@ func TestQuorumLostKillsGroup(t *testing.T) {
 		}}
 		res := mustRun(t, newWorld(t), same(3, "crashy", func(ctx *sys.Context) error {
 			for i := 0; i < 8; i++ {
-				if _, err := ctx.Time(); err != nil {
+				if _, err := vtime(ctx); err != nil {
 					return err
 				}
 			}
@@ -227,7 +227,7 @@ func TestQuorumDivergenceAmongLiveStillAlarms(t *testing.T) {
 	// the usual alarm — degraded mode masks faults, never attacks.
 	res := mustRun(t, newWorld(t), same(3, "diverge", func(ctx *sys.Context) error {
 		for i := 0; i < 4; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -257,7 +257,7 @@ func TestQuorumUnanimousDefaultUnchanged(t *testing.T) {
 	// default, not an opt-in.
 	res := mustRun(t, newWorld(t), same(3, "crashy", func(ctx *sys.Context) error {
 		for i := 0; i < 4; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}
@@ -397,7 +397,7 @@ func TestQuorumSteadyStateAddsNoAllocs(t *testing.T) {
 	warm.Add(2) // the two survivors
 	progs := same(3, "spin", func(ctx *sys.Context) error {
 		for i := 0; i < 4; i++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				if errors.Is(err, sys.ErrCrashed) {
 					return err
 				}
@@ -407,7 +407,7 @@ func TestQuorumSteadyStateAddsNoAllocs(t *testing.T) {
 		warm.Done()
 		<-start
 		for k := 0; k < iters; k++ {
-			if _, err := ctx.Time(); err != nil {
+			if _, err := vtime(ctx); err != nil {
 				return err
 			}
 		}

@@ -24,7 +24,7 @@ var stockSmallURIs = []string{"/index.html", "/about.html", "/logo.gif", "/style
 // buffer past 4 KiB.
 func TestReadStagingSizedToData(t *testing.T) {
 	w := newWorld(t)
-	if err := httpd.SetupWorld(w); err != nil {
+	if err := httpd.SetupWorldAt(w, httpd.DefaultPort); err != nil {
 		t.Fatal(err)
 	}
 	root := vos.CredFor(vos.Root, 0)

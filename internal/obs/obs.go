@@ -58,9 +58,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 

@@ -16,7 +16,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Errorf("counter = %d, want 5", got)
 	}
 	g := reg.Gauge("g", "help")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-3)
 	if got := g.Value(); got != 4 {
 		t.Errorf("gauge = %d, want 4", got)

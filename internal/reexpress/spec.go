@@ -357,13 +357,6 @@ func (s *Spec) checkShape() error {
 // N returns the variant count.
 func (s *Spec) N() int { return s.n }
 
-// Layers returns the variation stack in order (a copy).
-func (s *Spec) Layers() []Layer {
-	out := make([]Layer, len(s.layers))
-	copy(out, s.layers)
-	return out
-}
-
 // HasLayer reports whether the stack contains a layer of the given
 // kind.
 func (s *Spec) HasLayer(k LayerKind) bool {

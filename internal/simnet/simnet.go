@@ -121,9 +121,6 @@ func New(latency time.Duration) *Network {
 	}
 }
 
-// Latency returns the configured one-way latency.
-func (n *Network) Latency() time.Duration { return n.latency }
-
 // Listen opens a listening socket on port.
 func (n *Network) Listen(port uint16) (*Listener, error) {
 	n.mu.Lock()
@@ -193,9 +190,6 @@ type Listener struct {
 	mu       sync.Mutex
 	isClosed bool
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Accept blocks until a connection arrives or the listener is closed.
 func (l *Listener) Accept() (*Conn, error) {

@@ -253,15 +253,6 @@ func (c *Context) WriteString(fd int, s string) error {
 	return err
 }
 
-// Stat returns the size of the file at path. (File ownership is
-// enforced by the kernel at open time; programs never need to read
-// UIDs out of inodes, which keeps the UID target interface confined
-// to the credential syscalls as in the paper.)
-func (c *Context) Stat(path string) (uint32, error) {
-	v, err := c.Syscall(Call{Num: Stat, Data: c.pathData(path)})
-	return uint32(v), err
-}
-
 // Getuid returns the real UID in this variant's representation.
 func (c *Context) Getuid() (vos.UID, error) {
 	return c.sys0(Getuid)
@@ -291,13 +282,6 @@ func (c *Context) Setuid(u vos.UID) error {
 // Seteuid sets the effective UID.
 func (c *Context) Seteuid(u vos.UID) error {
 	_, err := c.sys1(Seteuid, u)
-	return err
-}
-
-// Setreuid sets real and effective UIDs (NoChange semantics apply to
-// the canonical values).
-func (c *Context) Setreuid(ruid, euid vos.UID) error {
-	_, err := c.sys2(Setreuid, ruid, euid)
 	return err
 }
 
@@ -349,12 +333,6 @@ func (c *Context) SendBytes(fd int, b []byte) error {
 		return err
 	}
 	return c.SendMem(fd, addr, uint32(len(b)))
-}
-
-// Time returns the kernel's virtual timestamp (identical across
-// variants).
-func (c *Context) Time() (word.Word, error) {
-	return c.sys0(Time)
 }
 
 // Prefork starts w-1 additional worker lanes running the program's

@@ -257,7 +257,6 @@ type Reply struct {
 
 // Standard file descriptors.
 const (
-	FDStdin  = 0
 	FDStdout = 1
 	FDStderr = 2
 )

@@ -135,9 +135,6 @@ func TestContextWrappersEncodeCalls(t *testing.T) {
 	if err := ctx.Setuid(30); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Setreuid(vos.NoChange, 30); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ctx.CCLeq(1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func TestContextWrappersEncodeCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantNums := []Num{Open, Setuid, Setreuid, CCLeq, CondChk, Exit}
+	wantNums := []Num{Open, Setuid, CCLeq, CondChk, Exit}
 	if len(f.calls) != len(wantNums) {
 		t.Fatalf("calls = %d, want %d", len(f.calls), len(wantNums))
 	}
@@ -163,11 +160,11 @@ func TestContextWrappersEncodeCalls(t *testing.T) {
 	if f.calls[1].Args[0] != 30 {
 		t.Errorf("setuid arg = %v", f.calls[1].Args)
 	}
-	if f.calls[2].Args[0] != vos.NoChange || f.calls[2].Args[1] != 30 {
-		t.Errorf("setreuid args = %v", f.calls[2].Args)
+	if f.calls[2].Args[0] != 1 || f.calls[2].Args[1] != 2 {
+		t.Errorf("cc_leq args = %v", f.calls[2].Args)
 	}
-	if f.calls[4].Args[0] != 1 {
-		t.Errorf("cond_chk arg = %v", f.calls[4].Args)
+	if f.calls[3].Args[0] != 1 {
+		t.Errorf("cond_chk arg = %v", f.calls[3].Args)
 	}
 }
 

@@ -230,7 +230,7 @@ func runVariants(t *testing.T, src string, opts minic.InterpOptions) *nvkernel.R
 	}
 	progs := []sys.Program{compiled[0].Program, compiled[1].Program}
 	res, err := nvkernel.Run(world, simnet.New(0), progs,
-		nvkernel.WithUIDVariation(pair),
+		nvkernel.WithSpec(reexpress.UncheckedSpec(2, reexpress.UIDLayer(pair.Funcs()...))),
 		nvkernel.WithUnsharedFiles("/etc/passwd", "/etc/group"),
 	)
 	if err != nil {
@@ -280,7 +280,11 @@ func TestUntransformedSampleEscalatesOnPlainKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := minic.Compile("unixd", SampleServerSource, minic.InterpOptions{
+	ast, err := minic.Parse(SampleServerSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := minic.CompileAST("unixd", ast, minic.InterpOptions{
 		CorruptOnAssign: map[string]word.Word{"worker_uid": 1000, "worker_gid": 100},
 	})
 	if err != nil {

@@ -1,0 +1,22 @@
+package vmem
+
+import (
+	"fmt"
+
+	"nvariant/internal/word"
+)
+
+// Canonical is the two-variant canonicalization, clearing the single
+// partition bit: the reference CanonicalIn(addr, 1) is checked against.
+func Canonical(addr Addr) Addr { return addr &^ word.HighBit }
+
+// AllocAligned is Alloc with the base rounded up to the given power of
+// two.
+func (s *Space) AllocAligned(size, align uint32) (Addr, error) {
+	if align == 0 || align&(align-1) != 0 {
+		return 0, fmt.Errorf("vmem: alloc: alignment %d is not a power of two", align)
+	}
+	mask := Addr(align - 1)
+	s.brk = (s.brk + mask) &^ mask
+	return s.Alloc(size)
+}

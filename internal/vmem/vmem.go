@@ -72,12 +72,6 @@ func PartitionSlot(index, count int) (Partition, error) {
 	return Partition{index: index, bits: bits}, nil
 }
 
-// Bits returns the slot-index width (0 for the unpartitioned space).
-func (p Partition) Bits() int { return p.bits }
-
-// Index returns the slot number.
-func (p Partition) Index() int { return p.index }
-
 // String names the partition.
 func (p Partition) String() string {
 	switch p {
@@ -149,18 +143,11 @@ func New(partition Partition) *Space {
 	}
 }
 
-// Partition returns the space's partition.
-func (s *Space) Partition() Partition { return s.partition }
-
-// Canonical maps an address into the canonical (variant-0) address
-// space by clearing the partition bit. This is the canonicalization
-// function the monitor uses to compare address arguments across
-// variants (§2, normal equivalence) in the two-variant construction.
-func Canonical(addr Addr) Addr { return addr &^ word.HighBit }
-
-// CanonicalIn is Canonical generalized to a 2^bits-way partitioned
-// deployment: it clears the top bits index bits, mapping any variant's
-// address back to the variant-0 (slot 0) space.
+// CanonicalIn maps an address into the canonical (variant-0) address
+// space of a 2^bits-way partitioned deployment by clearing the top
+// bits index bits. This is the canonicalization function the monitor
+// uses to compare address arguments across variants (§2, normal
+// equivalence).
 func CanonicalIn(addr Addr, bits int) Addr {
 	if bits <= 0 {
 		return addr
@@ -207,17 +194,6 @@ func (s *Space) Alloc(size uint32) (Addr, error) {
 	}
 	s.brk = base + Addr(size)
 	return base, nil
-}
-
-// AllocAligned is Alloc with the base rounded up to the given power of
-// two.
-func (s *Space) AllocAligned(size, align uint32) (Addr, error) {
-	if align == 0 || align&(align-1) != 0 {
-		return 0, fmt.Errorf("vmem: alloc: alignment %d is not a power of two", align)
-	}
-	mask := Addr(align - 1)
-	s.brk = (s.brk + mask) &^ mask
-	return s.Alloc(size)
 }
 
 // mapped reports whether the full range [addr, addr+n) is mapped.

@@ -64,8 +64,8 @@ func TestPartitionSlots(t *testing.T) {
 				t.Fatalf("PartitionSlot(%d,%d): %v", i, count, err)
 			}
 			slots[i] = p
-			if p.Bits() != bits || p.Index() != i {
-				t.Errorf("slot %d/%d = bits %d index %d", i, count, p.Bits(), p.Index())
+			if p.bits != bits || p.index != i {
+				t.Errorf("slot %d/%d = bits %d index %d", i, count, p.bits, p.index)
 			}
 		}
 		for i, p := range slots {
@@ -102,7 +102,7 @@ func TestCanonicalIn(t *testing.T) {
 			t.Fatal(err)
 		}
 		addr := p.Base() + 0x1234
-		if got := CanonicalIn(addr, p.Bits()); got != 0x1234 {
+		if got := CanonicalIn(addr, p.bits); got != 0x1234 {
 			t.Errorf("slot %d: CanonicalIn(%s) = %s, want 0x1234", i, addr, got)
 		}
 	}
@@ -131,7 +131,7 @@ func TestSlotSpaceAllocStaysInSlot(t *testing.T) {
 			t.Errorf("slot %d: Alloc returned %s outside the slot", i, addr)
 		}
 		// Mapping outside the slot must fault.
-		other := CanonicalIn(addr, p.Bits()) // slot-0 image
+		other := CanonicalIn(addr, p.bits) // slot-0 image
 		if i != 0 {
 			if err := s.Map(other, 16); err == nil {
 				t.Errorf("slot %d: mapping slot-0 address %s did not fault", i, other)

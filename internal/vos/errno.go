@@ -36,7 +36,6 @@ var (
 	ErrBadFD       = &Errno{Name: "EBADF", Msg: "bad file descriptor"}
 	ErrInval       = &Errno{Name: "EINVAL", Msg: "invalid argument"}
 	ErrNameTooLong = &Errno{Name: "ENAMETOOLONG", Msg: "file name too long"}
-	ErrNotEmpty    = &Errno{Name: "ENOTEMPTY", Msg: "directory not empty"}
 )
 
 // AsErrno extracts an *Errno from an error chain, if present.

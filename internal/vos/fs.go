@@ -2,7 +2,6 @@ package vos
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -43,7 +42,6 @@ type OpenFlag int
 const (
 	ReadOnly  OpenFlag = 0x1
 	WriteOnly OpenFlag = 0x2
-	ReadWrite OpenFlag = ReadOnly | WriteOnly
 	Create    OpenFlag = 0x4
 	Truncate  OpenFlag = 0x8
 	Append    OpenFlag = 0x10
@@ -331,19 +329,6 @@ func (fs *FS) Stat(path string, cred Cred) (FileInfo, error) {
 	}, nil
 }
 
-// Chown changes ownership; only root may do so.
-func (fs *FS) Chown(path string, owner UID, group GID, cred Cred) error {
-	node, err := fs.lookup(path, cred)
-	if err != nil {
-		return err
-	}
-	if cred.EUID != Root {
-		return fmt.Errorf("chown %s: %w", path, ErrPerm)
-	}
-	node.owner, node.group = owner, group
-	return nil
-}
-
 // Chmod changes permission bits; only root or the owner may do so.
 func (fs *FS) Chmod(path string, perm Mode, cred Cred) error {
 	node, err := fs.lookup(path, cred)
@@ -357,64 +342,6 @@ func (fs *FS) Chmod(path string, perm Mode, cred Cred) error {
 	return nil
 }
 
-// Remove deletes a file or empty directory.
-func (fs *FS) Remove(path string, cred Cred) error {
-	parent, name, err := fs.lookupParent(path, cred)
-	if err != nil {
-		return err
-	}
-	node, ok := parent.children[name]
-	if !ok {
-		return fmt.Errorf("remove %s: %w", path, ErrNoEnt)
-	}
-	if !canWrite(cred, parent.owner, parent.group, parent.mode) {
-		return fmt.Errorf("remove %s: %w", path, ErrAccess)
-	}
-	if node.mode.IsDir() && len(node.children) > 0 {
-		return fmt.Errorf("remove %s: %w", path, ErrNotEmpty)
-	}
-	delete(parent.children, name)
-	return nil
-}
-
-// ReadDir lists directory entries in name order.
-func (fs *FS) ReadDir(path string, cred Cred) ([]FileInfo, error) {
-	node, err := fs.lookup(path, cred)
-	if err != nil {
-		return nil, err
-	}
-	if !node.mode.IsDir() {
-		return nil, fmt.Errorf("readdir %s: %w", path, ErrNotDir)
-	}
-	if !canRead(cred, node.owner, node.group, node.mode) {
-		return nil, fmt.Errorf("readdir %s: %w", path, ErrAccess)
-	}
-	names := make([]string, 0, len(node.children))
-	for name := range node.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	infos := make([]FileInfo, 0, len(names))
-	for _, name := range names {
-		c := node.children[name]
-		infos = append(infos, FileInfo{
-			Name:  c.name,
-			Size:  int64(len(c.data)),
-			Mode:  c.mode,
-			Owner: c.owner,
-			Group: c.group,
-		})
-	}
-	return infos, nil
-}
-
-// Exists reports whether path resolves (using root credentials, for
-// test and setup convenience).
-func (fs *FS) Exists(path string) bool {
-	_, err := fs.lookup(path, CredFor(Root, 0))
-	return err == nil
-}
-
 // OpenFile is an open file description: an inode reference plus an
 // offset. Multiple descriptors (across variants, for shared files) may
 // reference the same OpenFile, sharing the offset — matching the
@@ -426,12 +353,6 @@ type OpenFile struct {
 	offset int64
 	closed bool
 }
-
-// Path returns the path the file was opened with.
-func (f *OpenFile) Path() string { return f.path }
-
-// Size returns the current file size.
-func (f *OpenFile) Size() int64 { return int64(len(f.node.data)) }
 
 // Remaining returns the bytes between the current offset and the end
 // of the file: the most the next Read can return.

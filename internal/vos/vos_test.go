@@ -498,8 +498,10 @@ func TestNewWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.FS.Exists("/etc/passwd") || !w.FS.Exists("/var/www/index.html") {
-		t.Error("world missing base files")
+	for _, path := range []string{"/etc/passwd", "/var/www/index.html"} {
+		if _, err := w.FS.Stat(path, root()); err != nil {
+			t.Errorf("world missing base file %s: %v", path, err)
+		}
 	}
 	// The secret must be unreadable by the web server user.
 	www := CredFor(30, 8)
@@ -512,7 +514,7 @@ func TestNewWorld(t *testing.T) {
 	if u, ok := w.User("wwwrun"); !ok || u.UID != 30 {
 		t.Errorf("User(wwwrun) = %+v, %v", u, ok)
 	}
-	if g, ok := w.Group("www"); !ok || g.GID != 8 {
+	if g, ok := LookupGroup(w.Groups, "www"); !ok || g.GID != 8 {
 		t.Errorf("Group(www) = %+v, %v", g, ok)
 	}
 }

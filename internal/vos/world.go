@@ -98,6 +98,3 @@ func filler(n int) string {
 
 // User looks up a user by name in the canonical database.
 func (w *World) User(name string) (User, bool) { return LookupUser(w.Users, name) }
-
-// Group looks up a group by name in the canonical database.
-func (w *World) Group(name string) (Group, bool) { return LookupGroup(w.Groups, name) }

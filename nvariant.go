@@ -18,18 +18,15 @@
 // construction:
 //
 //	world, _ := nvariant.NewWorld()
-//	spec := nvariant.GenerateSpec(42, 3) // 3 variants, UID layer
+//	spec, _ := nvariant.SpecFromVariation(nvariant.UIDVariation())
 //	nvariant.SetupUnsharedPasswd(world, spec.UIDFuncs())
 //	res, _ := nvariant.Run(world, nvariant.NewNetwork(0),
-//	    []nvariant.Program{variant0, variant1, variant2},
+//	    []nvariant.Program{variant0, variant1},
 //	    nvariant.WithSpec(spec),
 //	    nvariant.WithUnsharedFiles("/etc/passwd", "/etc/group"))
 //	if res.Detected() {
 //	    fmt.Println("attack detected:", res.Alarm)
 //	}
-//
-// The pre-DiversitySpec two-variant surface (Pair, WithUIDVariation)
-// keeps compiling through thin adapters that build specs internally.
 //
 // The package re-exports the building blocks: the reexpression-
 // function framework (Table 1), the monitor kernel with its detection
@@ -65,31 +62,16 @@ type (
 
 	// ReexpressionFunc is a data reexpression function R with inverse.
 	ReexpressionFunc = reexpress.Func
-	// Pair is a two-variant reexpression configuration (R₀, R₁).
-	//
-	// Deprecated in favour of DiversitySpec: Pair-taking call sites
-	// keep working through adapters.
-	Pair = reexpress.Pair
-	// Variation is a named Table 1 row.
-	Variation = reexpress.Variation
 
 	// DiversitySpec describes a diversified deployment: N ≥ 2 variants,
 	// each with an ordered stack of typed variation layers, validated
 	// for the inverse and N-wide pairwise-disjointness properties.
 	DiversitySpec = reexpress.Spec
-	// DiversityLayer is one variation in a spec's stack.
-	DiversityLayer = reexpress.Layer
 	// DiversityLayerKind classifies a variation layer.
 	DiversityLayerKind = reexpress.LayerKind
 
 	// Program is the code run (with per-variant data) by each variant.
 	Program = sys.Program
-	// WorkerProgram is a Program supporting prefork worker lanes: after
-	// Context.Prefork(w) the kernel runs RunWorker in w-1 concurrent
-	// lanes, each an independent N-variant rendezvous sharing the
-	// group's descriptor table — and any lane's alarm kills the whole
-	// group.
-	WorkerProgram = sys.WorkerProgram
 	// Context is the per-variant syscall environment.
 	Context = sys.Context
 
@@ -102,56 +84,16 @@ type (
 	Option = nvkernel.Option
 	// Result is the outcome of an N-variant run.
 	Result = nvkernel.Result
-	// Alarm is the monitor's divergence report.
-	Alarm = nvkernel.Alarm
-	// Reason classifies an alarm.
-	Reason = nvkernel.Reason
 )
 
-// Alarm reasons, re-exported.
-const (
-	ReasonSyscallMismatch = nvkernel.ReasonSyscallMismatch
-	ReasonArgDivergence   = nvkernel.ReasonArgDivergence
-	ReasonUIDDivergence   = nvkernel.ReasonUIDDivergence
-	ReasonCondDivergence  = nvkernel.ReasonCondDivergence
-	ReasonDataDivergence  = nvkernel.ReasonDataDivergence
-	ReasonVariantFault    = nvkernel.ReasonVariantFault
-	ReasonTimeout         = nvkernel.ReasonTimeout
-)
-
-// Variation-layer kinds, re-exported.
-const (
-	LayerUID              = reexpress.LayerUID
-	LayerAddressPartition = reexpress.LayerAddressPartition
-	LayerUnsharedFiles    = reexpress.LayerUnsharedFiles
-	LayerInstructionTags  = reexpress.LayerInstructionTags
-)
-
-// DiversitySpec constructors and layer builders.
+// DiversitySpec construction.
 var (
-	// NewDiversitySpec builds and validates an explicit spec: n
-	// variants with the given layer stack, checked for the §2.2/§2.3
-	// properties generalized N-wide.
-	NewDiversitySpec = reexpress.NewSpec
 	// SpecFromVariation builds a validated two-variant spec from a
 	// Table 1 row.
 	SpecFromVariation = reexpress.FromVariation
-	// GenerateSpec draws a randomized, validated spec for n variants
-	// from a seed (it subsumes the fleet's old two-variant pair
-	// selection). Stack kinds default to a single UID layer.
-	GenerateSpec = reexpress.Generate
 	// ParseStack parses a comma-separated stack description
 	// ("uid,addr,files") into layer kinds.
 	ParseStack = reexpress.ParseStack
-
-	// UIDLayer builds a UID variation layer from per-variant functions.
-	UIDLayer = reexpress.UIDLayer
-	// AddressPartitionLayer builds an N-way address partitioning layer.
-	AddressPartitionLayer = reexpress.AddressPartitionLayer
-	// UnsharedFilesLayer builds an unshared-files layer (§3.4).
-	UnsharedFilesLayer = reexpress.UnsharedFilesLayer
-	// InstructionTagLayer builds an N-way instruction tagging layer.
-	InstructionTagLayer = reexpress.InstructionTagLayer
 )
 
 // Cred is a simulated process credential set.
@@ -181,20 +123,10 @@ var (
 	// WithSpec configures a run from a DiversitySpec, materializing
 	// every layer of its variation stack.
 	WithSpec = nvkernel.WithSpec
-	// WithUIDVariation installs a UID data variation (adapter: it
-	// builds a two-variant spec internally).
-	WithUIDVariation = nvkernel.WithUIDVariation
-	// WithUIDFuncs installs explicit per-variant UID functions
-	// (adapter: it builds an unchecked spec internally).
-	WithUIDFuncs = nvkernel.WithUIDFuncs
 	// WithAddressPartition places variants in disjoint address spaces.
 	WithAddressPartition = nvkernel.WithAddressPartition
 	// WithUnsharedFiles marks per-variant diversified files (§3.4).
 	WithUnsharedFiles = nvkernel.WithUnsharedFiles
-	// WithTimeout bounds the rendezvous wait.
-	WithTimeout = nvkernel.WithTimeout
-	// WithCred sets the group's initial credentials.
-	WithCred = nvkernel.WithCred
 )
 
 // SetupUnsharedPasswd writes the diversified /etc/passwd-<i> and
@@ -203,19 +135,9 @@ func SetupUnsharedPasswd(world *World, funcs []ReexpressionFunc) error {
 	return nvkernel.SetupUnsharedPasswd(world, funcs)
 }
 
-// Table 1 variations.
-var (
-	// UIDVariation is the paper's contribution: R₁(u) = u ⊕ 0x7FFFFFFF.
-	UIDVariation = reexpress.UIDVariation
-	// AddressPartitioning is Table 1 row 1.
-	AddressPartitioning = reexpress.AddressPartitioning
-	// ExtendedPartitioning is Table 1 row 2.
-	ExtendedPartitioning = reexpress.ExtendedPartitioning
-	// InstructionTagging is Table 1 row 3.
-	InstructionTagging = reexpress.InstructionTagging
-	// Table1 returns all four rows in paper order.
-	Table1 = reexpress.Table1
-)
+// UIDVariation is the paper's contribution, Table 1 row 4:
+// R₁(u) = u ⊕ 0x7FFFFFFF.
+var UIDVariation = reexpress.UIDVariation
 
 // ProgramFunc adapts a function to the Program interface.
 type ProgramFunc = sys.ProgramFunc
@@ -225,40 +147,12 @@ type ProgramFunc = sys.ProgramFunc
 // HTTPServerOptions configures the case-study server.
 type HTTPServerOptions = httpd.Options
 
-// HTTPServerConsts holds the server's (build-time reexpressed) UID
-// constants.
-type HTTPServerConsts = httpd.Consts
-
-// NewHTTPServer builds one server variant.
-func NewHTTPServer(opts HTTPServerOptions, consts HTTPServerConsts) Program {
-	return httpd.New(opts, consts)
-}
-
-// BuildHTTPVariants builds one transformed server per reexpression
-// function (applying R_i to the program's UID constants).
-func BuildHTTPVariants(opts HTTPServerOptions, funcs []ReexpressionFunc) ([]Program, error) {
-	return httpd.BuildVariants(opts, funcs)
-}
-
-// SetupHTTPWorld installs the server's configuration file.
-func SetupHTTPWorld(world *World) error { return httpd.SetupWorld(world) }
-
-// HTTPClient is the remote-user (and attacker) interface.
-type HTTPClient = httpd.Client
-
-// NewHTTPClient builds a client for a network and port.
-func NewHTTPClient(net *Network, port uint16) *HTTPClient {
-	return httpd.NewClient(net, port)
-}
-
 // Configuration selects one of the paper's Table 3 deployments.
 type Configuration = harness.Configuration
 
-// The four Table 3 configurations.
+// The unmodified baseline and the UID-variation deployment of Table 3.
 const (
 	Config1Unmodified   = harness.Config1Unmodified
-	Config2Transformed  = harness.Config2Transformed
-	Config3AddressSpace = harness.Config3AddressSpace
 	Config4UIDVariation = harness.Config4UIDVariation
 )
 
@@ -284,35 +178,11 @@ type Fleet = fleet.Fleet
 // per-group variant count and variation stack).
 type FleetOptions = fleet.Options
 
-// FleetStats is a snapshot of fleet health and dispatch counters.
-type FleetStats = fleet.Stats
-
-// FleetGroupStat describes one pool member in a stats snapshot.
-type FleetGroupStat = fleet.GroupStat
-
-// FleetPolicy selects the dispatcher's balancing policy.
-type FleetPolicy = fleet.Policy
-
-// FleetAuditLog is the fleet's append-only recovery record.
-type FleetAuditLog = fleet.AuditLog
-
-// FleetAuditEntry is one quarantine/replacement record.
-type FleetAuditEntry = fleet.AuditEntry
-
-// Balancing policies.
-const (
-	FleetRoundRobin  = fleet.RoundRobin
-	FleetLeastLoaded = fleet.LeastLoaded
-)
-
 // NewFleet builds the pool, starts every group, and begins dispatching
 // on the front port.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
 
 // --- Automated UID transformation (§3.3) -----------------------------
-
-// TransformCounts is the change accounting of a transformation run.
-type TransformCounts = transform.Counts
 
 // TransformResult is a transformed variant with its accounting.
 type TransformResult = transform.Result
@@ -325,12 +195,6 @@ func TransformMinic(src string, f ReexpressionFunc) (*TransformResult, error) {
 // MinicInterpOptions configures mini-C execution (including the
 // memory-corruption attacker primitive used in experiments).
 type MinicInterpOptions = minic.InterpOptions
-
-// CompileMinic parses, checks and wraps mini-C source as a variant
-// program.
-func CompileMinic(name, src string, opts MinicInterpOptions) (Program, error) {
-	return minic.Compile(name, src, opts)
-}
 
 // BuildMinicVariants transforms src per variant function and compiles
 // each result.

@@ -3,15 +3,22 @@ package nvariant
 import (
 	"strings"
 	"testing"
+
+	"nvariant/internal/httpd"
+	"nvariant/internal/nvkernel"
+	"nvariant/internal/reexpress"
 )
 
 func TestFacadeUIDVariationDetection(t *testing.T) {
-	pair := UIDVariation().Pair
+	spec, err := SpecFromVariation(UIDVariation())
+	if err != nil {
+		t.Fatal(err)
+	}
 	world, err := NewWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetupUnsharedPasswd(world, pair.Funcs()); err != nil {
+	if err := SetupUnsharedPasswd(world, spec.UIDFuncs()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -22,7 +29,7 @@ func TestFacadeUIDVariationDetection(t *testing.T) {
 		return ctx.Exit(0)
 	}}
 	res, err := Run(world, NewNetwork(0), []Program{forged, forged},
-		WithUIDVariation(pair),
+		WithSpec(spec),
 		WithUnsharedFiles("/etc/passwd", "/etc/group"))
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +37,7 @@ func TestFacadeUIDVariationDetection(t *testing.T) {
 	if !res.Detected() {
 		t.Fatal("forged setuid not detected through the facade")
 	}
-	if res.Alarm.Reason != ReasonUIDDivergence {
+	if res.Alarm.Reason != nvkernel.ReasonUIDDivergence {
 		t.Errorf("reason = %v, want uid-divergence", res.Alarm.Reason)
 	}
 }
@@ -58,8 +65,11 @@ func TestFacadeConfigurationLifecycle(t *testing.T) {
 }
 
 func TestFacadeTransformAndRun(t *testing.T) {
-	pair := UIDVariation().Pair
-	res, err := TransformMinic(SampleServerSource, pair.R1)
+	spec, err := SpecFromVariation(UIDVariation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := TransformMinic(SampleServerSource, spec.UIDFuncs()[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +81,15 @@ func TestFacadeTransformAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetupUnsharedPasswd(world, pair.Funcs()); err != nil {
+	if err := SetupUnsharedPasswd(world, spec.UIDFuncs()); err != nil {
 		t.Fatal(err)
 	}
-	progs, err := BuildMinicVariants("unixd", SampleServerSource, pair.Funcs(), MinicInterpOptions{})
+	progs, err := BuildMinicVariants("unixd", SampleServerSource, spec.UIDFuncs(), MinicInterpOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run, err := Run(world, NewNetwork(0), progs,
-		WithUIDVariation(pair),
+		WithSpec(spec),
 		WithUnsharedFiles("/etc/passwd", "/etc/group"))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +100,10 @@ func TestFacadeTransformAndRun(t *testing.T) {
 }
 
 func TestFacadeCompileMinic(t *testing.T) {
-	prog, err := CompileMinic("hello", `int main() { log("hi"); return 0; }`, MinicInterpOptions{})
+	// One identity variant: BuildMinicVariants is the facade's mini-C
+	// compiler, transforming nothing.
+	progs, err := BuildMinicVariants("hello", `int main() { log("hi"); return 0; }`,
+		[]ReexpressionFunc{reexpress.Identity{}}, MinicInterpOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +111,7 @@ func TestFacadeCompileMinic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(world, NewNetwork(0), []Program{prog})
+	res, err := Run(world, NewNetwork(0), progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +121,12 @@ func TestFacadeCompileMinic(t *testing.T) {
 }
 
 func TestFacadeTable1(t *testing.T) {
-	rows := Table1()
+	rows := reexpress.Table1()
 	if len(rows) != 4 {
 		t.Fatalf("Table1 rows = %d", len(rows))
 	}
-	if rows[3].Name != "UID Variation" {
-		t.Errorf("row 4 = %q", rows[3].Name)
+	if rows[3].Name != UIDVariation().Name {
+		t.Errorf("row 4 = %q, facade UIDVariation = %q", rows[3].Name, UIDVariation().Name)
 	}
 	// The facade exposes the Pair math directly.
 	r1 := UIDVariation().Pair.R1
@@ -124,8 +137,11 @@ func TestFacadeTable1(t *testing.T) {
 }
 
 func TestFacadeHTTPVariants(t *testing.T) {
-	pair := UIDVariation().Pair
-	progs, err := BuildHTTPVariants(HTTPServerOptions{}, pair.Funcs())
+	spec, err := SpecFromVariation(UIDVariation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := httpd.BuildVariants(HTTPServerOptions{}, spec.UIDFuncs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +167,7 @@ func TestFacadeRootCred(t *testing.T) {
 func TestFacadeDiversitySpecQuickstart(t *testing.T) {
 	// The package-doc quick start: an N=3 generated spec, a forged-UID
 	// injection, detection through the facade.
-	spec := GenerateSpec(42, 3)
+	spec := reexpress.Generate(42, 3)
 	if spec.N() != 3 {
 		t.Fatalf("spec N = %d", spec.N())
 	}
@@ -174,16 +190,16 @@ func TestFacadeDiversitySpecQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Detected() || res.Alarm.Reason != ReasonUIDDivergence {
+	if !res.Detected() || res.Alarm.Reason != nvkernel.ReasonUIDDivergence {
 		t.Fatalf("3-variant forged setuid not detected: %+v", res.Alarm)
 	}
 }
 
 func TestFacadeExplicitSpecConstruction(t *testing.T) {
-	spec, err := NewDiversitySpec(2,
-		UIDLayer(UIDVariation().Pair.R0, UIDVariation().Pair.R1),
-		AddressPartitionLayer(2),
-		UnsharedFilesLayer("/etc/passwd", "/etc/group"),
+	spec, err := reexpress.NewSpec(2,
+		reexpress.UIDLayer(UIDVariation().Pair.R0, UIDVariation().Pair.R1),
+		reexpress.AddressPartitionLayer(2),
+		reexpress.UnsharedFilesLayer("/etc/passwd", "/etc/group"),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +207,7 @@ func TestFacadeExplicitSpecConstruction(t *testing.T) {
 	if got := spec.StackString(); got != "uid+address-partition+unshared-files" {
 		t.Errorf("stack = %q", got)
 	}
-	if _, err := NewDiversitySpec(2, UIDLayer(UIDVariation().Pair.R0, UIDVariation().Pair.R0)); err == nil {
+	if _, err := reexpress.NewSpec(2, reexpress.UIDLayer(UIDVariation().Pair.R0, UIDVariation().Pair.R0)); err == nil {
 		t.Error("disjointness-violating spec accepted")
 	}
 	fromRow, err := SpecFromVariation(UIDVariation())
@@ -199,7 +215,7 @@ func TestFacadeExplicitSpecConstruction(t *testing.T) {
 		t.Fatalf("SpecFromVariation: %v", err)
 	}
 	kinds, err := ParseStack("uid,addr")
-	if err != nil || len(kinds) != 2 || kinds[0] != LayerUID || kinds[1] != LayerAddressPartition {
+	if err != nil || len(kinds) != 2 || kinds[0] != reexpress.LayerUID || kinds[1] != reexpress.LayerAddressPartition {
 		t.Fatalf("ParseStack: %v %v", kinds, err)
 	}
 }

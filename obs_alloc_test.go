@@ -39,7 +39,7 @@ func TestInstrumentedRendezvousZeroAlloc(t *testing.T) {
 				case <-stop:
 					return ctx.Exit(0)
 				}
-				if _, err := ctx.Time(); err != nil {
+				if _, err := ctx.Syscall(sys.Call{Num: sys.Time}); err != nil {
 					return err
 				}
 				roundDone <- struct{}{}
@@ -62,7 +62,7 @@ func TestInstrumentedRendezvousZeroAlloc(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		res, runErr = nvkernel.Run(world, simnet.New(0), progs,
-			nvkernel.WithUIDFuncs(funcs...), nvkernel.WithMetrics(m))
+			nvkernel.WithSpec(reexpress.UncheckedSpec(len(funcs), reexpress.UIDLayer(funcs...))), nvkernel.WithMetrics(m))
 	}()
 
 	round := func() {
@@ -90,7 +90,7 @@ func TestInstrumentedRendezvousZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("instrumented rendezvous allocates %v/op, want 0", avg)
 	}
-	if got := m.RendezvousCount(); got == 0 {
+	if got := reg.Histogram("nvk_rendezvous_latency_seconds", "", nil).Count(); got == 0 {
 		t.Error("histogram saw no rendezvous — instrumentation not attached")
 	}
 }
