@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output into the JSON
 // trajectory format of BENCH_core.json, so the core hot-path numbers
-// (rendezvous, Table 2/3, fleet dispatch) are machine-readable the way
-// cmd/fleetbench's -json sweep (BENCH_fleet.json) already is.
+// (rendezvous, Table 2/3, fleet dispatch) are machine-readable and
+// gateable.
 //
 // Usage:
 //

@@ -1,4 +1,5 @@
-// Command experiments regenerates the paper's tables and figures.
+// Command experiments regenerates the paper's tables and figures. The
+// seeded chaos campaigns run in cmd/campaign.
 package main
 
 import (
@@ -6,7 +7,6 @@ import (
 	"fmt"
 	"os"
 
-	"nvariant/internal/chaos"
 	"nvariant/internal/experiments"
 )
 
@@ -19,11 +19,10 @@ func main() {
 
 func run() error {
 	workers := flag.Int("workers", 0, "prefork worker-lane count for the nsweep servers (0 = serial)")
-	seed := flag.Int64("seed", 1, "chaos campaign seed")
 	flag.Parse()
 	which := flag.Args()
 	if len(which) == 0 {
-		which = []string{"table1", "table2", "table3", "figure1", "figure2", "overwrite", "changes", "nsweep", "chaos"}
+		which = []string{"table1", "table2", "table3", "figure1", "figure2", "overwrite", "changes", "nsweep"}
 	}
 	for _, name := range which {
 		switch name {
@@ -73,18 +72,6 @@ func run() error {
 			opts := experiments.DefaultNSweepOptions()
 			opts.Workers = *workers
 			res, err := experiments.RunNSweep(opts)
-			if err != nil {
-				return err
-			}
-			res.Fprint(os.Stdout)
-		case "chaos":
-			res, err := chaos.Run(chaos.DefaultConfig(*seed))
-			if err != nil {
-				return err
-			}
-			res.Fprint(os.Stdout)
-		case "faultonly":
-			res, err := chaos.Run(chaos.FaultOnlyConfig(*seed))
 			if err != nil {
 				return err
 			}

@@ -210,11 +210,10 @@ func TestTable3SmallRun(t *testing.T) {
 			t.Errorf("%s: nonpositive throughput %+v", row.Config, row)
 		}
 	}
-	// The shape, asserted on counts rather than wall-clock ratios
-	// (ShapeHolds stays the printed check of cmd/webbench): every
-	// configuration served the same requests, the 2-variant systems run
-	// each syscall once per variant in lockstep, and the UID variation
-	// adds one uid_value detection call per request.
+	// The shape, asserted on counts rather than wall-clock ratios:
+	// every configuration served the same requests, the 2-variant
+	// systems run each syscall once per variant in lockstep, and the
+	// UID variation adds one uid_value detection call per request.
 	c1, c2, c3, c4 := res.Rows[0], res.Rows[1], res.Rows[2], res.Rows[3]
 	requests := opts.UnsatRequests + opts.SatEngines*opts.SatRequestsPerEngine
 	for _, row := range res.Rows {

@@ -227,28 +227,3 @@ func ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// ShapeHolds checks the qualitative claims of §4: the transformation
-// is nearly free, the 2-variant systems roughly halve saturated
-// throughput, and the UID variation adds only a small extra cost over
-// the 2-variant baseline.
-func (r Table3Result) ShapeHolds() error {
-	if len(r.Rows) < 4 {
-		return fmt.Errorf("incomplete table: %d rows", len(r.Rows))
-	}
-	c1, c2, c3, c4 := r.Rows[0], r.Rows[1], r.Rows[2], r.Rows[3]
-	if rr := ratio(c2.Saturated.ThroughputKBps, c1.Saturated.ThroughputKBps); rr < 0.85 {
-		return fmt.Errorf("transformation overhead too high: config2/config1 = %.2f", rr)
-	}
-	if rr := ratio(c3.Saturated.ThroughputKBps, c1.Saturated.ThroughputKBps); rr > 0.75 {
-		return fmt.Errorf("2-variant saturated throughput did not drop: config3/config1 = %.2f", rr)
-	}
-	if rr := ratio(c4.Saturated.ThroughputKBps, c3.Saturated.ThroughputKBps); rr < 0.70 {
-		return fmt.Errorf("UID variation cost too high: config4/config3 = %.2f", rr)
-	}
-	if c3.Saturated.LatencyMs <= c1.Saturated.LatencyMs {
-		return fmt.Errorf("2-variant saturated latency did not rise (%.3f <= %.3f)",
-			c3.Saturated.LatencyMs, c1.Saturated.LatencyMs)
-	}
-	return nil
-}

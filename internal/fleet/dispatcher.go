@@ -6,31 +6,6 @@ import (
 	"nvariant/internal/simnet"
 )
 
-// Policy selects how the dispatcher balances client connections across
-// healthy groups.
-type Policy int
-
-// Balancing policies.
-const (
-	// RoundRobin cycles through the healthy pool in group order.
-	RoundRobin Policy = iota
-	// LeastLoaded picks the group with the fewest in-flight
-	// connections.
-	LeastLoaded
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	default:
-		return "unknown"
-	}
-}
-
 // Dial retry tuning: a quarantined group's port refuses dials for the
 // moment between its kill and its watcher pruning it from the pool, and
 // a pool of one has nothing to serve from until the replacement is up.
@@ -55,8 +30,8 @@ func (f *Fleet) acceptLoop() {
 	}
 }
 
-// pick chooses a healthy group under the active policy, or nil when
-// the pool is momentarily empty. It reads the lock-free published
+// pick chooses the next healthy group round-robin, or nil when the
+// pool is momentarily empty. It reads the lock-free published
 // snapshot — no mutex on the per-connection hot path, so dispatch
 // never stalls behind spawn/quarantine bookkeeping (which holds f.mu
 // while rebuilding groups).
@@ -65,27 +40,7 @@ func (f *Fleet) pick() *group {
 	if len(pool) == 0 {
 		return nil
 	}
-	switch f.opts.Policy {
-	case LeastLoaded:
-		// Scan from a rotating start so ties round-robin instead of
-		// hot-spotting the lowest-indexed group (sequential clients
-		// would otherwise all land on group 0). Load is in-flight
-		// connections normalized by worker-lane capacity (compared
-		// cross-multiplied to stay in integers): a W-lane group absorbs
-		// W connections before looking as loaded as a serial one.
-		n := len(pool)
-		start := int(f.rr.Add(1)-1) % n
-		best := pool[start]
-		for i := 1; i < n; i++ {
-			g := pool[(start+i)%n]
-			if g.inflight.Load()*int64(best.workers) < best.inflight.Load()*int64(g.workers) {
-				best = g
-			}
-		}
-		return best
-	default:
-		return pool[int(f.rr.Add(1)-1)%len(pool)]
-	}
+	return pool[int(f.rr.Add(1)-1)%len(pool)]
 }
 
 // pickAndDial selects a group and opens a backend connection to it,

@@ -4,11 +4,11 @@
 //
 // Each pool member is a harness-built Table 3 configuration listening
 // on its own port of a shared simulated network. A front listener
-// load-balances incoming client connections across healthy groups
-// (round-robin or least-loaded). When any group's monitor raises an
-// alarm, the fleet quarantines the group, records the event in an
-// append-only audit log, and spawns a fresh replacement whose UID
-// reexpression functions are newly selected — so a captured-and-killed
+// load-balances incoming client connections round-robin across healthy
+// groups. When any group's monitor raises an alarm, the fleet
+// quarantines the group, records the event in an append-only audit
+// log, and spawns a fresh replacement whose UID reexpression functions
+// are newly selected — so a captured-and-killed
 // group tells an attacker nothing about the pool that replaces it, and
 // the service degrades by one group for milliseconds instead of
 // collapsing. Related work quantifies exactly this construction:
@@ -59,23 +59,15 @@ type Options struct {
 	// paper's deployment). Detection effectiveness grows with N; every
 	// group's DiversitySpec is generated at this width.
 	Variants int
-	// MaxVariants, when greater than Variants, makes every spawned
-	// group (initial or replacement) draw its own N uniformly from
-	// [Variants, MaxVariants] — the pool then varies in group size,
-	// not just in reexpression masks.
-	MaxVariants int
 	// Stack is the variation stack generated for each Config4 group's
 	// spec (default: uid + address-partition + unshared-files, the
 	// paper's full §4 deployment).
 	Stack []reexpress.LayerKind
 	// Workers is the per-group prefork worker-lane count (0/1 = serial
-	// groups): each group serves Workers connections concurrently, and
-	// the least-loaded policy weighs in-flight counts against it.
+	// groups): each group serves Workers connections concurrently.
 	Workers int
 	// Server configures the httpd program of every group.
 	Server httpd.Options
-	// Policy selects the balancing policy (default RoundRobin).
-	Policy Policy
 	// FrontPort is the dispatcher's listening port (default
 	// DefaultFrontPort).
 	FrontPort uint16
@@ -88,9 +80,6 @@ type Options struct {
 	// per-pool spans this way, so pools never collide even as elastic
 	// sizing grows them.
 	PortSpan uint16
-	// Latency is the simulated one-way wire latency of the shared
-	// network.
-	Latency time.Duration
 	// Seed drives reexpression-mask selection; 0 means a fixed default
 	// so runs are reproducible unless explicitly varied.
 	Seed int64
@@ -222,7 +211,7 @@ func New(opts Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		opts:     opts,
-		net:      simnet.New(opts.Latency),
+		net:      simnet.New(0),
 		audit:    newAuditLog(opts.AuditTo),
 		nextPort: opts.BasePort,
 		starting: make(map[int][]nvkernel.Eviction),
@@ -564,7 +553,6 @@ func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := Stats{
-		Policy:         f.opts.Policy,
 		Spawned:        f.spawned,
 		Detections:     f.detections,
 		Quarantined:    f.quarantined,

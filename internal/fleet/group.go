@@ -25,8 +25,7 @@ type group struct {
 	// variants is the group's process-group size N.
 	variants int
 	// workers is the group's prefork worker-lane count (≥ 1): its
-	// concurrent-request capacity, which the least-loaded policy
-	// normalizes in-flight counts by.
+	// concurrent-request capacity.
 	workers int
 	// r1 names the variant-1 effective UID reexpression function
 	// actually deployed ("(none)" for single-variant configurations) —
@@ -77,15 +76,6 @@ var defaultStack = []reexpress.LayerKind{
 	reexpress.LayerUnsharedFiles,
 }
 
-// drawVariants picks the group size for one spawn. Caller holds rngMu.
-func (f *Fleet) drawVariants() int {
-	n := f.opts.Variants
-	if f.opts.MaxVariants > n {
-		n += f.rng.Intn(f.opts.MaxVariants - n + 1)
-	}
-	return n
-}
-
 // specForGroup selects the DiversitySpec a fresh group deploys, or nil
 // for configurations without a variation stack.
 func (f *Fleet) specForGroup(id int) *reexpress.Spec {
@@ -93,7 +83,7 @@ func (f *Fleet) specForGroup(id int) *reexpress.Spec {
 	case harness.Config4UIDVariation:
 		f.rngMu.Lock()
 		defer f.rngMu.Unlock()
-		n := f.drawVariants()
+		n := f.opts.Variants
 		if id == 0 && n == 2 && len(f.opts.Stack) == 0 {
 			// Group 0 runs the paper's published functions; every
 			// further group (initial or replacement) runs freshly
@@ -107,9 +97,7 @@ func (f *Fleet) specForGroup(id int) *reexpress.Spec {
 		}
 		return reexpress.GenerateFrom(f.rng, n, stack...)
 	case harness.Config3AddressSpace:
-		f.rngMu.Lock()
-		n := f.drawVariants()
-		f.rngMu.Unlock()
+		n := f.opts.Variants
 		return reexpress.UncheckedSpec(n,
 			reexpress.AddressPartitionLayer(n),
 			reexpress.UnsharedFilesLayer(reexpress.DefaultUnsharedPaths...),

@@ -51,8 +51,6 @@ type GroupStat struct {
 // Stats is a point-in-time snapshot of fleet health and dispatch
 // counters — the availability numbers the attack experiments report.
 type Stats struct {
-	// Policy is the active balancing policy.
-	Policy Policy
 	// Healthy lists the current pool members (after Stop: the roster
 	// as it stood at shutdown).
 	Healthy []GroupStat
@@ -94,8 +92,8 @@ type Stats struct {
 // String renders a one-line fleet summary plus a per-group table.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet[%s]: %d healthy / %d spawned, %d detections, %d quarantined, %d replaced, %d rotated, %d dispatched (%d errors)",
-		s.Policy, len(s.Healthy), s.Spawned, s.Detections, s.Quarantined, s.Replaced, s.Rotated, s.Dispatched, s.DispatchErrors)
+	fmt.Fprintf(&b, "fleet: %d healthy / %d spawned, %d detections, %d quarantined, %d replaced, %d rotated, %d dispatched (%d errors)",
+		len(s.Healthy), s.Spawned, s.Detections, s.Quarantined, s.Replaced, s.Rotated, s.Dispatched, s.DispatchErrors)
 	if s.Evictions > 0 || s.Respawned > 0 || s.DegradedGroups > 0 {
 		fmt.Fprintf(&b, ", %d evicted, %d respawned, %d degraded", s.Evictions, s.Respawned, s.DegradedGroups)
 	}

@@ -17,7 +17,7 @@ func TestFleetWorkersServeAndRecover(t *testing.T) {
 	// alarm, every group reports its lane count, and a probe striking
 	// one lane of one group still quarantines exactly that group while
 	// its siblings keep serving.
-	f := startFleet(t, fleet.Options{Groups: 2, Workers: 3, Policy: fleet.LeastLoaded})
+	f := startFleet(t, fleet.Options{Groups: 2, Workers: 3})
 
 	m, err := webbench.Run(f.Net(), f.Port(), webbench.Options{Engines: 6, RequestsPerEngine: 8})
 	if err != nil {

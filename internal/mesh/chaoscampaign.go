@@ -94,8 +94,6 @@ type ChaosCampaignConfig struct {
 	// Attacks lists the attack modes to sweep: "none" and "forge-uid"
 	// (the default is both).
 	Attacks []string
-	// Policy selects key→pool routing (default HashRouting).
-	Policy RouterPolicy
 	// Obs, when set, instruments every cell's stack on the registry.
 	// Output JSON is byte-identical with and without Obs.
 	Obs *obs.Registry
@@ -342,7 +340,7 @@ func RunChaosCampaign(cfg ChaosCampaignConfig) (*ChaosCampaignResult, error) {
 		RotateEvery:  cfg.RotateEvery,
 		RetryBudget:  cfg.RetryBudget,
 		RetryBackoff: cfg.RetryBackoff,
-		Policy:       cfg.Policy.String(),
+		Policy:       HashRouting.String(),
 	}
 	for _, p := range cfg.Pools {
 		for _, rotation := range cfg.Rotations {
@@ -370,7 +368,6 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 
 	opts := Options{
 		Pools:        pools,
-		Policy:       cfg.Policy,
 		Seed:         seed,
 		RetryBudget:  cfg.RetryBudget,
 		RetryBackoff: cfg.RetryBackoff,

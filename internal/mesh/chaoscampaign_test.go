@@ -48,7 +48,7 @@ func testChaosPlans() []chaos.Plan {
 // tick, restart, availability ratio, and exposure-window vtick is a
 // function of the seed alone.
 // The CI mesh-chaos-smoke job replays this cross-process via
-// cmd/meshbench; this test pins it in-tree.
+// cmd/campaign -mesh; this test pins it in-tree.
 func TestChaosCampaignByteIdentical(t *testing.T) {
 	cfg := testChaosConfig(42)
 	r1, err := RunChaosCampaign(cfg)
@@ -106,7 +106,7 @@ func TestChaosCampaignByteIdentical(t *testing.T) {
 }
 
 // TestChaosCampaignNarrowedCellParity: narrowing the sweep (the
-// meshbench -chaos rerun flags) replays single cells bit-for-bit,
+// campaign -mesh rerun flags) replays single cells bit-for-bit,
 // because cell seeds derive from cell labels rather than sweep
 // position.
 func TestChaosCampaignNarrowedCellParity(t *testing.T) {

@@ -13,9 +13,7 @@ package mesh
 // pool), retries rank it last, rotation skips it (draining a pool
 // that is already absorbing faults would trade the moving target for
 // an outage), and the elastic controller grows it on the next review
-// regardless of load ratio. Affinity routing stays sticky by design —
-// a pinned key keeps its pool through sickness, because moving it
-// would break the stateful-backend contract sticky sessions exist for.
+// regardless of load ratio.
 //
 // Everything here is wall-clock-free: scores are pure functions of
 // the event sequence and the tick clock, so seeded campaigns with

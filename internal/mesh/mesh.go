@@ -2,7 +2,7 @@
 // fleet-of-fleets: P independent pools, each a fleet.Fleet on its own
 // simulated network segment with its own slice of a shared port
 // budget, behind a session router that maps client keys to pools by
-// rendezvous hashing or sticky affinity.
+// rendezvous hashing.
 //
 // Two controllers run above the pools, both driven by the mesh's own
 // rendezvous-ticked clock (one tick per completed dispatch, no wall
@@ -64,9 +64,6 @@ const (
 	// DefaultHealthSickAt is the decayed penalty score at which a pool
 	// counts as sick: the router demotes it and rotation skips it.
 	DefaultHealthSickAt int64 = 16
-	// affinitySlots sizes the sticky-routing table (fixed so the lookup
-	// path allocates nothing).
-	affinitySlots = 4096
 )
 
 // ErrSaturated is returned by Session dispatch when the routed pool's
@@ -77,29 +74,22 @@ var ErrSaturated = errors.New("mesh: pool saturated (admission shed)")
 // errMeshClosed reports an operation against a stopped mesh.
 var errMeshClosed = errors.New("mesh: stopped")
 
-// RouterPolicy selects how session keys map to pools.
+// RouterPolicy selects how session keys map to pools. It has one
+// value: the campaigns and benchmarks report the policy they ran under
+// ("policy": "hash" in the campaign JSON), and a second policy would
+// need a caller that measures it.
 type RouterPolicy int
 
-const (
-	// HashRouting is rendezvous (highest-random-weight) consistent
-	// hashing over seeded per-pool salts: every key has a stable home
-	// pool, and re-sizing the mesh would move only the minimal share of
-	// keys.
-	HashRouting RouterPolicy = iota
-	// AffinityRouting pins each key to the pool that first served it
-	// (claimed round-robin, so load spreads), falling back to
-	// rendezvous hashing on table collisions. Sticky sessions for
-	// stateful backends.
-	AffinityRouting
-)
+// HashRouting is rendezvous (highest-random-weight) consistent hashing
+// over seeded per-pool salts: every key has a stable home pool, and
+// re-sizing the mesh would move only the minimal share of keys.
+const HashRouting RouterPolicy = 0
 
 // String names the policy for reports.
 func (p RouterPolicy) String() string {
 	switch p {
 	case HashRouting:
 		return "hash"
-	case AffinityRouting:
-		return "affinity"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -281,11 +271,6 @@ type Mesh struct {
 	pools []*pool
 	// salts are the seeded per-pool rendezvous-hash weights.
 	salts []uint64
-	// affinity is the sticky-routing table: each slot packs a 48-bit
-	// key fingerprint and a pool index+1 (0 = empty), claimed by CAS.
-	affinity []atomic.Uint64
-	// rrAssign spreads first-seen affinity claims round-robin.
-	rrAssign atomic.Uint64
 	// ticks is the mesh clock: one tick per completed dispatch plus one
 	// per charged retry-backoff tick — the wall-clock-free cadence
 	// rotation, elasticity, and health decay run on. Backoff charges
@@ -325,10 +310,9 @@ func New(opts Options) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: %d pools × stride %d from base %d overflow the port space", opts.Pools, opts.PortStride, base)
 	}
 	m := &Mesh{
-		opts:     opts,
-		salts:    make([]uint64, opts.Pools),
-		affinity: make([]atomic.Uint64, affinitySlots),
-		audit:    fleet.NewMultiAudit(),
+		opts:  opts,
+		salts: make([]uint64, opts.Pools),
+		audit: fleet.NewMultiAudit(),
 	}
 	// The controller struct exists before any pool starts so Stats is
 	// safe on every path, including Stop during a failed New.

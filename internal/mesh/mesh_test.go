@@ -47,34 +47,6 @@ func TestRouteKeyStableAndSpread(t *testing.T) {
 	}
 }
 
-// TestAffinityRoutingSticky: under AffinityRouting a key sticks to the
-// pool that first claimed it, and distinct keys spread round-robin.
-func TestAffinityRoutingSticky(t *testing.T) {
-	m := mustMesh(t, Options{Pools: 3, Policy: AffinityRouting, Seed: 5, Fleet: lightFleet(1)})
-	first := make(map[string]int)
-	hit := make(map[int]int)
-	for i := 0; i < 12; i++ {
-		key := fmt.Sprintf("sticky-%d", i)
-		p := m.RouteKey(key)
-		first[key] = p
-		hit[p]++
-	}
-	if len(hit) != 3 {
-		t.Errorf("12 fresh keys claimed only %d of 3 pools: %v", len(hit), hit)
-	}
-	for key, want := range first {
-		for rep := 0; rep < 3; rep++ {
-			if got := m.RouteKey(key); got != want {
-				t.Fatalf("key %q moved from pool %d to %d on repeat lookup", key, want, got)
-			}
-		}
-	}
-	// A session created for a known key lands on the key's pool.
-	if s := m.Session("sticky-0"); s.PoolIndex() != first["sticky-0"] {
-		t.Errorf("session for sticky-0 on pool %d, RouteKey said %d", s.PoolIndex(), first["sticky-0"])
-	}
-}
-
 // TestAdmissionShedsWhenSaturated: a pool at its in-flight budget
 // sheds with the typed ErrSaturated, counts the shed, and recovers as
 // soon as the budget frees.

@@ -40,16 +40,10 @@ func (m *Mesh) hrw(kh uint64) *pool {
 	return m.pools[best]
 }
 
-// routePool resolves key-hash → pool under the configured policy.
-// Under hash routing a sick home pool is demoted: the session falls
-// through to the best-ranked healthy pool (keeping the home when every
-// pool is sick — demotion must never refuse service). Affinity routing
-// stays sticky through sickness by design: a pinned key's backend
-// state lives in its claimed pool.
+// routePool resolves key-hash → pool. A sick home pool is demoted: the
+// session falls through to the best-ranked healthy pool (keeping the
+// home when every pool is sick — demotion must never refuse service).
 func (m *Mesh) routePool(kh uint64) *pool {
-	if m.opts.Policy == AffinityRouting {
-		return m.affinityPool(kh)
-	}
 	p := m.hrw(kh)
 	if p.sick(m) {
 		if alt := m.bestHealthyPool(kh); alt != nil {
@@ -59,35 +53,8 @@ func (m *Mesh) routePool(kh uint64) *pool {
 	return p
 }
 
-// affinityPool implements sticky routing: the first session with an
-// unclaimed table slot claims it for a round-robin-assigned pool (so
-// load spreads regardless of key skew), and every later session with
-// the same key sticks to that pool. A slot already claimed by a
-// different key fingerprint falls back to rendezvous hashing — still
-// deterministic per key, just not sticky-assignable.
-func (m *Mesh) affinityPool(kh uint64) *pool {
-	slot := &m.affinity[kh%uint64(len(m.affinity))]
-	// Pack: high 48 bits fingerprint, low 16 bits pool index + 1
-	// (nonzero marks the slot claimed).
-	fp := kh &^ 0xFFFF
-	for {
-		e := slot.Load()
-		if e == 0 {
-			p := int(m.rrAssign.Add(1)-1) % len(m.pools)
-			if slot.CompareAndSwap(0, fp|uint64(p+1)) {
-				return m.pools[p]
-			}
-			continue // lost the claim race; re-read
-		}
-		if e&^0xFFFF == fp {
-			return m.pools[int(e&0xFFFF)-1]
-		}
-		return m.hrw(kh)
-	}
-}
-
-// RouteKey reports the pool index a key resolves to (claiming its
-// affinity slot under AffinityRouting, exactly as Session would).
+// RouteKey reports the pool index a key resolves to, exactly as
+// Session would route it.
 func (m *Mesh) RouteKey(key string) int { return m.routePool(hashKey(key)).id }
 
 // Session is one client's sticky handle on its routed pool. Create it

@@ -119,17 +119,6 @@ func (l *lane) execute(spec sys.Spec, num sys.Num, canon []word.Word, msgs []*ca
 	case sys.Write:
 		return l.execWrite(canon, msgs, seq, spec)
 
-	case sys.Stat:
-		s.mu.Lock()
-		info, err := s.world.FS.Stat(string(msgs[l.ref].call.Data), l.cred)
-		s.mu.Unlock()
-		if err != nil {
-			replyErrno(msgs, err)
-			return false
-		}
-		replyAll(msgs, sys.Reply{Val: word.Word(uint32(info.Size))})
-		return false
-
 	case sys.Getuid, sys.Geteuid, sys.Getgid, sys.Getegid:
 		// Credentials are lane-private (fork semantics): no lock.
 		cred := l.cred

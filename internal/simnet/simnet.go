@@ -48,7 +48,7 @@ const (
 	// received. HTTP/1.0 carries one request and one response per
 	// connection, the fleet proxy forwards them one for one, and a
 	// Hold fault parks at most one more: across the test suite,
-	// cmd/campaign, meshbench -chaos and the nvbench workloads no
+	// cmd/campaign (group and -mesh) and the nvbench workloads no
 	// mailbox held more than 2 messages, except in this package's
 	// unpaced streaming stress tests. The capacity is the smallest
 	// power of two at or above twice that. A full mailbox blocks the

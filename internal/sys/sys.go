@@ -33,9 +33,6 @@ const (
 	// Write writes from variant memory to a descriptor.
 	// Args: fd, addr, len. Returns bytes written. Output class.
 	Write
-	// Stat returns file metadata. Data: path. Returns size; the UID
-	// owner is returned reexpressed per variant.
-	Stat
 	// Getuid/Geteuid/Getgid/Getegid return (reexpressed) credentials.
 	Getuid
 	Geteuid
@@ -164,7 +161,6 @@ var specs = map[Num]Spec{
 	CloseFD: {Name: "close", Class: ClassState, Args: []ArgKind{ArgPlain}},
 	Read:    {Name: "read", Class: ClassInput, Args: []ArgKind{ArgPlain, ArgAddr, ArgPlain}},
 	Write:   {Name: "write", Class: ClassOutput, Args: []ArgKind{ArgPlain, ArgAddr, ArgPlain}},
-	Stat:    {Name: "stat", Class: ClassInput, Args: nil, TakesPath: true},
 
 	Getuid:  {Name: "getuid", Class: ClassInput, ReturnsUID: true},
 	Geteuid: {Name: "geteuid", Class: ClassInput, ReturnsUID: true},

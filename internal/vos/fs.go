@@ -47,20 +47,6 @@ const (
 	Append    OpenFlag = 0x10
 )
 
-// FileInfo describes a file, as returned by Stat.
-type FileInfo struct {
-	// Name is the final path element.
-	Name string
-	// Size is the file length in bytes (0 for directories).
-	Size int64
-	// Mode holds type and permission bits.
-	Mode Mode
-	// Owner is the owning UID.
-	Owner UID
-	// Group is the owning GID.
-	Group GID
-}
-
 type inode struct {
 	name     string
 	mode     Mode
@@ -312,21 +298,6 @@ func (fs *FS) create(path string, flags OpenFlag, perm Mode, cred Cred) (*OpenFi
 	node := &inode{name: name, mode: perm.Perm(), owner: cred.EUID, group: cred.EGID}
 	parent.children[name] = node
 	return &OpenFile{node: node, path: path, flags: flags}, nil
-}
-
-// Stat returns file metadata.
-func (fs *FS) Stat(path string, cred Cred) (FileInfo, error) {
-	node, err := fs.lookup(path, cred)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{
-		Name:  node.name,
-		Size:  int64(len(node.data)),
-		Mode:  node.mode,
-		Owner: node.owner,
-		Group: node.group,
-	}, nil
 }
 
 // Chmod changes permission bits; only root or the owner may do so.

@@ -44,6 +44,20 @@ func (fs *FS) Remove(path string, cred Cred) error {
 	return nil
 }
 
+// FileInfo describes a file, as listed by ReadDir.
+type FileInfo struct {
+	// Name is the final path element.
+	Name string
+	// Size is the file length in bytes (0 for directories).
+	Size int64
+	// Mode holds type and permission bits.
+	Mode Mode
+	// Owner is the owning UID.
+	Owner UID
+	// Group is the owning GID.
+	Group GID
+}
+
 // ReadDir lists directory entries in name order.
 func (fs *FS) ReadDir(path string, cred Cred) ([]FileInfo, error) {
 	node, err := fs.lookup(path, cred)

@@ -499,7 +499,7 @@ func TestNewWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range []string{"/etc/passwd", "/var/www/index.html"} {
-		if _, err := w.FS.Stat(path, root()); err != nil {
+		if _, err := w.FS.ReadFile(path, root()); err != nil {
 			t.Errorf("world missing base file %s: %v", path, err)
 		}
 	}

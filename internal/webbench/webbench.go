@@ -64,24 +64,13 @@ type Metrics struct {
 	P99Latency time.Duration
 }
 
-// Percentile returns the p-th percentile of the given latencies using
-// linear interpolation between closest ranks, so even-length samples
-// behave consistently (the p50 of {10ms, 20ms} is 15ms, not an
-// arbitrary pick of either endpoint). The input need not be sorted;
-// it is not modified.
-func Percentile(latencies []time.Duration, p float64) time.Duration {
-	if len(latencies) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
-}
-
 // percentileSorted interpolates the p-th percentile over an ascending
-// slice: rank p/100·(n-1) split into its integer neighbors, lerped by
-// the fractional part (the "linear" method of NumPy and most
-// monitoring systems). p outside [0, 100] clamps to the extremes.
+// slice using linear interpolation between closest ranks, so
+// even-length samples behave consistently (the p50 of {10ms, 20ms} is
+// 15ms, not an arbitrary pick of either endpoint): rank p/100·(n-1)
+// split into its integer neighbors, lerped by the fractional part (the
+// "linear" method of NumPy and most monitoring systems). p outside
+// [0, 100] clamps to the extremes.
 func percentileSorted(sorted []time.Duration, p float64) time.Duration {
 	n := len(sorted)
 	if n == 0 {

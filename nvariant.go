@@ -174,7 +174,7 @@ func StartConfiguration(c Configuration, opts HTTPServerOptions, latency time.Du
 // reexpression functions takes its place.
 type Fleet = fleet.Fleet
 
-// FleetOptions configures a fleet (pool size, configuration, policy,
+// FleetOptions configures a fleet (pool size, configuration,
 // per-group variant count and variation stack).
 type FleetOptions = fleet.Options
 

@@ -98,6 +98,14 @@ func TestInstrumentedRendezvousZeroAlloc(t *testing.T) {
 // TestInstrumentedDispatchAddsNoAllocs is the differential proof for
 // the fleet front door: a request through an instrumented fleet must
 // allocate exactly what an uninstrumented one does.
+//
+// testing.AllocsPerRun counts process-wide mallocs, and noise only ever
+// adds to them (the race runtime drops pooled objects at random, so a
+// pool miss re-allocates). Under -race that noise averages about one
+// allocation per request, so a single round reads either side of an
+// integer at random. Each side is therefore measured over many short
+// rounds and compared by its minimum: the quietest round bounds what
+// the dispatch path itself allocates.
 func TestInstrumentedDispatchAddsNoAllocs(t *testing.T) {
 	perRequest := func(reg *obs.Registry) float64 {
 		t.Helper()
@@ -116,7 +124,11 @@ func TestInstrumentedDispatchAddsNoAllocs(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			get()
 		}
-		return testing.AllocsPerRun(200, get)
+		least := testing.AllocsPerRun(50, get)
+		for round := 1; round < 20; round++ {
+			least = min(least, testing.AllocsPerRun(50, get))
+		}
+		return least
 	}
 
 	plain := perRequest(nil)
