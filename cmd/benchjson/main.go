@@ -14,6 +14,9 @@
 // (every *.go file except *_test.go files and nvbench/, counted from
 // the trajectory file's directory), so code size is tracked alongside
 // the benchmarks; -gate ignores it.
+// Repeated lines of one bench (go test -count=N) are collapsed into
+// their per-field median before anything is emitted or gated, so one
+// noisy run cannot fail the gate or enter the trajectory.
 // -gate compares the parsed input against the newest report in the
 // given trajectory and exits non-zero when any shared benchmark
 // regressed beyond tolerance — the CI tripwire that makes performance
@@ -35,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -186,7 +190,65 @@ func parse(f *os.File, label string) (Report, error) {
 		rep.Benches = append(rep.Benches, b)
 	}
 	normalizeNames(&rep)
+	rep.Benches = collapseRepeats(rep.Benches)
 	return rep, sc.Err()
+}
+
+// collapseRepeats merges the lines of each bench name (one per -count
+// run) into one bench holding the per-field median, keeping the order
+// of first appearance.
+func collapseRepeats(benches []Bench) []Bench {
+	runs := make(map[string][]Bench, len(benches))
+	var names []string
+	for _, b := range benches {
+		if _, ok := runs[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Bench, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		field := func(get func(Bench) float64) float64 {
+			vals := make([]float64, len(rs))
+			for i, r := range rs {
+				vals[i] = get(r)
+			}
+			return median(vals)
+		}
+		b := Bench{
+			Name:        name,
+			Iters:       int64(field(func(b Bench) float64 { return float64(b.Iters) })),
+			NsPerOp:     field(func(b Bench) float64 { return b.NsPerOp }),
+			BytesPerOp:  field(func(b Bench) float64 { return b.BytesPerOp }),
+			AllocsPerOp: field(func(b Bench) float64 { return b.AllocsPerOp }),
+		}
+		metrics := make(map[string][]float64)
+		for _, r := range rs {
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		for unit, vals := range metrics {
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64, len(metrics))
+			}
+			b.Metrics[unit] = median(vals)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the middle value of vals (the mean of the two middle
+// values for an even count). vals is reordered.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	mid := len(vals) / 2
+	if len(vals)%2 == 1 {
+		return vals[mid]
+	}
+	return (vals[mid-1] + vals[mid]) / 2
 }
 
 // goLOC counts the lines of every non-test Go file under root, except

@@ -127,6 +127,54 @@ func TestGateFailsOnVanishedMetric(t *testing.T) {
 	}
 }
 
+func TestParseCollapsesRepeatsToMedian(t *testing.T) {
+	// Six -count runs of one bench, one of them a wild outlier, become
+	// one bench at the per-field median; a bench run once is unchanged.
+	in := `goos: linux
+BenchmarkSat-2   3   300 ns/op   100 B/op   4 allocs/op   900 KB/s   20.0 ms/req
+BenchmarkOnce-2  10  50 ns/op
+BenchmarkSat-2   3   310 ns/op   100 B/op   4 allocs/op   950 KB/s   19.0 ms/req
+BenchmarkSat-2   3   290 ns/op   100 B/op   4 allocs/op   400 KB/s   45.0 ms/req
+BenchmarkSat-2   3   305 ns/op   100 B/op   4 allocs/op   920 KB/s   19.5 ms/req
+BenchmarkSat-2   3   295 ns/op   120 B/op   5 allocs/op   940 KB/s   19.2 ms/req
+BenchmarkSat-2   3   9000 ns/op  100 B/op   4 allocs/op   910 KB/s   20.5 ms/req
+`
+	f, err := os.CreateTemp(t.TempDir(), "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := parse(f, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benches) != 2 || rep.Benches[0].Name != "BenchmarkSat" || rep.Benches[1].Name != "BenchmarkOnce" {
+		t.Fatalf("benches = %+v, want BenchmarkSat then BenchmarkOnce", rep.Benches)
+	}
+	sat := rep.Benches[0]
+	if sat.NsPerOp != 302.5 || sat.BytesPerOp != 100 || sat.AllocsPerOp != 4 || sat.Iters != 3 {
+		t.Errorf("collapsed = %+v, want 302.5 ns/op, 100 B/op, 4 allocs/op, 3 iters", sat)
+	}
+	if sat.Metrics["KB/s"] != 915 || sat.Metrics["ms/req"] != 19.75 {
+		t.Errorf("collapsed metrics = %v, want 915 KB/s, 19.75 ms/req", sat.Metrics)
+	}
+	if once := rep.Benches[1]; once.NsPerOp != 50 || once.Metrics != nil {
+		t.Errorf("single run = %+v, want it unchanged", once)
+	}
+
+	// The outlier run alone would fail the gate; the median passes.
+	path := writeTrajectory(t, []Bench{{Name: "BenchmarkSat", BytesPerOp: 100, AllocsPerOp: 4,
+		Metrics: map[string]float64{"KB/s": 900, "ms/req": 20}}, {Name: "BenchmarkOnce"}})
+	if err := gateAgainst(path, rep, 0.10, 0.25); err != nil {
+		t.Errorf("gate on the median failed: %v", err)
+	}
+}
+
 func TestGoLOCCountsNonTestGoOutsideNvbench(t *testing.T) {
 	root := t.TempDir()
 	for path, lines := range map[string]int{

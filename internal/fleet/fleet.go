@@ -731,9 +731,9 @@ const respawnDrain = 2 * time.Second
 // reusing the moving-target rotate machinery. An evicted slot never
 // rejoins its old group; the whole group is re-expressed.
 //
-// Called from a lane monitor goroutine with no kernel locks held, so
+// Called from a kernel lane goroutine with no kernel locks held, so
 // the retire (which waits out the drain) must run in the background:
-// the monitor keeps serving the surviving quorum meanwhile.
+// the group keeps serving the surviving quorum meanwhile.
 func (f *Fleet) variantEvicted(id int, ev nvkernel.Eviction) {
 	f.mu.Lock()
 	if f.closed {

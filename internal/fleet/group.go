@@ -43,7 +43,7 @@ type group struct {
 	// degraded is set when the group's kernel evicts a variant (quorum
 	// degraded mode): the group keeps serving on its K-of-N quorum
 	// while the fleet respawns it in the background. Atomic because the
-	// kernel's eviction hook fires from lane monitor goroutines.
+	// kernel's eviction hook fires from the lanes' goroutines.
 	degraded atomic.Bool
 	// inflight counts connections currently proxied to the group.
 	inflight atomic.Int64

@@ -262,8 +262,11 @@ func StartSpecOn(world *vos.World, net *simnet.Network, spec GroupSpec, extra ..
 		h.res, h.err = nvkernel.Run(world, net, progs, kopts...)
 	}()
 
-	// Wait for the listener so callers can dial immediately.
-	deadline := time.Now().Add(5 * time.Second)
+	// Wait for the listener so callers can dial immediately. The wait
+	// is on the network's listen event, not a polling timer: a
+	// sub-millisecond sleep oversleeps to a millisecond once every
+	// goroutine is idle.
+	expired := time.After(5 * time.Second)
 	for {
 		conn, err := net.Dial(h.Port)
 		if err == nil {
@@ -276,23 +279,21 @@ func StartSpecOn(world *vos.World, net *simnet.Network, spec GroupSpec, extra ..
 			select {
 			case <-conn.PeerClosed():
 			case <-h.done:
-			case <-time.After(time.Until(deadline)):
+			case <-expired:
 				return nil, fmt.Errorf("server did not finish the readiness probe")
 			}
 			return h, nil
 		}
 		select {
+		case <-net.Listening(h.Port):
 		case <-h.done:
 			if h.err != nil {
 				return nil, fmt.Errorf("server exited during startup: %w", h.err)
 			}
 			return nil, fmt.Errorf("server exited during startup: %+v", h.res.Alarm)
-		default:
-		}
-		if time.Now().After(deadline) {
+		case <-expired:
 			return nil, fmt.Errorf("server did not start listening")
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 

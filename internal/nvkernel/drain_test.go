@@ -14,11 +14,10 @@ import (
 
 // TestStragglerDrainGoroutinesExit is the regression test for the
 // post-alarm drain leak: when the grace period expires with a variant
-// still spinning (no syscalls, so unpreemptable), Run must return with
-// the drain goroutines and the all-done waiter shut down. Before the
-// stop channel existed they blocked forever on the spinner's done
-// channel — one leaked goroutine set per straggler run, for the life
-// of the process.
+// still spinning (no syscalls, so unpreemptable), Run must return
+// leaving only the spinner behind — no kernel goroutine (watchdog,
+// waiter) may block on it. An earlier drain design leaked one
+// goroutine set per straggler run, for the life of the process.
 func TestStragglerDrainGoroutinesExit(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var spin atomic.Bool // released at the end so the variant itself can exit
@@ -53,8 +52,8 @@ func TestStragglerDrainGoroutinesExit(t *testing.T) {
 	}
 
 	// Only the spinning variant goroutines may outlive their runs
-	// (goroutines are not killable); every drain goroutine and waiter
-	// must be gone. The slack of runs covers the spinners themselves.
+	// (goroutines are not killable); every kernel goroutine must be
+	// gone. The slack of runs covers the spinners themselves.
 	if got := testutil.WaitGoroutines(before + runs + 2); got > before+runs+2 {
 		t.Errorf("goroutines after %d straggler runs = %d, want <= %d (drain leak)",
 			runs, got, before+runs+2)

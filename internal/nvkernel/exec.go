@@ -71,8 +71,8 @@ func (s *system) slotFiles(idx, n int) []*vos.OpenFile {
 }
 
 // execute performs the (already equivalence-checked) syscall. canon is
-// the canonical argument vector. It returns true when the lane's
-// monitor loop should stop (exit, alarm, or group kill).
+// the canonical argument vector. It returns true when the lane should
+// retire (exit, alarm, or group kill).
 func (l *lane) execute(spec sys.Spec, num sys.Num, canon []word.Word, msgs []*callMsg, seq int) bool {
 	s := l.sys
 	switch num {
@@ -342,7 +342,8 @@ func (l *lane) execPrefork(canon []word.Word, msgs []*callMsg) bool {
 		return false
 	}
 	for id := 1; id < w; id++ {
-		s.spawnWorkerLane(id, workers, l.cred)
+		// The worker starts from the forking lane's credentials.
+		s.launch(id, l.cred, func(i int, ctx *sys.Context) error { return workers[i].RunWorker(ctx, id) })
 	}
 	replyAll(msgs, sys.Reply{Val: canon[0]})
 	return false

@@ -13,12 +13,15 @@
 // prefork Apache *process group*; this is a user-space simulation of
 // exactly the syscall-boundary contract the paper states, with
 // variants as goroutines over simulated address spaces (see DESIGN.md,
-// substitutions table). A group may hold W ≥ 1 worker lanes (the
-// prefork workers): each lane is an independent N-variant rendezvous
-// with its own monitor goroutine and per-lane scratch, while the
-// descriptor table, credentials, virtual time, captured output and the
-// alarm are group-wide — and an alarm in any lane kills the entire
-// group, preserving the paper's detection contract.
+// substitutions table). As in the paper, the monitor runs in the
+// syscall path: each rendezvous is a barrier, and the variant whose
+// arrival completes it checks and executes the call on its own
+// goroutine. A group may hold W ≥ 1 worker lanes (the prefork
+// workers): each lane is an independent N-variant rendezvous with its
+// own barrier, stall watchdog and scratch, while the descriptor table,
+// credentials, virtual time, captured output and the alarm are
+// group-wide — and an alarm in any lane kills the entire group,
+// preserving the paper's detection contract.
 package nvkernel
 
 import (
@@ -82,18 +85,11 @@ type callMsg struct {
 // variantRT is the runtime state of one variant of one lane. Each
 // variant owns one preallocated mailbox (msg plus its long-lived
 // buffered reply channel), reused for every syscall: a variant has at
-// most one call in flight, and its lane monitor sends exactly one reply
-// per received message, so nothing is ever allocated per rendezvous.
+// most one call in flight, and it is answered exactly once per
+// arrival, so nothing is ever allocated per rendezvous.
 type variantRT struct {
-	id    int
-	calls chan *callMsg
-	done  chan struct{}
-	// gone is closed when the variant is evicted group-wide (quorum
-	// degraded mode): the lane monitor stops reading calls, and the
-	// variant's invoker answers Killed instead of parking on a
-	// rendezvous nobody gathers. Nil when the group runs without a
-	// quorum — the hot path then carries no extra select case.
-	gone chan struct{}
+	id   int
+	done chan struct{}
 	err  error
 	mem  *vmem.Space
 	msg  callMsg
@@ -141,10 +137,11 @@ func newSystem(world *vos.World, net *simnet.Network, progs []sys.Program, opts 
 		}
 	}
 
-	if cfg.Quorum > 0 && n > 64 {
-		// The live set is a single uint64 mask; wider groups would need
-		// a different representation, and nothing near that width exists.
-		return nil, fmt.Errorf("nvkernel: quorum mode supports at most 64 variants, got %d", n)
+	if n > 64 {
+		// Barrier arrivals and the live set are uint64 masks; wider
+		// groups would need a different representation, and nothing
+		// near that width exists.
+		return nil, fmt.Errorf("nvkernel: at most 64 variants per group, got %d", n)
 	}
 
 	// Address canonicalization width: the two-variant construction
@@ -178,94 +175,37 @@ func newSystem(world *vos.World, net *simnet.Network, progs []sys.Program, opts 
 		progs:    progs,
 		parts:    parts,
 		addrBits: addrBits,
-		// stop is closed when the post-run drain retires: any variant
-		// that reaches a syscall after that (e.g. a spinner that
-		// outlived the grace period) is answered Killed right here
-		// instead of parking forever on a rendezvous channel nobody
-		// reads anymore.
-		stop: make(chan struct{}),
 		// killed is closed on the first alarm: the group-wide kill
-		// fan-out that makes every sibling lane's monitor retire.
+		// that retires every lane.
 		killed: make(chan struct{}),
 	}, nil
 }
 
 // run executes the group to completion: the primary lane's variants
-// and monitor (worker lanes join through Prefork), then the post-run
-// drain.
+// (worker lanes join through Prefork) until every lane has retired,
+// then a bounded wait for the variants to unwind.
 func (s *system) run() *Result {
-	n, progs, cfg := s.n, s.progs, s.cfg
-	primary := s.newLane(0)
-	s.lanes = []*lane{primary}
-	for i := 0; i < n; i++ {
-		v := primary.variants[i]
-		prog := progs[i]
-		ctx := sys.NewContext(i, n, v.mem, s.invokerFor(primary, v))
-		go func() {
-			defer close(v.done)
-			err := prog.Run(ctx)
-			if err == nil && !ctx.Exited() {
-				err = ctx.Exit(0)
-			}
-			if err != nil && !errors.Is(err, sys.ErrKilled) {
-				v.err = err
-			}
-		}()
-	}
+	s.launch(0, s.cfg.Cred, func(i int, ctx *sys.Context) error { return s.progs[i].Run(ctx) })
+	s.running.Wait()
 
-	s.monitors.Add(1)
-	go func() {
-		defer s.monitors.Done()
-		primary.monitor()
-	}()
-	s.monitors.Wait()
-
-	// All lane monitors have retired, so the lane roster is final.
-	// Drain: answer any straggler syscalls with Killed until every
-	// variant goroutine has returned. A variant that spins without
-	// syscalls cannot be preempted (goroutines are not killable the
-	// way the paper's kernel SIGKILLs a process), so the wait is
-	// bounded by a grace period; stragglers are reported as such. The
-	// stop channel makes the drain goroutines and the all-done waiter
-	// exit when the grace period fires; a straggler that reaches a
-	// syscall after that is answered Killed by its own invoke (above),
-	// so only a variant that never syscalls again can outlive Run.
+	// Every lane has retired, so the lane roster is final and any later
+	// syscall is answered Killed at entry. A variant that spins without
+	// syscalls cannot be preempted (goroutines are not killable the way
+	// the paper's kernel SIGKILLs a process), so the wait for the
+	// variants to return is bounded by a grace period; stragglers are
+	// reported as such.
+	grace := time.NewTimer(s.cfg.Timeout)
+	defer grace.Stop()
+wait:
 	for _, l := range s.lanes {
 		for _, v := range l.variants {
-			go func(v *variantRT) {
-				for {
-					select {
-					case m := <-v.calls:
-						m.reply <- sys.Reply{Killed: true}
-					case <-v.done:
-						return
-					case <-s.stop:
-						return
-					}
-				}
-			}(v)
-		}
-	}
-	allDone := make(chan struct{})
-	go func() {
-		defer close(allDone)
-		for _, l := range s.lanes {
-			for _, v := range l.variants {
-				select {
-				case <-v.done:
-				case <-s.stop:
-					return
-				}
+			select {
+			case <-v.done:
+			case <-grace.C:
+				break wait
 			}
 		}
-	}()
-	grace := time.NewTimer(cfg.Timeout)
-	select {
-	case <-allDone:
-		grace.Stop()
-	case <-grace.C:
 	}
-	close(s.stop)
 
 	res := &Result{
 		Clean:       s.alarm == nil && s.exitedLanes == len(s.lanes),
@@ -275,7 +215,7 @@ func (s *system) run() *Result {
 		Stderr:      s.stderr,
 		Workers:     len(s.lanes),
 		VTime:       s.vtime.Load(),
-		VariantErrs: make([]error, 0, n*len(s.lanes)),
+		VariantErrs: make([]error, 0, s.n*len(s.lanes)),
 	}
 	s.mu.Lock()
 	res.Evictions = append(res.Evictions, s.evictions...)
@@ -301,20 +241,24 @@ var errStillRunning = errors.New("nvkernel: variant still running at shutdown")
 // system is the group-wide kernel state shared by every worker lane.
 // Ownership map (the "Concurrency model" section of DESIGN.md):
 //
-//   - Per lane, monitor-goroutine private: the variant mailboxes and
-//     the rendezvous scratch (msgs/canon/ioBuf/cmpBuf) — never locked,
-//     which is what keeps the steady-state loop allocation- and
-//     contention-free.
+//   - Per lane, held by the lane's current executor: the variant
+//     mailboxes of the round in flight and the rendezvous scratch
+//     (msgs/canon/ioBuf/cmpBuf/pin, ref, cred) — never locked, because
+//     at most one goroutine executes a lane's round at a time (hold),
+//     which is what keeps the steady-state path allocation- and
+//     contention-free. The barrier itself (arrivals, live set,
+//     watchdog) is under the lane's own mutex.
 //   - Group-wide under mu: the descriptor table (with the filesystem
-//     it reaches — vos.FS is single-threaded by contract), credentials,
-//     captured stdout/stderr, the alarm slot and exit bookkeeping. mu
-//     is never held across a blocking operation: lanes look an entry
-//     up under mu, then block on the simnet object (itself
-//     thread-safe) with mu released, so Accept is the only place
-//     concurrent lanes serialize for more than a table probe — exactly
-//     prefork Apache's accept contention.
-//   - Group-wide lock-free: virtual time and the scoreboard counter
-//     (atomics), the killed channel (close-once).
+//     it reaches — vos.FS is single-threaded by contract), the lane
+//     roster, captured stdout/stderr, the alarm slot, evictions and
+//     exit bookkeeping. mu is never held across a blocking operation:
+//     lanes look an entry up under mu, then block on the simnet object
+//     (itself thread-safe) with mu released, so Accept is the only
+//     place concurrent lanes serialize for more than a table probe —
+//     exactly prefork Apache's accept contention. A lane's mutex may be
+//     held while taking mu, never the reverse.
+//   - Group-wide lock-free: virtual time, the scoreboard counter and
+//     the eviction mask (atomics), the killed channel (close-once).
 type system struct {
 	world    *vos.World
 	net      *simnet.Network
@@ -343,149 +287,151 @@ type system struct {
 
 	// evicted is the group-wide live-set mask: bit i set means variant
 	// i has been evicted by the quorum machinery. Lanes copy it into
-	// their private dead mask at the top of each gather round (one
-	// atomic load; no lock), so the steady-state loop allocates nothing
-	// and rebuilds no slices. Writes happen under mu in tryEvict;
-	// evictions (under mu) is the ordered record Result reports.
+	// their dead mask at every arrival (one atomic load; no lock), so
+	// the steady-state path allocates nothing. Writes happen under mu
+	// in tryEvict; evictions (under mu) is the ordered record Result
+	// reports.
 	evicted   atomic.Uint64
 	evictions []Eviction
 
 	killed   chan struct{}
 	killOnce sync.Once
-	stop     chan struct{}
-	monitors sync.WaitGroup
+	// running counts the lanes that have not yet retired.
+	running sync.WaitGroup
 }
 
-// invokerFor builds the syscall invoker of one variant of one lane.
-// Quorum groups get an invoker with one extra select case (the
-// variant's eviction channel); unanimous groups keep the two-case
-// select byte-for-byte, so enabling the feature elsewhere costs the
-// paper-contract hot path nothing.
+// invokerFor builds the syscall invoker of one variant of one lane:
+// the rendezvous barrier. The variant deposits its call; the arrival
+// that completes the live set executes the rendezvous on its own
+// goroutine, and every earlier arrival parks on its reply channel
+// until the executor answers it. At N = 1 a syscall is a direct call.
 func (s *system) invokerFor(l *lane, v *variantRT) sys.Invoker {
 	hook := s.cfg.Faults
-	if v.gone != nil {
-		gone := v.gone
-		return func(call sys.Call) sys.Reply {
-			if hook != nil {
-				if stall, crash := hook.PreSyscall(l.id, v.id, call.Num); crash {
-					return sys.Reply{Crashed: true}
-				} else if stall > 0 {
-					time.Sleep(stall)
-				}
-			}
-			v.msg.call = call
-			select {
-			case v.calls <- &v.msg:
-				return <-v.msg.reply
-			case <-gone:
-				// Evicted: no monitor gathers this variant anymore. Killed
-				// unwinds the goroutine exactly like a group teardown.
-				return sys.Reply{Killed: true}
-			case <-s.stop:
-				return sys.Reply{Killed: true}
-			}
-		}
-	}
+	bit := uint64(1) << uint(v.id)
 	return func(call sys.Call) sys.Reply {
 		if hook != nil {
 			if stall, crash := hook.PreSyscall(l.id, v.id, call.Num); crash {
 				// The variant dies before reaching the rendezvous: its
-				// goroutine unwinds via ErrCrashed and the lane monitor
-				// observes the death as a variant fault.
+				// goroutine unwinds via ErrCrashed and its departure is
+				// observed as a variant fault.
 				return sys.Reply{Crashed: true}
 			} else if stall > 0 {
 				time.Sleep(stall)
 			}
 		}
 		v.msg.call = call
-		select {
-		case v.calls <- &v.msg:
-			return <-v.msg.reply
-		case <-s.stop:
+		l.mu.Lock()
+		l.syncLive()
+		if l.retired || l.dead&bit != 0 {
+			// The lane has retired (exit, alarm, group kill) or this
+			// variant was evicted: Killed unwinds the goroutine.
+			l.mu.Unlock()
 			return sys.Reply{Killed: true}
 		}
+		l.arrived |= bit
+		switch {
+		case l.arrived == l.all&^l.dead && !l.held():
+			l.claim()
+			l.mu.Unlock()
+			if l.runRound() {
+				l.settle(false)
+			}
+		case l.departed&^l.dead != 0:
+			// A live variant has died: settle decides whether the
+			// barrier is waiting on it.
+			l.mu.Unlock()
+			l.settle(false)
+		default:
+			l.arm()
+			l.mu.Unlock()
+		}
+		return <-v.msg.reply
 	}
 }
 
 // lane is one worker lane: an independent N-variant rendezvous with
-// its own monitor goroutine and scratch, sharing the system state.
+// its own barrier and scratch, sharing the system state.
 type lane struct {
-	sys *system
-	id  int
-
-	// cred is the lane's credential set — per lane, exactly as fork
-	// gives each prefork worker its own copy of the parent's
-	// credentials. Worker lanes snapshot the primary lane's cred at
-	// prefork time. Monitor-goroutine private: a lane changing its
-	// identity (httpd's per-request seteuid dance) must never race a
-	// sibling lane's permission checks — with one group-wide cred, a
-	// lane's between-requests re-escalation to root would let a
-	// concurrent sibling open a root-only document and leak it.
-	cred vos.Cred
-
+	sys      *system
+	id       int
 	variants []*variantRT
 
-	// Rendezvous scratch, reused across iterations so the steady-state
-	// monitor loop allocates nothing: the arrival slice, the canonical
-	// argument vector, the payload-gathering buffers, and the pinned
-	// open-file descriptions of the write path.
+	// Executor state, owned by the goroutine holding the lane (see
+	// hold) and never locked.
+	//
+	// cred is the lane's credential set — per lane, exactly as fork
+	// gives each prefork worker its own copy of the parent's
+	// credentials. A lane changing its identity (httpd's per-request
+	// seteuid dance) must never race a sibling lane's permission checks
+	// — with one group-wide cred, a lane's between-requests
+	// re-escalation to root would let a concurrent sibling open a
+	// root-only document and leak it.
+	cred vos.Cred
+	// msgs holds the round's arrivals (nil for evicted variants) and
+	// ref the lowest live index — the variant every cross-check
+	// compares against (variant 0 until it is evicted, so unanimous
+	// groups behave and report byte-identically). The rest is scratch
+	// reused across rounds so the steady state allocates nothing.
 	msgs   []*callMsg
+	slots  uint64 // the variants msgs holds
+	ref    int
 	canon  []word.Word
 	ioBuf  []byte // reference-variant payloads and shared-read staging
 	cmpBuf []byte // other variants' payloads during cross-checking
 	pin    []*vos.OpenFile
+	exited bool
 
-	// Live-set view (monitor-goroutine private, synced from the
-	// group-wide evicted mask at the top of each gather round): dead is
-	// the local copy of the eviction bitmask, live the surviving count,
-	// ref the lowest live index — the variant every cross-check
-	// compares against (variant 0 until it is evicted, so unanimous
-	// groups behave and report byte-identically).
-	dead uint64
-	live int
-	ref  int
-
+	// Barrier state, under mu. Variant masks: all has a bit per
+	// variant, dead the evicted ones (synced from the group mask),
+	// arrived the live variants parked at the round being filled,
+	// departed those whose goroutine has returned. retired ends the
+	// lane; finished records that run was told.
+	mu         sync.Mutex
+	all        uint64
+	dead       uint64
+	arrived    uint64
+	departed   uint64
+	hold       uint32 // holdBusy, holdWanted
+	retired    bool
+	finished   bool
 	rendezvous int
-	exited     bool
+
+	// The stall watchdog: armed while something waits at the barrier,
+	// and amortized — set once, then checked against rendezvous
+	// progress when it fires instead of being reset every round. A
+	// stall is therefore detected after between one and two Timeouts
+	// (never before Timeout), with no timer traffic on the hot path.
+	watch   *time.Timer
+	armed   bool
+	armedAt int // rendezvous count when the watchdog was armed
 }
 
-// newLane allocates lane id with fresh per-variant address spaces and
-// mailboxes, starting from the group's initial credentials. The lane
-// is not yet registered or running.
-func (s *system) newLane(id int) *lane {
-	l := &lane{sys: s, id: id, cred: s.cfg.Cred, live: s.n}
-	l.variants = make([]*variantRT, s.n)
+// launch registers lane id, starting from cred, and starts its
+// variants, variant i running body(i, ctx). A lane registered after
+// the group kill is born retired, so the kill's sweep of the roster
+// can never miss a lane.
+func (s *system) launch(id int, cred vos.Cred, body func(int, *sys.Context) error) {
+	l := &lane{sys: s, id: id, cred: cred, all: ^uint64(0) >> uint(64-s.n), msgs: make([]*callMsg, s.n)}
 	for i := 0; i < s.n; i++ {
-		l.variants[i] = &variantRT{
-			id:    i,
-			calls: make(chan *callMsg),
-			done:  make(chan struct{}),
-			mem:   vmem.New(s.parts[i]),
-		}
-		if s.cfg.Quorum > 0 {
-			l.variants[i].gone = make(chan struct{})
-		}
-		l.variants[i].msg.reply = make(chan sys.Reply, 1)
+		v := &variantRT{id: i, done: make(chan struct{}), mem: vmem.New(s.parts[i])}
+		v.msg.reply = make(chan sys.Reply, 1)
+		l.variants = append(l.variants, v)
 	}
-	l.msgs = make([]*callMsg, s.n)
-	return l
-}
-
-// spawnWorkerLane starts worker lane id running the given worker
-// bodies (one per variant) with its own monitor goroutine. cred is
-// the forking lane's credentials at prefork time — the fork-copied
-// identity the worker starts with.
-func (s *system) spawnWorkerLane(id int, workers []sys.WorkerProgram, cred vos.Cred) {
-	l := s.newLane(id)
-	l.cred = cred
-	for i := 0; i < s.n; i++ {
-		v := l.variants[i]
-		wp := workers[i]
+	s.mu.Lock()
+	s.lanes = append(s.lanes, l)
+	l.dead = s.evicted.Load()
+	if s.killedNow() {
+		l.retired, l.finished = true, true
+	} else {
+		s.running.Add(1)
+	}
+	s.mu.Unlock()
+	for i, v := range l.variants {
 		ctx := sys.NewContext(i, s.n, v.mem, s.invokerFor(l, v))
 		ctx.Worker = id
 		go func() {
-			defer close(v.done)
-			err := wp.RunWorker(ctx, id)
+			defer l.depart(v)
+			err := body(i, ctx)
 			if err == nil && !ctx.Exited() {
 				err = ctx.Exit(0)
 			}
@@ -494,264 +440,278 @@ func (s *system) spawnWorkerLane(id int, workers []sys.WorkerProgram, cred vos.C
 			}
 		}()
 	}
-	s.mu.Lock()
-	s.lanes = append(s.lanes, l)
-	if g := s.evicted.Load(); g != 0 {
-		// The group degraded before this worker lane registered (a
-		// prefork racing an eviction): close the evicted variants' gone
-		// channels here, in the same critical section tryEvict's
-		// roster-wide close runs under, so the new lane's variants
-		// cannot miss the signal.
-		for i := 0; i < s.n; i++ {
-			if g&(1<<uint(i)) != 0 {
-				close(l.variants[i].gone)
-			}
-		}
-	}
-	s.mu.Unlock()
-	s.monitors.Add(1)
-	go func() {
-		defer s.monitors.Done()
-		l.monitor()
-	}()
 }
 
-// monitor runs the lane's rendezvous loop until exit, alarm, or a
-// sibling lane's kill. The rendezvous deadline is amortized: the timer
-// is armed once and checked lazily against rendezvous progress when it
-// fires, instead of being reset and drained on every iteration. A
-// stalled rendezvous is therefore detected after between one and two
-// Timeouts (never before Timeout), trading alarm latency bounded by 2×
-// for zero timer traffic on the hot path.
-func (l *lane) monitor() {
-	s := l.sys
-	timer := time.NewTimer(s.cfg.Timeout)
-	defer timer.Stop()
-	armedAt := 0 // rendezvous count when the timer was last armed
-	for {
-		l.syncLive()
-		for i := range l.msgs {
-			l.msgs[i] = nil
-		}
-		for i, v := range l.variants {
-			if l.dead&(1<<uint(i)) != 0 {
-				// Evicted in an earlier round (or earlier this round):
-				// nobody gathers this variant anymore.
-				continue
-			}
-		arrival:
-			for {
-				select {
-				case m := <-v.calls:
-					l.msgs[i] = m
-					break arrival
-				case <-v.done:
-					// A variant died without reaching the rendezvous: a
-					// variant fault. With a quorum and enough live
-					// survivors the group evicts it and degrades;
-					// otherwise (unanimous, or quorum lost) the fault
-					// kills the group as before.
-					detail := "variant terminated unexpectedly"
-					if v.err != nil {
-						detail = v.err.Error()
-					}
-					if l.tryEvict(i, FaultCrash, detail) {
-						l.reapDead()
-						break arrival
-					}
-					reason := ReasonVariantFault
-					if s.cfg.Quorum > 0 {
-						reason = ReasonQuorumLost
-					}
-					l.raise(&Alarm{
-						Reason:  reason,
-						Syscall: "(none)",
-						Seq:     l.rendezvous,
-						Variant: i,
-						Detail:  detail,
-					}, l.msgs)
-					return
-				case <-v.gone:
-					// A sibling lane evicted this variant while we were
-					// waiting for it: adopt the group's live set and move
-					// on. (Receiving on the nil gone channel of a
-					// no-quorum group blocks forever, i.e. this case is
-					// compiled out of the unanimous contract.)
-					l.applyDead(s.evicted.Load())
-					l.reapDead()
-					break arrival
-				case <-s.killed:
-					// A sibling lane alarmed (or the group is being
-					// torn down): retire this lane, releasing the
-					// variants already gathered.
-					l.killGathered()
-					return
-				case <-timer.C:
-					if l.rendezvous != armedAt {
-						// Progress since the last arming: re-arm for a
-						// fresh window and keep waiting.
-						armedAt = l.rendezvous
-						timer.Reset(s.cfg.Timeout)
-						continue
-					}
-					detail := fmt.Sprintf("variant %d did not reach rendezvous within %v", i, s.cfg.Timeout)
-					if l.tryEvict(i, FaultStall, detail) {
-						l.reapDead()
-						armedAt = l.rendezvous
-						timer.Reset(s.cfg.Timeout)
-						break arrival
-					}
-					reason := ReasonTimeout
-					if s.cfg.Quorum > 0 {
-						reason = ReasonQuorumLost
-					}
-					l.raise(&Alarm{
-						Reason:  reason,
-						Syscall: "(none)",
-						Seq:     l.rendezvous,
-						Variant: i,
-						Detail:  detail,
-					}, l.msgs)
-					return
-				}
-			}
-		}
+// depart records the return of variant v's goroutine: while the lane
+// runs, a departed live variant is a variant fault once the barrier
+// waits on it, which settle decides.
+func (l *lane) depart(v *variantRT) {
+	close(v.done)
+	l.mu.Lock()
+	l.departed |= 1 << uint(v.id)
+	retired := l.retired
+	l.mu.Unlock()
+	if !retired {
+		l.settle(false)
+	}
+}
 
-		l.rendezvous++
-		s.vtime.Add(1)
-		if m := s.cfg.Metrics; m != nil {
-			// Timed rendezvous: two clock reads and a few atomic adds —
-			// the loop stays allocation-free (proven by
-			// TestInstrumentedRendezvousZeroAlloc and the bench gate).
-			start := time.Now()
-			num := l.msgs[l.ref].call.Num
-			stop := l.dispatch(l.msgs)
-			m.observeRendezvous(num, time.Since(start))
-			if stop {
+// claim takes the completed barrier for execution by the caller: the
+// arrivals become the round's msgs and the barrier reopens for the
+// next round. Caller holds mu.
+func (l *lane) claim() {
+	if l.arrived != l.slots {
+		// The live set changed since the last round: rebuild the slots.
+		for i, v := range l.variants {
+			l.msgs[i] = nil
+			if l.arrived&(1<<uint(i)) != 0 {
+				l.msgs[i] = &v.msg
+			}
+		}
+		l.slots = l.arrived
+		l.ref = bits.TrailingZeros64(l.arrived)
+	}
+	l.arrived = 0
+	// A plain store: nothing holds the lane (held said so under mu), so
+	// no goroutine touches hold outside mu until this one releases it.
+	l.hold = holdBusy
+	l.rendezvous++
+	l.sys.vtime.Add(1)
+}
+
+// runRound executes the claimed round on the calling goroutine and
+// releases the lane; it reports whether settle has work left.
+func (l *lane) runRound() bool {
+	if m := l.sys.cfg.Metrics; m != nil {
+		// Timed rendezvous: two monotonic clock reads and a few atomic
+		// adds — the path stays allocation-free (proven by
+		// TestInstrumentedRendezvousZeroAlloc and the bench gate).
+		start := time.Since(clockBase)
+		num := l.msgs[l.ref].call.Num
+		stop := l.dispatch(l.msgs)
+		m.observeRendezvous(num, time.Since(clockBase)-start)
+		return l.release(stop)
+	}
+	return l.release(l.dispatch(l.msgs))
+}
+
+// Hold states of lane.hold.
+const (
+	holdBusy   = 1 << iota // a goroutine holds the lane
+	holdWanted             // another found it held and left work for settle
+)
+
+// held reports whether a goroutine holds the lane; if one does, it is
+// told to settle when it lets go. Caller holds mu.
+func (l *lane) held() bool {
+	if atomic.LoadUint32(&l.hold) == 0 {
+		return false
+	}
+	if atomic.OrUint32(&l.hold, holdWanted)&holdBusy != 0 {
+		return true
+	}
+	// Released in between: only the stray flag is left, and under mu
+	// nobody else writes it.
+	atomic.StoreUint32(&l.hold, 0)
+	return false
+}
+
+// release ends the caller's hold on the lane, retiring it when stop is
+// set: in the steady state one compare-and-swap and no lock. It
+// reports whether another goroutine found the lane held meanwhile and
+// left work for settle (a completed barrier, a departure, an eviction,
+// a kill).
+func (l *lane) release(stop bool) bool {
+	if !stop && atomic.CompareAndSwapUint32(&l.hold, holdBusy, 0) {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	atomic.StoreUint32(&l.hold, 0)
+	if stop || l.retired {
+		l.retire()
+		return false
+	}
+	return true
+}
+
+// settle moves the barrier forward off the hot path. It executes a
+// round that completed while the lane was held or through an eviction,
+// and turns the lowest live variant missing from the barrier — the one
+// an index-order gather would wait on — into an eviction or an alarm
+// when it has departed or, on a watchdog expiry with no progress since
+// the watchdog was armed, when it is late.
+func (l *lane) settle(watchdog bool) {
+	s := l.sys
+	for {
+		l.mu.Lock()
+		l.syncLive()
+		live := l.all &^ l.dead
+		stalled := watchdog && l.rendezvous == l.armedAt
+		if watchdog {
+			watchdog, l.armed = false, false
+		}
+		if held := l.held(); held || l.retired {
+			if !held {
+				l.retire() // tells run, if nothing has yet
+			}
+			l.arm()
+			l.mu.Unlock()
+			return
+		}
+		if l.arrived == live {
+			l.claim()
+			l.mu.Unlock()
+			if !l.runRound() {
 				return
 			}
 			continue
 		}
-		if l.dispatch(l.msgs) {
+		i := bits.TrailingZeros64(live &^ l.arrived)
+		kind, detail, reason := FaultCrash, "variant terminated unexpectedly", ReasonVariantFault
+		switch {
+		case l.departed&(1<<uint(i)) != 0:
+			if err := l.variants[i].err; err != nil {
+				detail = err.Error()
+			}
+		case stalled && (l.arrived != 0 || l.departed&live != 0):
+			kind, reason = FaultStall, ReasonTimeout
+			detail = fmt.Sprintf("variant %d did not reach rendezvous within %v", i, s.cfg.Timeout)
+		default:
+			l.arm()
+			l.mu.Unlock()
 			return
 		}
+		ev, ok := l.tryEvict(i, kind, detail)
+		var alarm *Alarm
+		if !ok {
+			if s.cfg.Quorum > 0 {
+				reason = ReasonQuorumLost
+			}
+			alarm = &Alarm{Reason: reason, Syscall: "(none)", Seq: l.rendezvous, Variant: i, Detail: detail}
+			l.retired = true // no round may complete behind the alarm
+		}
+		// Hold the lane while the fault is acted on, so run cannot
+		// return before the alarm or the eviction hook lands.
+		l.hold = holdBusy
+		l.mu.Unlock()
+		if alarm != nil {
+			l.raise(alarm, nil)
+		} else if ev != nil {
+			l.announce(ev)
+		}
+		l.release(false)
 	}
 }
 
-// syncLive refreshes the lane's private live-set view from the
-// group-wide eviction mask. Called at the top of every gather round:
-// one branch for unanimous groups, one atomic load for quorum groups —
-// the steady-state loop stays allocation- and lock-free.
-func (l *lane) syncLive() {
-	if l.sys.cfg.Quorum <= 0 {
+// arm starts the stall watchdog for a fresh Timeout window if something
+// waits at the barrier and it is not already running. Caller holds mu.
+func (l *lane) arm() {
+	if l.armed || l.retired || l.arrived == 0 && l.departed&^l.dead == 0 {
 		return
 	}
-	if g := l.sys.evicted.Load(); g != l.dead {
-		l.applyDead(g)
+	l.armed, l.armedAt = true, l.rendezvous
+	if l.watch == nil {
+		l.watch = time.AfterFunc(l.sys.cfg.Timeout, func() { l.settle(true) })
+	} else {
+		l.watch.Reset(l.sys.cfg.Timeout)
 	}
 }
 
-// applyDead installs eviction mask g as the lane's live-set view:
-// dead/live/ref are recomputed in place (no slice rebuild). ref is the
-// lowest live index — the reference every cross-check compares
-// against, variant 0 until variant 0 itself is evicted, so unanimous
-// groups behave and report byte-identically.
-func (l *lane) applyDead(g uint64) {
-	l.dead = g
-	l.live = l.sys.n - bits.OnesCount64(g)
-	l.ref = bits.TrailingZeros64(^g)
+// syncLive adopts the group-wide eviction mask: one atomic load per
+// arrival, and parked arrivals of newly evicted variants are answered
+// Killed. Caller holds mu.
+func (l *lane) syncLive() {
+	if g := l.sys.evicted.Load(); g != l.dead {
+		l.dead = g
+		l.answer(l.arrived&g, sys.Reply{Killed: true})
+		l.arrived &^= g
+	}
 }
 
-// reapDead restores the gather invariant after a mid-round live-set
-// change: any already-gathered arrival whose variant is now dead is
-// answered Killed and its slot cleared, so a non-nil slot always
-// belongs to a live variant when the round dispatches.
-func (l *lane) reapDead() {
-	for j, m := range l.msgs {
-		if m != nil && l.dead&(1<<uint(j)) != 0 {
-			m.reply <- sys.Reply{Killed: true}
-			l.msgs[j] = nil
+// answer sends r to every variant in mask, each parked at the barrier.
+func (l *lane) answer(mask uint64, r sys.Reply) {
+	for ; mask != 0; mask &= mask - 1 {
+		l.variants[bits.TrailingZeros64(mask)].msg.reply <- r
+	}
+}
+
+// retire ends the lane: parked arrivals are answered Killed, later ones
+// are refused at entry, and run is told once no goroutine holds the
+// lane. Caller holds mu.
+func (l *lane) retire() {
+	l.retired = true
+	l.answer(l.arrived, sys.Reply{Killed: true})
+	l.arrived = 0
+	if l.watch != nil {
+		l.watch.Stop()
+	}
+	if !l.finished && !l.held() {
+		l.finished = true
+		l.sys.running.Done()
+	}
+}
+
+// tryEvict attempts to absorb a fault of variant by eviction: with no
+// alarm pending and at least K variants live after dropping it, the
+// variant is evicted group-wide (audit entry appended) and the lane
+// adopts the new live set. A unanimous group runs with K = N, so its
+// faults always fail here and kill the group. The result is nil and
+// true when a sibling lane evicted the variant first. Caller holds mu.
+func (l *lane) tryEvict(variant int, kind FaultKind, detail string) (*Eviction, bool) {
+	s := l.sys
+	k := s.cfg.Quorum
+	if k <= 0 {
+		k = s.n
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.evicted.Load()
+	if g&(1<<uint(variant)) != 0 {
+		l.syncLive()
+		return nil, true
+	}
+	live := s.n - bits.OnesCount64(g) - 1
+	if s.alarm != nil || live < k {
+		// An alarm outranks degraded mode: the group is dying anyway.
+		return nil, false
+	}
+	s.evicted.Store(g | 1<<uint(variant))
+	ev := Eviction{Variant: variant, Worker: l.id, Kind: kind, Seq: l.rendezvous, VTime: s.vtime.Load(), Live: live, Detail: detail}
+	s.evictions = append(s.evictions, ev)
+	l.syncLive()
+	return &ev, true
+}
+
+// announce publishes an eviction: every sibling lane settles its
+// barrier against the new live set (one may have been waiting only on
+// the evicted variant), then the metrics and the OnEvict hook see it.
+func (l *lane) announce(ev *Eviction) {
+	s := l.sys
+	s.mu.Lock()
+	lanes := s.lanes
+	s.mu.Unlock()
+	for _, other := range lanes {
+		if other != l {
+			// A fresh goroutine: a completed round executes there, and it
+			// may block (accept) where this caller must not.
+			go other.settle(false)
 		}
 	}
-}
-
-// tryEvict attempts to absorb a variant fault by eviction: with a
-// quorum configured, no alarm pending, and at least Quorum variants
-// live after dropping the faulted one, the variant is evicted
-// group-wide (audit entry appended, every lane's gone channel closed)
-// and the lane adopts the new live set. It returns false when the
-// fault must kill the group instead — no quorum configured, or
-// evicting would fall below K.
-func (l *lane) tryEvict(variant int, kind FaultKind, detail string) bool {
-	s := l.sys
-	if s.cfg.Quorum <= 0 {
-		return false
-	}
-	bit := uint64(1) << uint(variant)
-	s.mu.Lock()
-	if s.alarm != nil {
-		// An alarm outranks degraded mode: the group is dying anyway.
-		s.mu.Unlock()
-		return false
-	}
-	g := s.evicted.Load()
-	if g&bit != 0 {
-		// A sibling lane evicted this variant first: adopt its view.
-		s.mu.Unlock()
-		l.applyDead(g)
-		return true
-	}
-	liveAfter := s.n - bits.OnesCount64(g) - 1
-	if liveAfter < s.cfg.Quorum {
-		s.mu.Unlock()
-		return false
-	}
-	g |= bit
-	s.evicted.Store(g)
-	ev := Eviction{
-		Variant: variant,
-		Worker:  l.id,
-		Kind:    kind,
-		Seq:     l.rendezvous,
-		VTime:   s.vtime.Load(),
-		Live:    liveAfter,
-		Detail:  detail,
-	}
-	s.evictions = append(s.evictions, ev)
-	// Closing under mu pairs with lane registration in spawnWorkerLane:
-	// every lane either sees the mask at registration or gets its gone
-	// channels closed here — never neither.
-	for _, other := range s.lanes {
-		close(other.variants[variant].gone)
-	}
-	s.mu.Unlock()
 	if m := s.cfg.Metrics; m != nil {
-		m.observeEviction(kind)
+		m.observeEviction(ev.Kind)
 	}
 	if fn := s.cfg.OnEvict; fn != nil {
-		fn(ev)
-	}
-	l.applyDead(g)
-	return true
-}
-
-// killGathered answers every already-gathered arrival with Killed.
-// Variants not yet at the rendezvous are unwound by the end-of-Run
-// drain.
-func (l *lane) killGathered() {
-	for _, m := range l.msgs {
-		if m != nil {
-			m.reply <- sys.Reply{Killed: true}
-		}
+		fn(*ev)
 	}
 }
 
 // raise records the alarm (first alarm wins group-wide), kills the
-// gathered variants of this lane, and tears the whole group down — as
-// the paper's kernel SIGKILLs the process group: every descriptor is
-// released, which unblocks sibling lanes parked in accept/recv so
-// their monitors retire too. Closing connections is what a remote
-// attacker observes: the connection drops with no response.
+// pending variants, and tears the whole group down — as the paper's
+// kernel SIGKILLs the process group: every descriptor is released,
+// which unblocks sibling lanes parked in accept/recv, and every lane
+// retires. Closing connections is what a remote attacker observes: the
+// connection drops with no response.
 func (l *lane) raise(a *Alarm, pending []*callMsg) {
 	s := l.sys
 	a.Worker = l.id
@@ -780,12 +740,19 @@ func (l *lane) raise(a *Alarm, pending []*callMsg) {
 	}
 }
 
-// kill signals the group-wide teardown and releases every descriptor.
+// kill signals the group-wide teardown, releases every descriptor and
+// retires every lane.
 func (s *system) kill() {
 	s.killOnce.Do(func() { close(s.killed) })
 	s.mu.Lock()
 	s.closeAllLocked()
+	lanes := s.lanes
 	s.mu.Unlock()
+	for _, l := range lanes {
+		l.mu.Lock()
+		l.retire()
+		l.mu.Unlock()
+	}
 }
 
 // killedNow reports whether the group kill has been signalled.
@@ -799,7 +766,7 @@ func (s *system) killedNow() bool {
 }
 
 // dispatch checks rendezvous equivalence and executes the syscall.
-// It returns true when the lane's monitor loop should stop. Slots of
+// It returns true when the lane should retire. Slots of
 // evicted variants are nil (degraded mode); every cross-check compares
 // the live variants against the reference variant l.ref.
 func (l *lane) dispatch(msgs []*callMsg) bool {
@@ -1025,7 +992,7 @@ func replyErrno(msgs []*callMsg, err error) {
 // replyFail answers a failed blocking operation: with Killed when the
 // group has been torn down (so variants unwind via ErrKilled instead
 // of mistaking the teardown for an errno), with the errno otherwise.
-// It returns true when the lane monitor should stop.
+// It returns true when the lane should retire.
 func (l *lane) replyFail(msgs []*callMsg, err error) bool {
 	if l.sys.killedNow() {
 		replyAll(msgs, sys.Reply{Killed: true})

@@ -822,6 +822,10 @@ func TestRunValidation(t *testing.T) {
 		withUIDFuncs(reexpress.Identity{})); err == nil {
 		t.Error("Run with mismatched UID funcs succeeded")
 	}
+	// Barrier arrivals are a uint64 mask, unanimous groups included.
+	if _, err := Run(w, simnet.New(0), same(65, "x", func(ctx *sys.Context) error { return ctx.Exit(0) })); err == nil {
+		t.Error("Run with 65 variants succeeded")
+	}
 }
 
 func TestAlarmErrorString(t *testing.T) {

@@ -61,6 +61,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
+// clockBase anchors rendezvous timing: time.Since(clockBase) is one
+// monotonic clock read, half the cost of time.Now's wall-plus-monotonic
+// pair on the per-rendezvous path.
+var clockBase = time.Now()
+
 // observeRendezvous records one completed rendezvous.
 func (m *Metrics) observeRendezvous(num sys.Num, d time.Duration) {
 	m.rendezvous.Observe(d)

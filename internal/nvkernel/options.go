@@ -68,9 +68,11 @@ type Config struct {
 	Quorum int
 	// OnEvict, when set, is called once per quorum eviction after the
 	// variant has been dropped from every lane's live set — the fleet's
-	// hook for audit entries and background respawn. Called from a lane
-	// monitor goroutine with no kernel locks held; implementations must
-	// be safe for concurrent use across lanes.
+	// hook for audit entries and background respawn. Called from the
+	// goroutine that observed the fault (a variant's or the lane's stall
+	// watchdog) with no kernel locks held, while that lane cannot
+	// retire; implementations must be safe for concurrent use across
+	// lanes.
 	OnEvict func(Eviction)
 }
 

@@ -245,9 +245,9 @@ func TestWorkerLaneAlarmKillsWholeGroup(t *testing.T) {
 	}
 	_ = c.Close()
 
-	// Every lane monitor, variant goroutine and drain helper must be
-	// gone (the variants were all blocked in syscalls, so the drain
-	// unwinds them promptly — nothing here spins).
+	// Every variant goroutine and lane watchdog must be gone (the
+	// variants were all blocked in syscalls, so the kill unwinds them
+	// promptly — nothing here spins).
 	testutil.CheckNoGoroutineLeak(t, before, 2)
 }
 

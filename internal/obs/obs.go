@@ -73,14 +73,12 @@ type Histogram struct {
 	boundsNs  []int64   // same bounds in nanoseconds
 	buckets   []atomic.Uint64
 	overflow  atomic.Uint64 // observations above the last bound
-	count     atomic.Uint64
 	sumNs     atomic.Int64
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	ns := int64(d)
-	h.count.Add(1)
 	h.sumNs.Add(ns)
 	for i, b := range h.boundsNs {
 		if ns <= b {
@@ -91,8 +89,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.overflow.Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets,
+// so Observe pays no separate counter.
+func (h *Histogram) Count() uint64 {
+	n := h.overflow.Load()
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the total observed duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }

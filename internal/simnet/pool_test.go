@@ -250,6 +250,14 @@ func TestGetPutBufferSizing(t *testing.T) {
 	if len(big) != 3*minBufCap {
 		t.Errorf("big len = %d", len(big))
 	}
+	// An idle request-sized buffer must not stand in front of a
+	// response-sized Get: size classes keep the recycled big buffer
+	// reachable, so the next big Get is a hit.
+	PutBuffer(b)
 	PutBuffer(big)
+	misses := poolMisses.Load()
+	if again := GetBuffer(3 * minBufCap); cap(again) < 3*minBufCap || poolMisses.Load() != misses {
+		t.Errorf("big Get after recycling: cap %d, misses %d -> %d", cap(again), misses, poolMisses.Load())
+	}
 	PutBuffer(nil) // must not panic or pollute the pool
 }

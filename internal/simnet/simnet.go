@@ -18,6 +18,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -72,6 +73,10 @@ type Network struct {
 	// verdicts. Same discipline as faults: installed before traffic
 	// (SetMetrics), one nil check per send when disabled.
 	metrics *Metrics
+
+	// awaited holds the channels Listening handed out for ports with no
+	// listener yet (under mu); Listen closes and drops a port's channel.
+	awaited map[uint16]chan struct{}
 }
 
 // Fault is the injector's verdict for one message crossing the wire.
@@ -116,6 +121,7 @@ func (n *Network) SetFaultInjector(f FaultInjector) { n.faults = f }
 func New(latency time.Duration) *Network {
 	return &Network{
 		listeners: make(map[uint16]*Listener),
+		awaited:   make(map[uint16]chan struct{}),
 		latency:   latency,
 		sleep:     time.Sleep,
 	}
@@ -135,7 +141,29 @@ func (n *Network) Listen(port uint16) (*Listener, error) {
 		closed: make(chan struct{}),
 	}
 	n.listeners[port] = l
+	if ch, ok := n.awaited[port]; ok {
+		close(ch)
+		delete(n.awaited, port)
+	}
 	return l, nil
+}
+
+// Listening returns a channel that is closed once a listener is open on
+// port (at once if one already is): a caller waiting for a server to
+// come up blocks on it instead of polling Dial on a timer.
+func (n *Network) Listening(port uint16) <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if ch, ok := n.awaited[port]; ok {
+		return ch
+	}
+	ch := make(chan struct{})
+	if _, up := n.listeners[port]; up {
+		close(ch)
+	} else {
+		n.awaited[port] = ch
+	}
+	return ch
 }
 
 // Dial connects to the listener on port, returning the client side of
@@ -240,41 +268,47 @@ type message struct {
 // Payload buffer pool. Messages cross the network in pooled buffers:
 // Send copies the caller's bytes into one, SendOwned hands one over
 // without a copy, and the receiver — who owns the buffer from Recv on —
-// may return it with PutBuffer once the bytes are consumed. A bounded
-// free list (not sync.Pool) keeps Get/Put allocation-free; buffers that
-// are never returned are simply collected by the GC.
+// may return it with PutBuffer once the bytes are consumed. Bounded
+// free lists (not sync.Pool) keep Get/Put allocation-free; buffers that
+// are never returned are simply collected by the GC. There is one free
+// list per power-of-two capacity, so an idle request-sized buffer never
+// stands in front of a response-sized message (which would allocate
+// afresh, at a rate set by goroutine interleaving).
 const (
 	// minBufCap is the smallest capacity GetBuffer hands out, sized for
-	// a typical request line; response-sized buffers grow past it and
-	// keep their capacity when recycled.
+	// a typical request line.
 	minBufCap = 2048
-	// poolSlots bounds how many idle buffers the free list retains.
-	poolSlots = 256
+	// bufClasses is the number of pooled capacities, minBufCap<<c for
+	// c < bufClasses (2 KiB to 256 KiB); larger buffers are not pooled.
+	bufClasses = 8
+	// classSlots bounds how many idle buffers each free list retains.
+	classSlots = 64
 )
 
-var bufFree = make(chan []byte, poolSlots)
+var bufFree = func() (lists [bufClasses]chan []byte) {
+	for c := range lists {
+		lists[c] = make(chan []byte, classSlots)
+	}
+	return lists
+}()
 
 // GetBuffer returns a length-n buffer from the pool (allocating a
-// fresh one only when the pool is empty or too small).
+// fresh one only when its size class has none idle).
 func GetBuffer(n int) []byte {
-	select {
-	case b := <-bufFree:
-		if cap(b) >= n {
+	c := 0
+	for minBufCap<<c < n {
+		c++
+	}
+	if c < bufClasses {
+		select {
+		case b := <-bufFree[c]:
 			poolHits.Add(1)
 			return b[:n]
+		default:
 		}
-		// Too small for this message: put it back for smaller traffic
-		// and size up. (Mixed small/large workloads would otherwise
-		// steadily drain the pool.)
-		PutBuffer(b)
-	default:
 	}
 	poolMisses.Add(1)
-	c := minBufCap
-	for c < n {
-		c *= 2
-	}
-	return make([]byte, n, c)
+	return make([]byte, n, minBufCap<<c)
 }
 
 // PutBuffer returns a buffer to the pool. The caller must not touch b
@@ -282,12 +316,14 @@ func GetBuffer(n int) []byte {
 // the receiver that obtained b from Recv (or a caller that never sent
 // a buffer it got from GetBuffer) may return it.
 func PutBuffer(b []byte) {
-	if cap(b) == 0 {
+	// The largest class whose capacity b covers.
+	c := bits.Len(uint(cap(b)/minBufCap)) - 1
+	if c < 0 || c >= bufClasses {
 		return
 	}
 	select {
-	case bufFree <- b[:0]:
-	default: // pool full: let the GC have it
+	case bufFree[c] <- b[:0]:
+	default: // list full: let the GC have it
 	}
 }
 

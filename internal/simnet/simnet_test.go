@@ -8,6 +8,34 @@ import (
 	"time"
 )
 
+func TestListeningSignalsListen(t *testing.T) {
+	n := New(0)
+	waiting := n.Listening(81)
+	select {
+	case <-waiting:
+		t.Fatal("Listening closed before any listener")
+	default:
+	}
+	if n.Listening(81) != waiting {
+		t.Error("second waiter got a different channel")
+	}
+	l, err := n.Listen(81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	select {
+	case <-waiting:
+	default:
+		t.Fatal("Listen did not close the waiters' channel")
+	}
+	select {
+	case <-n.Listening(81):
+	default:
+		t.Fatal("Listening on an open port must be closed at once")
+	}
+}
+
 func TestListenDialRoundTrip(t *testing.T) {
 	n := New(0)
 	l, err := n.Listen(80)
