@@ -4,7 +4,7 @@
 // probe is detected at the first use of the forged UID; the fleet
 // quarantines the struck group, appends the alarm to its audit log,
 // and brings up a replacement running a freshly generated
-// DiversitySpec — watch the audit lines stream as it happens.
+// DiversitySpec; the audit log is printed at exit.
 //
 //	go run ./examples/fleet
 //	go run ./examples/fleet -variants 3            # 3-variant groups
@@ -47,7 +47,6 @@ func run() error {
 		Groups:   3,
 		Variants: *variants,
 		Stack:    stack,
-		AuditTo:  os.Stdout, // stream audit entries as they are appended
 	})
 	if err != nil {
 		return err

@@ -52,9 +52,6 @@ type Config struct {
 	Seed int64
 	// Requests is the serialized benign-request count per cell.
 	Requests int
-	// TriggerBudget bounds first-use trigger probes per attack payload
-	// (scaled by W; the corrupted lane is hit by accept contention).
-	TriggerBudget int
 	// Ns lists the group sizes to sweep.
 	Ns []int
 	// Workers lists the prefork worker-lane counts to sweep.
@@ -97,13 +94,12 @@ func NoAttack() attack.Scenario { return attack.Scenario{Name: "none"} }
 // stacks, plus byte sweeps and the K-of-N cells.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:          seed,
-		Requests:      10,
-		TriggerBudget: 16,
-		Ns:            []int{2, 3},
-		Workers:       []int{1, 2},
-		Stacks:        []string{StackFull, StackBaseline},
-		Attacks:       append([]attack.Scenario{NoAttack()}, attack.Corpus()...),
+		Seed:     seed,
+		Requests: 10,
+		Ns:       []int{2, 3},
+		Workers:  []int{1, 2},
+		Stacks:   []string{StackFull, StackBaseline},
+		Attacks:  append([]attack.Scenario{NoAttack()}, attack.Corpus()...),
 		Faults: []Plan{
 			mustPlan("none"), mustPlan("net-mixed"), mustPlan("slow-syscalls"),
 			mustPlan("variant-crash"),
@@ -118,14 +114,13 @@ func DefaultConfig(seed int64) Config {
 // N ∈ {2,3,5}, W ∈ {1,4}. Its matrix must show zero alarms.
 func FaultOnlyConfig(seed int64) Config {
 	return Config{
-		Seed:          seed,
-		Requests:      10,
-		TriggerBudget: 16,
-		Ns:            []int{2, 3, 5},
-		Workers:       []int{1, 4},
-		Stacks:        []string{StackFull},
-		Attacks:       []attack.Scenario{NoAttack()},
-		Faults:        TransparentPlans(),
+		Seed:     seed,
+		Requests: 10,
+		Ns:       []int{2, 3, 5},
+		Workers:  []int{1, 4},
+		Stacks:   []string{StackFull},
+		Attacks:  []attack.Scenario{NoAttack()},
+		Faults:   TransparentPlans(),
 	}
 }
 
@@ -294,9 +289,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 10
 	}
-	if cfg.TriggerBudget <= 0 {
-		cfg.TriggerBudget = 16
-	}
 	for _, plan := range cfg.Faults {
 		if plan.PoolOnly() {
 			return nil, fmt.Errorf("chaos: plan %q only restarts pool groups; run it in the mesh×chaos campaign", plan.Name)
@@ -464,7 +456,7 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, k,
 	// the outcome of a single round also depends on which lane wins
 	// accept, so the undefended leak flag would not replay.
 	if sc.Build != nil {
-		cell.Leaked = driveAttack(client, sc, rand.New(rand.NewSource(seed+4)), w, cfg.TriggerBudget)
+		cell.Leaked = driveAttack(client, sc, rand.New(rand.NewSource(seed+4)), w)
 	}
 
 	res, err := h.Stop()
@@ -495,7 +487,7 @@ func runGroupCell(cfg Config, sc attack.Scenario, plan Plan, stack string, n, k,
 // the budget of attackRounds rounds is spent. The terminal alarm state
 // is read from the run result afterwards; only booleans leave this
 // phase.
-func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w, budget int) (leaked bool) {
+func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w int) (leaked bool) {
 	payloads := sc.Build(rng)
 	rounds := attackRounds
 	if !sc.Trigger {
@@ -518,7 +510,7 @@ func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w, bu
 			if !sc.Trigger || !delivered {
 				continue
 			}
-			for t := 0; t < budget*w; t++ {
+			for t := 0; t < triggerBudget*w; t++ {
 				if sc.InterleaveBenign && t%2 == 1 {
 					// Healthy sibling lanes keep serving mid-corruption.
 					if _, _, err := client.Get("/index.html"); errors.Is(err, simnet.ErrRefused) {
@@ -543,6 +535,10 @@ func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w, bu
 // attackRounds is how many times driveAttack replays a trigger
 // scenario's payloads and probes.
 const attackRounds = 4
+
+// triggerBudget bounds first-use trigger probes per attack payload
+// (scaled by W; the corrupted lane is hit by accept contention).
+const triggerBudget = 16
 
 // byteSweepVictim is the canonical worker UID the word-level brute
 // force corrupts (wwwrun, the httpd worker identity in the stock

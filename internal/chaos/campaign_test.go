@@ -112,14 +112,13 @@ func TestCampaignCorpusDetectedAndBaselineLeaks(t *testing.T) {
 	// to the root-forging attack — the contrast that quantifies what
 	// the data variation buys.
 	cfg := chaos.Config{
-		Seed:          5,
-		Requests:      4,
-		TriggerBudget: 16,
-		Ns:            []int{2},
-		Workers:       []int{1},
-		Stacks:        []string{chaos.StackFull, chaos.StackBaseline},
-		Attacks:       attack.Corpus(),
-		Faults:        []chaos.Plan{{Name: "none", Transparent: true}},
+		Seed:     5,
+		Requests: 4,
+		Ns:       []int{2},
+		Workers:  []int{1},
+		Stacks:   []string{chaos.StackFull, chaos.StackBaseline},
+		Attacks:  attack.Corpus(),
+		Faults:   []chaos.Plan{{Name: "none", Transparent: true}},
 	}
 	r, err := chaos.Run(cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -79,13 +78,6 @@ func (e AuditEntry) String() string {
 type AuditLog struct {
 	mu      sync.Mutex
 	entries []AuditEntry
-	mirror  io.Writer
-}
-
-// newAuditLog builds a log, optionally mirroring each entry as a line
-// to w (e.g. os.Stderr for the demo, a file for a deployment).
-func newAuditLog(w io.Writer) *AuditLog {
-	return &AuditLog{mirror: w}
 }
 
 // append stamps and stores the entry.
@@ -95,9 +87,6 @@ func (l *AuditLog) append(e AuditEntry) {
 	e.Seq = len(l.entries) + 1
 	e.Time = time.Now()
 	l.entries = append(l.entries, e)
-	if l.mirror != nil {
-		fmt.Fprintln(l.mirror, e.String())
-	}
 }
 
 // Entries returns a copy of the log.

@@ -2,14 +2,14 @@
 // a pool of M independent N-variant groups behind one dispatcher — the
 // deployment story the paper's monitor needs to *survive* detection.
 //
-// Each pool member is a harness-built Table 3 configuration listening
-// on its own port of a shared simulated network. A front listener
-// load-balances incoming client connections round-robin across healthy
-// groups. When any group's monitor raises an alarm, the fleet
-// quarantines the group, records the event in an append-only audit
-// log, and spawns a fresh replacement whose UID reexpression functions
-// are newly selected — so a captured-and-killed
-// group tells an attacker nothing about the pool that replaces it, and
+// Each pool member is a harness-built Table 3 configuration 4 group
+// listening on its own port of a shared simulated network. A front
+// listener load-balances incoming client connections round-robin
+// across healthy groups. When any group's monitor raises an alarm, the
+// fleet quarantines the group, records the event in an append-only
+// audit log, and spawns a fresh replacement whose UID reexpression
+// functions are newly selected — so a captured-and-killed group tells
+// an attacker nothing about the pool that replaces it, and
 // the service degrades by one group for milliseconds instead of
 // collapsing. Related work quantifies exactly this construction:
 // algorithm/implementation-diverse replica pools degrade gracefully
@@ -20,7 +20,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -38,8 +37,6 @@ import (
 const (
 	// DefaultGroups is the default pool size.
 	DefaultGroups = 4
-	// DefaultFrontPort is the dispatcher's client-facing port.
-	DefaultFrontPort uint16 = 80
 	// DefaultBasePort is where group ports are allocated from. Fresh
 	// ports are taken monotonically, and a quarantined group's port is
 	// recycled once its listener has closed — so ports identify pool
@@ -48,44 +45,39 @@ const (
 	DefaultBasePort uint16 = 9000
 )
 
+// frontPort is the dispatcher's client-facing port, below every group
+// port.
+const frontPort uint16 = 80
+
 // Options configures a fleet.
 type Options struct {
-	// Groups is the pool size M (default DefaultGroups).
+	// Groups is the pool size M (default DefaultGroups). Every group
+	// runs Table 3's configuration 4, the paper's full system.
 	Groups int
-	// Config is the per-group Table 3 configuration (default
-	// Config4UIDVariation, the paper's full system).
-	Config harness.Configuration
 	// Variants is the per-group variant count N (default 2, the
 	// paper's deployment). Detection effectiveness grows with N; every
 	// group's DiversitySpec is generated at this width.
 	Variants int
-	// Stack is the variation stack generated for each Config4 group's
-	// spec (default: uid + address-partition + unshared-files, the
-	// paper's full §4 deployment).
+	// Stack is the variation stack generated for each group's spec
+	// (default: uid + address-partition + unshared-files, the paper's
+	// full §4 deployment).
 	Stack []reexpress.LayerKind
 	// Workers is the per-group prefork worker-lane count (0/1 = serial
 	// groups): each group serves Workers connections concurrently.
 	Workers int
 	// Server configures the httpd program of every group.
 	Server httpd.Options
-	// FrontPort is the dispatcher's listening port (default
-	// DefaultFrontPort).
-	FrontPort uint16
 	// BasePort is the first group port (default DefaultBasePort).
 	BasePort uint16
 	// PortSpan, when non-zero, bounds the pool's port budget: group
 	// ports are drawn from [BasePort, BasePort+PortSpan) and spawn
 	// fails cleanly when the budget is exhausted with no quarantined
 	// port free to recycle. A mesh slices one shared port space into
-	// per-pool spans this way, so pools never collide even as elastic
-	// sizing grows them.
+	// per-pool spans this way, so pools never collide.
 	PortSpan uint16
 	// Seed drives reexpression-mask selection; 0 means a fixed default
 	// so runs are reproducible unless explicitly varied.
 	Seed int64
-	// AuditTo optionally mirrors each audit entry as a line (e.g.
-	// os.Stderr for demos).
-	AuditTo io.Writer
 	// Faults is an optional fault injector installed on the fleet's
 	// shared network before any group starts — the chaos campaign's
 	// way of disturbing the whole data plane (dispatch proxying
@@ -114,17 +106,11 @@ func (o Options) withDefaults() Options {
 	if o.Groups <= 0 {
 		o.Groups = DefaultGroups
 	}
-	if o.Config == 0 {
-		o.Config = harness.Config4UIDVariation
-	}
 	if o.Variants <= 0 {
 		o.Variants = 2
 	}
 	// Server needs no defaulting: httpd.New fills ConfigPath itself,
 	// and overwriting the struct here would discard caller fields.
-	if o.FrontPort == 0 {
-		o.FrontPort = DefaultFrontPort
-	}
 	if o.BasePort == 0 {
 		o.BasePort = DefaultBasePort
 	}
@@ -160,8 +146,6 @@ type Fleet struct {
 	quarantined int
 	replaced    int
 	rotated     int
-	shrunk      int
-	grown       int
 	evictions   int
 	respawned   int
 	closed      bool
@@ -196,9 +180,6 @@ type Fleet struct {
 // functions, so the pool is representation-diverse from the start.
 func New(opts Options) (*Fleet, error) {
 	opts = opts.withDefaults()
-	if opts.FrontPort >= opts.BasePort {
-		return nil, fmt.Errorf("fleet: front port %d must be below base port %d", opts.FrontPort, opts.BasePort)
-	}
 	for _, k := range opts.Stack {
 		switch k {
 		case reexpress.LayerUID, reexpress.LayerAddressPartition, reexpress.LayerUnsharedFiles:
@@ -212,7 +193,7 @@ func New(opts Options) (*Fleet, error) {
 	f := &Fleet{
 		opts:     opts,
 		net:      simnet.New(0),
-		audit:    newAuditLog(opts.AuditTo),
+		audit:    &AuditLog{},
 		nextPort: opts.BasePort,
 		starting: make(map[int][]nvkernel.Eviction),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
@@ -238,7 +219,7 @@ func New(opts Options) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: start group %d: %w", i, err)
 		}
 	}
-	front, err := f.net.Listen(opts.FrontPort)
+	front, err := f.net.Listen(frontPort)
 	if err != nil {
 		_, _ = f.Stop()
 		return nil, fmt.Errorf("fleet: front listener: %w", err)
@@ -294,15 +275,8 @@ func (f *Fleet) spawn() (*group, error) {
 	// Generate the spec and build outside the pool lock: mask
 	// selection with its property checks and group startup both take
 	// real time, and dispatch must keep flowing to the survivors
-	// meanwhile. Only configurations that deploy a variation stack get
-	// a spec; others must not advertise functions they don't deploy.
+	// meanwhile.
 	spec := f.specForGroup(id)
-	r1 := "(none)"
-	variants := f.opts.Config.Variants()
-	if spec != nil {
-		r1 = spec.VariantName(1)
-		variants = spec.N()
-	}
 	h, err := harness.StartSpec(f.net, f.specFor(id, port, spec))
 	if err != nil {
 		f.mu.Lock()
@@ -315,7 +289,7 @@ func (f *Fleet) spawn() (*group, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	g := &group{id: id, port: port, spec: spec, variants: variants, workers: workers, r1: r1, handle: h, born: time.Now()}
+	g := &group{id: id, port: port, spec: spec, workers: workers, r1: spec.VariantName(1), handle: h, born: time.Now()}
 
 	f.mu.Lock()
 	early := f.starting[id]
@@ -393,8 +367,6 @@ func (f *Fleet) groupExited(g *group) {
 			if f.obs != nil {
 				f.obs.respawns.Inc()
 			}
-		case mode == retireShrink:
-			f.shrunk++
 		case alarmed || !clean:
 			f.quarantined++
 			if f.obs != nil {
@@ -437,13 +409,6 @@ func (f *Fleet) groupExited(g *group) {
 		act = "respawn"
 		entry.Action = act
 		entry.Detail = "degraded group respawned at full width (drained)"
-	case mode == retireShrink:
-		// Elastic downsizing: the drained slot is retired for good, so
-		// no replacement is spawned and the record is final here.
-		entry.Action = "shrink"
-		entry.Detail = "elastic shrink (drained)"
-		f.audit.append(entry)
-		return
 	case clean:
 		// e.g. a MaxConns server finishing its budget: not an attack,
 		// but the slot still needs refilling.
@@ -459,9 +424,6 @@ func (f *Fleet) groupExited(g *group) {
 	repl, spawnErr := f.spawn()
 	switch {
 	case spawnErr == nil:
-		f.mu.Lock()
-		f.replaced++
-		f.mu.Unlock()
 		if f.obs != nil {
 			f.obs.replacements.Inc()
 			if alarmed {
@@ -480,6 +442,13 @@ func (f *Fleet) groupExited(g *group) {
 		entry.Detail = joinDetail(entry.Detail, "replacement failed: "+spawnErr.Error())
 	}
 	f.audit.append(entry)
+	if spawnErr == nil {
+		// Counted last, after the audit record: a caller that awaits
+		// Replaced sees the replacement registered and audited.
+		f.mu.Lock()
+		f.replaced++
+		f.mu.Unlock()
+	}
 }
 
 // entryFor builds the base audit record for a departed group; callers
@@ -488,8 +457,8 @@ func (f *Fleet) entryFor(g *group, action string) AuditEntry {
 	return AuditEntry{
 		GroupID:       g.id,
 		Port:          g.port,
-		Config:        f.opts.Config,
-		Variants:      g.variants,
+		Config:        harness.Config4UIDVariation,
+		Variants:      g.spec.N(),
 		R1:            g.r1,
 		Action:        action,
 		ReplacementID: -1,
@@ -540,10 +509,10 @@ func (f *Fleet) isClosed() bool {
 func (f *Fleet) Net() *simnet.Network { return f.net }
 
 // Port returns the dispatcher's client-facing port.
-func (f *Fleet) Port() uint16 { return f.opts.FrontPort }
+func (f *Fleet) Port() uint16 { return frontPort }
 
 // Client returns an HTTP client aimed at the dispatcher.
-func (f *Fleet) Client() *httpd.Client { return httpd.NewClient(f.net, f.opts.FrontPort) }
+func (f *Fleet) Client() *httpd.Client { return httpd.NewClient(f.net, frontPort) }
 
 // Audit returns the fleet's append-only recovery log.
 func (f *Fleet) Audit() *AuditLog { return f.audit }
@@ -558,8 +527,6 @@ func (f *Fleet) Stats() Stats {
 		Quarantined:    f.quarantined,
 		Replaced:       f.replaced,
 		Rotated:        f.rotated,
-		Shrunk:         f.shrunk,
-		Grown:          f.grown,
 		Evictions:      f.evictions,
 		Respawned:      f.respawned,
 		Dispatched:     f.dispatched.Load(),
@@ -577,16 +544,12 @@ func (f *Fleet) Stats() Stats {
 			// longer count toward serving capacity.
 			continue
 		}
-		stack := ""
-		if g.spec != nil {
-			stack = g.spec.StackString()
-		}
 		s.Healthy = append(s.Healthy, GroupStat{
 			ID:       g.id,
 			Port:     g.port,
-			Variants: g.variants,
+			Variants: g.spec.N(),
 			Workers:  g.workers,
-			Stack:    stack,
+			Stack:    g.spec.StackString(),
 			R1:       g.r1,
 			Inflight: g.inflight.Load(),
 			Served:   g.served.Load(),
@@ -684,20 +647,6 @@ func (f *Fleet) AlarmCount() uint64 { return f.alarms.Load() }
 // below K). Lock-free like AlarmCount.
 func (f *Fleet) QuorumLostCount() uint64 { return f.quorumKills.Load() }
 
-// Grow spawns one additional group with a freshly generated spec and
-// returns its id — the elastic scale-up hook. The new group enters the
-// dispatch pool as soon as it is listening.
-func (f *Fleet) Grow() (int, error) {
-	g, err := f.spawn()
-	if err != nil {
-		return -1, err
-	}
-	f.mu.Lock()
-	f.grown++
-	f.mu.Unlock()
-	return g.id, nil
-}
-
 // Rotate drains the healthy group with the given id and replaces it
 // with a freshly generated spec — proactive moving-target rotation, in
 // contrast to ShutdownGroup's crash semantics. The group is removed
@@ -708,13 +657,6 @@ func (f *Fleet) Grow() (int, error) {
 // group had that id.
 func (f *Fleet) Rotate(id int, drainFor time.Duration) error {
 	return f.retire(id, retireRotate, drainFor)
-}
-
-// Shrink drains the healthy group with the given id and retires its
-// slot without replacement — the elastic scale-down hook. Its port
-// returns to the recycling pool.
-func (f *Fleet) Shrink(id int, drainFor time.Duration) error {
-	return f.retire(id, retireShrink, drainFor)
 }
 
 // respawnDrain bounds how long a degraded group's in-flight

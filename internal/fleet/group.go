@@ -19,26 +19,24 @@ type group struct {
 	// port is the group's private listening port on the shared network.
 	// Ports of quarantined groups are recycled by later replacements.
 	port uint16
-	// spec is the group's DiversitySpec (nil for single-variant
-	// configurations, which deploy no variation stack).
+	// spec is the group's DiversitySpec; its width is the group's
+	// process-group size N.
 	spec *reexpress.Spec
-	// variants is the group's process-group size N.
-	variants int
 	// workers is the group's prefork worker-lane count (≥ 1): its
 	// concurrent-request capacity.
 	workers int
 	// r1 names the variant-1 effective UID reexpression function
-	// actually deployed ("(none)" for single-variant configurations) —
-	// the stat the two-variant audit trail always recorded.
+	// actually deployed — the stat the two-variant audit trail always
+	// recorded.
 	r1 string
 	// handle controls the running process group.
 	handle *harness.Handle
 	// born is the group's spawn time, for the group-age gauge.
 	born time.Time
 	// retire marks an administratively draining group (guarded by the
-	// fleet mutex): retireRotate exits are replaced with a fresh spec,
-	// retireShrink exits are not. Draining groups are filtered from the
-	// dispatch snapshot, so no new connection reaches them.
+	// fleet mutex); its exit is replaced with a fresh spec. Draining
+	// groups are filtered from the dispatch snapshot, so no new
+	// connection reaches them.
 	retire retireMode
 	// degraded is set when the group's kernel evicts a variant (quorum
 	// degraded mode): the group keeps serving on its K-of-N quorum
@@ -60,52 +58,36 @@ const (
 	// retireRotate: moving-target rotation — drain, then replace with a
 	// freshly generated spec.
 	retireRotate
-	// retireShrink: elastic downsizing — drain, no replacement.
-	retireShrink
 	// retireRespawn: a quorum-degraded group is drained and replaced at
 	// full width with a freshly generated spec (the evicted variant's
 	// slot comes back re-expressed, never resurrected in place).
 	retireRespawn
 )
 
-// defaultStack is the variation stack generated for Config4 groups
-// when Options.Stack is empty: the paper's full §4 deployment.
+// defaultStack is the variation stack generated for each group when
+// Options.Stack is empty: the paper's full §4 deployment.
 var defaultStack = []reexpress.LayerKind{
 	reexpress.LayerUID,
 	reexpress.LayerAddressPartition,
 	reexpress.LayerUnsharedFiles,
 }
 
-// specForGroup selects the DiversitySpec a fresh group deploys, or nil
-// for configurations without a variation stack.
+// specForGroup selects the DiversitySpec a fresh group deploys.
 func (f *Fleet) specForGroup(id int) *reexpress.Spec {
-	switch f.opts.Config {
-	case harness.Config4UIDVariation:
-		f.rngMu.Lock()
-		defer f.rngMu.Unlock()
-		n := f.opts.Variants
-		if id == 0 && n == 2 && len(f.opts.Stack) == 0 {
-			// Group 0 runs the paper's published functions; every
-			// further group (initial or replacement) runs freshly
-			// generated ones, so the pool is representation-diverse
-			// from the start.
-			return reexpress.FullStack(reexpress.UIDVariation().Pair.Funcs())
-		}
-		stack := f.opts.Stack
-		if len(stack) == 0 {
-			stack = defaultStack
-		}
-		return reexpress.GenerateFrom(f.rng, n, stack...)
-	case harness.Config3AddressSpace:
-		n := f.opts.Variants
-		return reexpress.UncheckedSpec(n,
-			reexpress.AddressPartitionLayer(n),
-			reexpress.UnsharedFilesLayer(reexpress.DefaultUnsharedPaths...),
-		)
-	default:
-		// Single-variant configurations deploy no stack.
-		return nil
+	f.rngMu.Lock()
+	defer f.rngMu.Unlock()
+	n := f.opts.Variants
+	if id == 0 && n == 2 && len(f.opts.Stack) == 0 {
+		// Group 0 runs the paper's published functions; every further
+		// group (initial or replacement) runs freshly generated ones,
+		// so the pool is representation-diverse from the start.
+		return reexpress.FullStack(reexpress.UIDVariation().Pair.Funcs())
 	}
+	stack := f.opts.Stack
+	if len(stack) == 0 {
+		stack = defaultStack
+	}
+	return reexpress.GenerateFrom(f.rng, n, stack...)
 }
 
 // specFor builds the restartable group description for a pool slot.
@@ -114,7 +96,7 @@ func (f *Fleet) specForGroup(id int) *reexpress.Spec {
 // f.opts.Kernel would race sibling spawns.
 func (f *Fleet) specFor(id int, port uint16, spec *reexpress.Spec) harness.GroupSpec {
 	gs := harness.GroupSpec{
-		Config:    f.opts.Config,
+		Config:    harness.Config4UIDVariation,
 		Server:    f.opts.Server,
 		Port:      port,
 		Diversity: spec,
@@ -134,5 +116,5 @@ func (f *Fleet) specFor(id int, port uint16, spec *reexpress.Spec) harness.Group
 
 // String identifies the group in logs.
 func (g *group) String() string {
-	return fmt.Sprintf("group %d (port %d, n=%d, w=%d, R1=%s)", g.id, g.port, g.variants, g.workers, g.r1)
+	return fmt.Sprintf("group %d (port %d, n=%d, w=%d, R1=%s)", g.id, g.port, g.spec.N(), g.workers, g.r1)
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Tests for the mesh-facing fleet hooks: LiveGroups, Grow, Rotate,
-// Shrink, the PortSpan budget, and the MultiAudit merged tail.
+// Tests for the mesh-facing fleet hooks: LiveGroups, Rotate, the
+// PortSpan budget, and the MultiAudit merged tail.
 
 func mustFleet(t *testing.T, opts Options) *Fleet {
 	t.Helper()
@@ -76,43 +76,6 @@ func TestRotateDrainsAndReplaces(t *testing.T) {
 	}
 }
 
-func TestShrinkRetiresWithoutReplacement(t *testing.T) {
-	f := mustFleet(t, Options{Groups: 2})
-	groups := f.LiveGroups()
-	newest := groups[len(groups)-1].ID
-	if err := f.Shrink(newest, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Await(func(s Stats) bool {
-		return s.Shrunk == 1 && len(s.Healthy) == 1
-	}, 15*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st := f.Stats()
-	if st.Replaced != 0 || st.Spawned != 2 {
-		t.Errorf("shrink spawned a replacement: %+v", st)
-	}
-	entries := f.Audit().Entries()
-	if len(entries) != 1 || entries[0].Action != "shrink" || entries[0].ReplacementID != -1 {
-		t.Errorf("audit entries = %+v, want one bare shrink record", entries)
-	}
-}
-
-func TestGrowAddsGroup(t *testing.T) {
-	f := mustFleet(t, Options{Groups: 1})
-	id, err := f.Grow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 1 {
-		t.Errorf("grown group id = %d, want 1", id)
-	}
-	st := f.Stats()
-	if len(st.Healthy) != 2 || st.Grown != 1 {
-		t.Errorf("after grow: %d healthy, %d grown, want 2/1", len(st.Healthy), st.Grown)
-	}
-}
-
 func TestRetireRejectsMissingOrDraining(t *testing.T) {
 	f := mustFleet(t, Options{Groups: 2})
 	if err := f.Rotate(99, time.Second); err == nil {
@@ -124,34 +87,31 @@ func TestRetireRejectsMissingOrDraining(t *testing.T) {
 	}
 	// The group is gone or draining now; a second retirement of the
 	// same id must fail rather than double-drain.
-	if err := f.Shrink(victim, time.Second); err == nil {
+	if err := f.Rotate(victim, time.Second); err == nil {
 		t.Error("second retirement of the same group succeeded")
 	}
 }
 
 // TestPortSpanBudget: a fleet sharing a port space respects its span —
-// growth past the budget fails cleanly, and a retired group's port is
-// recycled so the budget is about concurrent size, not history.
+// a pool larger than its budget fails to start with a clean error, and
+// a retired group's port is recycled so the budget is about concurrent
+// size, not history.
 func TestPortSpanBudget(t *testing.T) {
+	_, err := New(Options{Groups: 3, PortSpan: 2})
+	if err == nil || !strings.Contains(err.Error(), "port budget") {
+		t.Fatalf("three groups in a span of two: err = %v, want port budget exhaustion", err)
+	}
+
 	f := mustFleet(t, Options{Groups: 2, PortSpan: 2})
-	if _, err := f.Grow(); err == nil || !strings.Contains(err.Error(), "port budget") {
-		t.Fatalf("grow past the span: err = %v, want port budget exhaustion", err)
-	}
-	// Retire one group; its port must come back to the budget.
-	groups := f.LiveGroups()
-	if err := f.Shrink(groups[len(groups)-1].ID, time.Second); err != nil {
+	if err := f.Rotate(f.OldestGroupID(), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Await(func(s Stats) bool { return s.Shrunk == 1 }, 15*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	id, err := f.Grow()
-	if err != nil {
-		t.Fatalf("grow after shrink should recycle the port: %v", err)
+	if err := f.Await(func(s Stats) bool { return s.Replaced == 1 && len(s.Healthy) == 2 }, 15*time.Second); err != nil {
+		t.Fatalf("rotation in a full span should recycle the port: %v", err)
 	}
 	for _, g := range f.LiveGroups() {
-		if g.ID == id && int(g.Port)-int(DefaultBasePort) >= 2 {
-			t.Errorf("recycled group on port %d, outside span [%d,%d)", g.Port, DefaultBasePort, DefaultBasePort+2)
+		if int(g.Port)-int(DefaultBasePort) >= 2 {
+			t.Errorf("group %d on port %d, outside span [%d,%d)", g.ID, g.Port, DefaultBasePort, DefaultBasePort+2)
 		}
 	}
 }
@@ -160,10 +120,10 @@ func TestPortSpanBudget(t *testing.T) {
 // virtual time across pools, tags each line with its pool, and pages
 // with the since/n cursor.
 func TestMultiAuditMergesByVTime(t *testing.T) {
-	a, b := newAuditLog(nil), newAuditLog(nil)
+	a, b := &AuditLog{}, &AuditLog{}
 	a.append(AuditEntry{GroupID: 1, VTime: 50, Action: "quarantine+replace", ReplacementID: -1})
 	b.append(AuditEntry{GroupID: 2, VTime: 10, Action: "rotate+replace", ReplacementID: -1})
-	b.append(AuditEntry{GroupID: 3, VTime: 60, Action: "shrink", ReplacementID: -1})
+	b.append(AuditEntry{GroupID: 3, VTime: 60, Action: "respawn+replace", ReplacementID: -1})
 
 	m := NewMultiAudit()
 	if _, _, err := m.TailNDJSON(0, 0); err == nil {

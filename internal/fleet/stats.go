@@ -7,8 +7,8 @@ import (
 )
 
 // GroupInfo identifies one live pool member with its age and load —
-// the LiveGroups roster rotation schedulers and elastic controllers
-// pick victims from.
+// the LiveGroups roster the mesh's rotation scheduler picks victims
+// from.
 type GroupInfo struct {
 	// ID is the group's fleet-unique number (ascending = spawn order).
 	ID int
@@ -36,8 +36,7 @@ type GroupStat struct {
 	// Workers is the group's prefork worker-lane count (its concurrent
 	// request capacity; 1 = serial).
 	Workers int
-	// Stack names the group's variation stack (empty for undiversified
-	// configurations).
+	// Stack names the group's variation stack.
 	Stack string
 	// R1 names the group's variant-1 effective UID reexpression
 	// function.
@@ -61,17 +60,13 @@ type Stats struct {
 	// Quarantined counts groups removed from the pool (alarmed or
 	// otherwise failed) while the fleet was serving.
 	Quarantined int
-	// Replaced counts fresh groups spawned to fill quarantined slots.
+	// Replaced counts fresh groups spawned to fill vacated slots. Each
+	// is counted once it is registered and its audit record appended,
+	// so awaiting Replaced awaits the whole replacement.
 	Replaced int
 	// Rotated counts healthy groups drained and replaced proactively
 	// (moving-target rotation — Rotate).
 	Rotated int
-	// Shrunk counts groups drained without replacement (elastic
-	// scale-down — Shrink).
-	Shrunk int
-	// Grown counts groups added beyond replacements (elastic scale-up
-	// — Grow).
-	Grown int
 	// Evictions counts variants evicted by quorum degraded mode across
 	// all groups (the kernel-side faults the fleet absorbed).
 	Evictions int

@@ -14,9 +14,9 @@ package mesh
 // never a wall-clock quantity.
 //
 // Byte-identical replay is the same hard contract as the chaos
-// campaign: benign traffic is serialized and blocks on
-// RotationsHandled after every trigger tick (so a rotating group's
-// rendezvous count cannot race the next dispatch), retries settle the
+// campaign: benign traffic is serialized and waits for the controller
+// to settle after every request (so a rotating group's rendezvous
+// count cannot race the next dispatch), retries settle the
 // controllers after every charged backoff (see settleControllers),
 // attack probes strike a routed pool's oldest group directly, one at a
 // time, each pool's fault injector consumes its decision stream in
@@ -48,7 +48,6 @@ import (
 	"nvariant/internal/attack"
 	"nvariant/internal/chaos"
 	"nvariant/internal/fleet"
-	"nvariant/internal/harness"
 	"nvariant/internal/httpd"
 	"nvariant/internal/nvkernel"
 	"nvariant/internal/obs"
@@ -74,20 +73,8 @@ type ChaosCampaignConfig struct {
 	// Rotations lists the rotation settings to sweep (default
 	// {false, true}).
 	Rotations []bool
-	// Groups is each pool's fleet size (default 2).
-	Groups int
-	// RotateEvery is the rotation cadence in mesh ticks for
-	// rotation-on cells (default 6).
-	RotateEvery uint64
 	// Probes is the forged-UID probe count per attack cell (default 2).
 	Probes int
-	// Sessions is the benign session-key count (default 8).
-	Sessions int
-	// RetryBudget / RetryBackoff configure the sessions' deterministic
-	// retry-with-backoff (defaults 6 and DefaultRetryBackoff) — the
-	// machinery that holds availability under the lossy plans.
-	RetryBudget  int
-	RetryBackoff uint64
 	// Faults lists the chaos plans to sweep (default: none, net-mixed,
 	// slow-syscalls, group-restart, variant-crash, variant-stall).
 	Faults []chaos.Plan
@@ -99,6 +86,20 @@ type ChaosCampaignConfig struct {
 	Obs *obs.Registry
 }
 
+// Fixed campaign shape, reported in the matrix header.
+const (
+	// campaignGroups is each pool's fleet size.
+	campaignGroups = 2
+	// campaignRotateEvery is the rotation cadence in mesh ticks for
+	// rotation-on cells.
+	campaignRotateEvery uint64 = 6
+	// campaignSessions is the benign session-key count.
+	campaignSessions = 8
+	// campaignRetryBudget is the sessions' retry budget — the
+	// machinery that holds availability under the lossy plans.
+	campaignRetryBudget = 6
+)
+
 func (c ChaosCampaignConfig) withDefaults() ChaosCampaignConfig {
 	if c.Requests <= 0 {
 		c.Requests = 24
@@ -109,23 +110,8 @@ func (c ChaosCampaignConfig) withDefaults() ChaosCampaignConfig {
 	if len(c.Rotations) == 0 {
 		c.Rotations = []bool{false, true}
 	}
-	if c.Groups <= 0 {
-		c.Groups = 2
-	}
-	if c.RotateEvery == 0 {
-		c.RotateEvery = 6
-	}
 	if c.Probes <= 0 {
 		c.Probes = 2
-	}
-	if c.Sessions <= 0 {
-		c.Sessions = 8
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 6
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = DefaultRetryBackoff
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = defaultChaosPlans()
@@ -336,10 +322,10 @@ func RunChaosCampaign(cfg ChaosCampaignConfig) (*ChaosCampaignResult, error) {
 	res := &ChaosCampaignResult{
 		Seed:         cfg.Seed,
 		Requests:     cfg.Requests,
-		Groups:       cfg.Groups,
-		RotateEvery:  cfg.RotateEvery,
-		RetryBudget:  cfg.RetryBudget,
-		RetryBackoff: cfg.RetryBackoff,
+		Groups:       campaignGroups,
+		RotateEvery:  campaignRotateEvery,
+		RetryBudget:  campaignRetryBudget,
+		RetryBackoff: retryBackoff,
 		Policy:       HashRouting.String(),
 	}
 	for _, p := range cfg.Pools {
@@ -367,19 +353,17 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	quorum := plan.VariantFault()
 
 	opts := Options{
-		Pools:        pools,
-		Seed:         seed,
-		RetryBudget:  cfg.RetryBudget,
-		RetryBackoff: cfg.RetryBackoff,
-		Obs:          cfg.Obs,
+		Pools:       pools,
+		Seed:        seed,
+		RetryBudget: campaignRetryBudget,
+		Obs:         cfg.Obs,
 		Fleet: fleet.Options{
-			Groups: cfg.Groups,
-			Config: harness.Config4UIDVariation,
+			Groups: campaignGroups,
 			Server: httpd.DefaultOptions(),
 		},
 	}
 	if rotation {
-		opts.RotateEvery = cfg.RotateEvery
+		opts.RotateEvery = campaignRotateEvery
 	}
 	if quorum {
 		opts.Fleet.Variants = chaos.QuorumK + 1
@@ -409,7 +393,7 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	}
 	defer func() { _, _ = m.Stop() }()
 
-	sessions := make([]*Session, cfg.Sessions)
+	sessions := make([]*Session, campaignSessions)
 	for i := range sessions {
 		sessions[i] = m.Session(fmt.Sprintf("client-%d", i))
 	}
@@ -426,7 +410,7 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 			f := m.Pool((r/plan.RestartEvery - 1) % pools)
 			before := f.Stats().Replaced
 			if f.ShutdownGroup(f.OldestGroupID()) {
-				if err := awaitFullWidth(f, cfg.Groups, func(s fleet.Stats) bool { return s.Replaced > before }); err != nil {
+				if err := awaitFullWidth(f, func(s fleet.Stats) bool { return s.Replaced > before }); err != nil {
 					return cell, err
 				}
 				cell.Restarts++
@@ -447,16 +431,11 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 		default:
 			cell.BenignErrs++
 		}
-		if rotation {
-			want := m.Ticks() / cfg.RotateEvery
-			if err := m.Await(func(s Stats) bool {
-				return s.RotationsHandled >= want
-			}, 30*time.Second); err != nil {
-				return cell, err
-			}
+		if err := m.settleControllers(); err != nil {
+			return cell, err
 		}
 		for i := 0; quorum && i < pools; i++ {
-			if err := awaitFullWidth(m.Pool(i), cfg.Groups, nil); err != nil {
+			if err := awaitFullWidth(m.Pool(i), nil); err != nil {
 				return cell, err
 			}
 		}
@@ -485,7 +464,7 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 				if port, ok := healthyPort(f.Stats(), f.OldestGroupID()); ok {
 					_, _, _ = httpd.NewClient(f.Net(), port).Get(benignMix[0])
 				}
-				if err := awaitFullWidth(f, cfg.Groups, nil); err != nil {
+				if err := awaitFullWidth(f, nil); err != nil {
 					return cell, err
 				}
 			}
@@ -496,7 +475,7 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 			}
 			perPool[pi]++
 			want := perPool[pi]
-			if err := awaitFullWidth(f, cfg.Groups, func(s fleet.Stats) bool { return s.Detections >= want }); err != nil {
+			if err := awaitFullWidth(f, func(s fleet.Stats) bool { return s.Detections >= want }); err != nil {
 				return cell, err
 			}
 		}
@@ -521,8 +500,8 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 
 	// Exposure windows: every retired group's teardown VTime, in
 	// virtual ticks, from the pools' audit trails. Rotations and
-	// quarantines both end a mask set's exposure; clean departures and
-	// shrinks are not attacker-relevant retirements. Only plans without
+	// quarantines both end a mask set's exposure; clean departures are
+	// not attacker-relevant retirements. Only plans without
 	// message reordering are sampled: a reorder hold releases its
 	// message on a wall-clock timer, so the server-side rendezvous it
 	// triggers race the drain point and the torn-down group's vtick age
@@ -548,13 +527,13 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	return cell, nil
 }
 
-// awaitFullWidth waits until pool f is back at full strength — groups
-// groups serving, every quorum eviction respawned, none degraded — and
+// awaitFullWidth waits until pool f is back at full strength — every
+// group serving, every quorum eviction respawned, none degraded — and
 // also holds when set: the settle step after restarts, variant faults
 // and probes.
-func awaitFullWidth(f *fleet.Fleet, groups int, also func(fleet.Stats) bool) error {
+func awaitFullWidth(f *fleet.Fleet, also func(fleet.Stats) bool) error {
 	return f.Await(func(s fleet.Stats) bool {
-		return len(s.Healthy) >= groups && s.Respawned >= s.Evictions && s.DegradedGroups == 0 &&
+		return len(s.Healthy) >= campaignGroups && s.Respawned >= s.Evictions && s.DegradedGroups == 0 &&
 			(also == nil || also(s))
 	}, 30*time.Second)
 }

@@ -10,7 +10,6 @@ import (
 	"nvariant/internal/attack"
 	"nvariant/internal/chaos"
 	"nvariant/internal/fleet"
-	"nvariant/internal/harness"
 	"nvariant/internal/httpd"
 	"nvariant/internal/obs"
 	"nvariant/internal/vos"
@@ -25,7 +24,6 @@ func testChaosConfig(seed int64) ChaosCampaignConfig {
 		Seed:     seed,
 		Requests: 12,
 		Pools:    []int{1, 2, 4},
-		Groups:   2,
 		Probes:   1,
 		Faults:   testChaosPlans(),
 	}
@@ -162,7 +160,6 @@ func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
 		Seed:     17,
 		Requests: 8,
 		Pools:    []int{2},
-		Groups:   2,
 		Probes:   1,
 		Faults:   testChaosPlans(),
 	}
@@ -261,7 +258,6 @@ func TestChaosCampaignCheckFlagsViolations(t *testing.T) {
 func TestStrikeSparesRecycledPort(t *testing.T) {
 	f, err := fleet.New(fleet.Options{
 		Groups: 2,
-		Config: harness.Config4UIDVariation,
 		Server: httpd.DefaultOptions(),
 		Seed:   3,
 	})

@@ -1,12 +1,11 @@
 package mesh
 
-// The controller is the mesh's single consumer of rotation and
-// elastic-sizing triggers. Triggers are counted by the dispatch hot
-// path (atomic adds in Mesh.tick) and handed over through a capacity-1
-// wake channel; the controller drains wanted-vs-handled deltas in a
-// loop, so every trigger is processed exactly once regardless of
-// goroutine timing — which is what makes seeded campaign runs
-// byte-reproducible. All randomness (which pool rotates) comes from
+// The controller is the mesh's single consumer of rotation triggers.
+// Triggers are counted by the dispatch hot path (atomic adds in
+// Mesh.tick) and handed over through a capacity-1 wake channel; the
+// controller drains the wanted-vs-handled delta in a loop, so every
+// trigger is processed exactly once regardless of goroutine timing —
+// which is what makes seeded campaign runs byte-reproducible. All randomness (which pool rotates) comes from
 // the controller-owned seeded RNG, a single consumer, so the decision
 // sequence is a pure function of the seed and the trigger count.
 
@@ -23,18 +22,20 @@ type controller struct {
 	m   *Mesh
 	rng *rand.Rand
 
-	// wanted counters are incremented by tick(); handled counters only
-	// by the controller loop. handled == wanted means settled.
+	// rotWanted is incremented by tick(), rotHandled only by the
+	// controller loop. handled == wanted means settled.
 	rotWanted  atomic.Uint64
 	rotHandled atomic.Uint64
-	elWanted   atomic.Uint64
-	elHandled  atomic.Uint64
 
 	// Outcome counters (controller-written, Stats-read).
 	rotated atomic.Uint64
 	skipped atomic.Uint64
-	grown   atomic.Uint64
-	shrunk  atomic.Uint64
+
+	// progress, guarded by mu, is closed when the loop next handles a
+	// trigger; it exists only while someone waits on it (see
+	// progressed), so an unwatched controller allocates nothing.
+	mu       sync.Mutex
+	progress chan struct{}
 
 	wake   chan struct{}
 	stop   chan struct{}
@@ -68,15 +69,37 @@ func (c *controller) run() {
 			return
 		case <-c.wake:
 		}
-		for c.rotHandled.Load() < c.rotWanted.Load() {
+		for !c.settled() {
 			c.rotateOnce()
 			c.rotHandled.Add(1)
-		}
-		for c.elHandled.Load() < c.elWanted.Load() {
-			c.reviewOnce()
-			c.elHandled.Add(1)
+			c.signal()
 		}
 	}
+}
+
+// settled reports whether every trigger fired so far has been handled.
+func (c *controller) settled() bool { return c.rotHandled.Load() >= c.rotWanted.Load() }
+
+// progressed returns a channel closed the next time the loop handles a
+// trigger. A waiter takes the channel before it checks settled, so a
+// trigger handled after that check always closes the channel it holds.
+func (c *controller) progressed() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.progress == nil {
+		c.progress = make(chan struct{})
+	}
+	return c.progress
+}
+
+// signal wakes every waiter on progressed.
+func (c *controller) signal() {
+	c.mu.Lock()
+	if c.progress != nil {
+		close(c.progress)
+		c.progress = nil
+	}
+	c.mu.Unlock()
 }
 
 // rotateOnce performs one moving-target rotation: pick a pool from the
@@ -120,7 +143,7 @@ func (c *controller) rotateOnce() {
 	}
 	start := time.Now()
 	exposure := victim.Age
-	if err := f.Rotate(victim.ID, m.opts.DrainTimeout); err != nil {
+	if err := f.Rotate(victim.ID, DefaultDrainTimeout); err != nil {
 		// The group vanished between the roster read and the drain
 		// (e.g. an alarm quarantined it) — the slot is being replaced
 		// on the quarantine path already.
@@ -132,10 +155,12 @@ func (c *controller) rotateOnce() {
 	}
 	// Wait for the pool to replenish before counting the rotation
 	// handled: campaigns await the settled counter, and the next
-	// trigger must see the restored pool.
+	// trigger must see the restored pool. Replaced is the fleet's last
+	// replacement step, so a settled rotation leaves no fleet
+	// bookkeeping in flight for the next request to race.
 	_ = f.Await(func(s fleet.Stats) bool {
-		return s.Rotated > before.Rotated && len(s.Healthy) >= healthy
-	}, m.opts.RecoverTimeout)
+		return s.Rotated > before.Rotated && s.Replaced > before.Replaced && len(s.Healthy) >= healthy
+	}, m.recoverTimeout)
 	c.rotated.Add(1)
 	if m.obs != nil {
 		m.obs.rotations.Inc()
@@ -153,53 +178,4 @@ func oldestNonDraining(groups []fleet.GroupInfo) *fleet.GroupInfo {
 		}
 	}
 	return nil
-}
-
-// reviewOnce runs one elastic-sizing pass over every pool: compare the
-// peak in-flight load since the last review against current capacity
-// (healthy groups × worker lanes) and grow or shrink within
-// [MinGroups, MaxGroups]. A sick pool grows regardless of load ratio —
-// fault-induced pressure (sheds, failed dispatches, quarantines) is
-// demand for capacity even when inflight never peaked — and is never
-// shrunk while sick. Shrink retires the *newest* group — the oldest
-// slots are the rotation scheduler's concern.
-func (c *controller) reviewOnce() {
-	m := c.m
-	workers := m.opts.Fleet.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	for _, p := range m.pools {
-		peak := p.peak.Swap(0)
-		f := p.fleet
-		healthy := f.HealthyCount()
-		if healthy == 0 {
-			continue
-		}
-		sick := p.sick(m)
-		ratio := float64(peak) / float64(healthy*workers)
-		switch {
-		case (ratio >= m.opts.GrowAt || sick) && healthy < m.opts.MaxGroups:
-			if _, err := f.Grow(); err == nil {
-				c.grown.Add(1)
-				if m.obs != nil {
-					m.obs.grows.Inc()
-				}
-			}
-		case ratio <= m.opts.ShrinkAt && !sick && healthy > m.opts.MinGroups:
-			groups := f.LiveGroups()
-			for i := len(groups) - 1; i >= 0; i-- {
-				if groups[i].Draining {
-					continue
-				}
-				if f.Shrink(groups[i].ID, m.opts.DrainTimeout) == nil {
-					c.shrunk.Add(1)
-					if m.obs != nil {
-						m.obs.shrinks.Inc()
-					}
-				}
-				break
-			}
-		}
-	}
 }

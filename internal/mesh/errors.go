@@ -20,10 +20,10 @@ package mesh
 //	ErrRetriesExhausted the session's retry budget was spent without a
 //	                    successful dispatch (wraps the last classified
 //	                    attempt error)
-//	ErrSettleTimeout    a retry's backoff fired control-plane triggers
-//	                    (rotation, elastic sizing) that were not handled
-//	                    within RecoverTimeout; the retry is abandoned
-//	                    rather than dispatched against an unsettled mesh
+//	ErrSettleTimeout    a retry's backoff fired rotation triggers that
+//	                    were not handled within the recover timeout; the
+//	                    retry is abandoned rather than dispatched
+//	                    against an unsettled mesh
 //
 // Classification is counter-delta based and lock-free: the session
 // snapshots the routed fleet's alarm and quorum-kill counters before
@@ -55,8 +55,8 @@ var (
 	// spent; it wraps the final attempt's classified error.
 	ErrRetriesExhausted = errors.New("mesh: retry budget exhausted")
 	// ErrSettleTimeout reports that a retry's charged backoff fired
-	// controller triggers the control plane did not finish within
-	// RecoverTimeout. Carrying on would dispatch against a mesh whose
+	// controller triggers the control plane did not finish within the
+	// recover timeout. Carrying on would dispatch against a mesh whose
 	// rotation state depends on wall-clock timing, so the session
 	// returns this instead.
 	ErrSettleTimeout = errors.New("mesh: control plane did not settle")

@@ -3,17 +3,16 @@ package mesh
 // Pool health scoring. Each pool carries a fixed-point penalty score
 // fed by its fault events — admission sheds, failed dispatches,
 // quarantine windows, quorum-lost kills — and decayed on the mesh's
-// dispatch-tick clock: the score halves every HealthHalfLife ticks.
+// dispatch-tick clock: the score halves every healthHalfLife ticks.
 // Reading the score adds a live term for groups currently degraded to
 // a K-of-N quorum, so a pool absorbing evictions scores sick even
 // between discrete events.
 //
-// A pool at or above HealthSickAt is sick: the rendezvous router
+// A pool at or above healthSickAt is sick: the rendezvous router
 // demotes it (new sessions fall through to the best-ranked healthy
-// pool), retries rank it last, rotation skips it (draining a pool
+// pool), retries rank it last, and rotation skips it (draining a pool
 // that is already absorbing faults would trade the moving target for
-// an outage), and the elastic controller grows it on the next review
-// regardless of load ratio.
+// an outage).
 //
 // Everything here is wall-clock-free: scores are pure functions of
 // the event sequence and the tick clock, so seeded campaigns with
@@ -31,15 +30,21 @@ const (
 	// healthDegradedCost weighs each currently degraded (quorum-serving)
 	// group in the live term of the score.
 	healthDegradedCost = 4
+
+	// healthHalfLife is the dispatch-tick half-life of the stored
+	// penalty score.
+	healthHalfLife uint64 = 64
+	// healthSickAt is the decayed score at which a pool counts as sick.
+	healthSickAt int64 = 16
 )
 
 // healthDecay folds elapsed clock time into the stored score: every
-// full HealthHalfLife window since the last decay halves it. Lazy and
+// full healthHalfLife window since the last decay halves it. Lazy and
 // lock-free — whoever reads or bumps the score first settles the
 // decay, and the CAS on healthTick elects exactly one settler per
 // window.
 func (p *pool) healthDecay(m *Mesh) {
-	hl := m.opts.HealthHalfLife
+	const hl = healthHalfLife
 	now := m.ticks.Load()
 	for {
 		last := p.healthTick.Load()
@@ -77,7 +82,7 @@ func (p *pool) healthScore(m *Mesh) int64 {
 
 // sick reports whether the pool's score has crossed the demotion
 // threshold.
-func (p *pool) sick(m *Mesh) bool { return p.healthScore(m) >= m.opts.HealthSickAt }
+func (p *pool) sick(m *Mesh) bool { return p.healthScore(m) >= healthSickAt }
 
 // bestHealthyPool returns the highest-rendezvous-weight pool for kh
 // that is not currently sick, or nil when every pool is sick (the

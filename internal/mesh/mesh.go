@@ -4,18 +4,14 @@
 // budget, behind a session router that maps client keys to pools by
 // rendezvous hashing.
 //
-// Two controllers run above the pools, both driven by the mesh's own
+// One controller runs above the pools, driven by the mesh's own
 // rendezvous-ticked clock (one tick per completed dispatch, no wall
-// clock — so seeded runs are byte-reproducible):
-//
-//   - Moving-target rotation: on a seeded schedule, drain a *healthy*
-//     group and replace it with a freshly generated DiversitySpec, so
-//     the reexpression masks an attacker could be probing expire even
-//     when the monitor never fires. Rotation is availability-aware: a
-//     pool never rotates below the configured floor of healthy groups.
-//   - Elastic sizing: grow or shrink each pool's group count from its
-//     observed peak-inflight/capacity ratio, bounded by MinGroups and
-//     MaxGroups.
+// clock — so seeded runs are byte-reproducible): moving-target
+// rotation. On a seeded schedule it drains a *healthy* group and
+// replaces it with a freshly generated DiversitySpec, so the
+// reexpression masks an attacker could be probing expire even when
+// the monitor never fires. Rotation is availability-aware: a pool
+// never rotates below the configured floor of healthy groups.
 //
 // Admission control is per pool: a bounded in-flight budget sheds
 // excess load with the typed ErrSaturated instead of queueing without
@@ -37,33 +33,27 @@ import (
 	"nvariant/internal/simnet"
 )
 
-// Default option values.
+// DefaultPools is the default shard count P.
+const DefaultPools = 2
+
+// DefaultDrainTimeout bounds how long a rotating group may finish
+// in-flight connections before its listener closes.
+const DefaultDrainTimeout = 2 * time.Second
+
+// Fixed mesh parameters: one value serves every caller (DESIGN.md,
+// "Options").
 const (
-	// DefaultPools is the default shard count P.
-	DefaultPools = 2
-	// DefaultPortStride is each pool's slice of the shared port budget:
-	// pool i draws group ports from [BasePort+i*stride, BasePort+(i+1)*stride).
-	DefaultPortStride uint16 = 512
-	// DefaultDrainTimeout bounds how long a rotating or shrinking group
-	// may finish in-flight connections before its listener closes.
-	DefaultDrainTimeout = 2 * time.Second
-	// DefaultRecoverTimeout bounds how long the rotation controller
-	// waits for a pool to replenish after draining a group.
-	DefaultRecoverTimeout = 15 * time.Second
-	// DefaultGrowAt / DefaultShrinkAt are the elastic controller's
-	// peak-inflight/capacity thresholds.
-	DefaultGrowAt   = 0.75
-	DefaultShrinkAt = 0.20
-	// DefaultRetryBackoff is the base retry backoff in mesh ticks; the
-	// k-th retry of a dispatch backs off DefaultRetryBackoff << (k-1)
-	// ticks before re-routing.
-	DefaultRetryBackoff uint64 = 2
-	// DefaultHealthHalfLife is the dispatch-tick half-life of a pool's
-	// health penalty score.
-	DefaultHealthHalfLife uint64 = 64
-	// DefaultHealthSickAt is the decayed penalty score at which a pool
-	// counts as sick: the router demotes it and rotation skips it.
-	DefaultHealthSickAt int64 = 16
+	// portStride is each pool's slice of the shared port budget: pool
+	// i draws group ports from [BasePort+i*stride, BasePort+(i+1)*stride).
+	portStride uint16 = 512
+	// recoverTimeout bounds how long the rotation controller waits for
+	// a pool to replenish after draining a group, and how long a retry
+	// waits for the controller to settle.
+	recoverTimeout = 15 * time.Second
+	// retryBackoff is the base retry backoff in mesh ticks; the k-th
+	// retry of a dispatch backs off retryBackoff << (k-1) ticks before
+	// re-routing.
+	retryBackoff uint64 = 2
 )
 
 // ErrSaturated is returned by Session dispatch when the routed pool's
@@ -113,47 +103,16 @@ type Options struct {
 	// while rotating: a rotation that would drop a pool to or below the
 	// floor is skipped (and counted). Default: Fleet.Groups-1, min 1.
 	AvailabilityFloor int
-	// ElasticEvery, when non-zero, reviews every pool's sizing every
-	// ElasticEvery mesh ticks, growing at GrowAt and shrinking at
-	// ShrinkAt peak-inflight/capacity ratios.
-	ElasticEvery uint64
-	// MinGroups / MaxGroups bound elastic sizing (defaults:
-	// Fleet.Groups and 2*Fleet.Groups).
-	MinGroups int
-	MaxGroups int
-	// GrowAt / ShrinkAt are the elastic thresholds (defaults
-	// DefaultGrowAt / DefaultShrinkAt).
-	GrowAt   float64
-	ShrinkAt float64
-	// PortStride is each pool's slice of the shared port budget
-	// (default DefaultPortStride). Pool i's fleet gets
-	// BasePort+i*stride with PortSpan=stride, so pools never collide
-	// even as elastic sizing grows them.
-	PortStride uint16
-	// DrainTimeout / RecoverTimeout bound rotation draining and
-	// replenishment (defaults above).
-	DrainTimeout   time.Duration
-	RecoverTimeout time.Duration
 	// Seed drives pool-fleet seeds, router salts, and the rotation
 	// schedule; 0 means a fixed default so runs are reproducible.
 	Seed int64
 	// RetryBudget, when positive, lets a session retry a failed
 	// dispatch up to RetryBudget times: each retry backs off a
-	// vtick-counted window (RetryBackoff << attempt, charged to the
+	// vtick-counted window (retryBackoff << attempt, charged to the
 	// mesh clock) and re-routes to the next-ranked rendezvous pool.
 	// An exhausted budget surfaces as ErrRetriesExhausted. 0 disables
 	// retries; the single-attempt path is unchanged and allocation-free.
 	RetryBudget int
-	// RetryBackoff is the base backoff in mesh ticks (default
-	// DefaultRetryBackoff).
-	RetryBackoff uint64
-	// HealthHalfLife is the dispatch-tick half-life of each pool's
-	// health penalty score (default DefaultHealthHalfLife).
-	HealthHalfLife uint64
-	// HealthSickAt is the decayed penalty score at which a pool is
-	// demoted by the router and skipped by rotation (default
-	// DefaultHealthSickAt).
-	HealthSickAt int64
 	// Faults, when set, is called once per pool with the pool's derived
 	// fleet seed and returns the fault injector installed on that
 	// pool's network segment — the chaos data-plane plans threaded
@@ -178,15 +137,6 @@ func (o Options) withDefaults() Options {
 	if o.Pools <= 0 {
 		o.Pools = DefaultPools
 	}
-	if o.PortStride == 0 {
-		o.PortStride = DefaultPortStride
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = DefaultDrainTimeout
-	}
-	if o.RecoverTimeout <= 0 {
-		o.RecoverTimeout = DefaultRecoverTimeout
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -200,27 +150,6 @@ func (o Options) withDefaults() Options {
 			o.AvailabilityFloor = 1
 		}
 	}
-	if o.MinGroups <= 0 {
-		o.MinGroups = groups
-	}
-	if o.MaxGroups <= 0 {
-		o.MaxGroups = 2 * groups
-	}
-	if o.GrowAt <= 0 {
-		o.GrowAt = DefaultGrowAt
-	}
-	if o.ShrinkAt <= 0 {
-		o.ShrinkAt = DefaultShrinkAt
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = DefaultRetryBackoff
-	}
-	if o.HealthHalfLife == 0 {
-		o.HealthHalfLife = DefaultHealthHalfLife
-	}
-	if o.HealthSickAt <= 0 {
-		o.HealthSickAt = DefaultHealthSickAt
-	}
 	return o
 }
 
@@ -232,9 +161,6 @@ type pool struct {
 	// inflight is the pool's current mesh-level dispatch count, bounded
 	// by MaxInflight via CAS admission.
 	inflight atomic.Int64
-	// peak is the high-water inflight since the last elastic review
-	// (Swap(0) on review).
-	peak atomic.Int64
 	// served / shed are the pool's settled dispatch outcomes.
 	served atomic.Int64
 	shed   atomic.Int64
@@ -246,7 +172,7 @@ type pool struct {
 }
 
 // admit reserves one in-flight slot, or reports saturation. limit <= 0
-// disables admission control but still tracks load for elasticity.
+// disables admission control but still counts the slot.
 func (p *pool) admit(limit int64) bool {
 	for {
 		cur := p.inflight.Load()
@@ -254,13 +180,7 @@ func (p *pool) admit(limit int64) bool {
 			return false
 		}
 		if p.inflight.CompareAndSwap(cur, cur+1) {
-			next := cur + 1
-			for {
-				pk := p.peak.Load()
-				if next <= pk || p.peak.CompareAndSwap(pk, next) {
-					return true
-				}
-			}
+			return true
 		}
 	}
 }
@@ -273,9 +193,9 @@ type Mesh struct {
 	salts []uint64
 	// ticks is the mesh clock: one tick per completed dispatch plus one
 	// per charged retry-backoff tick — the wall-clock-free cadence
-	// rotation, elasticity, and health decay run on. Backoff charges
-	// advance the clock so the controllers see fault-induced stalls as
-	// elapsed time.
+	// rotation and health decay run on. Backoff charges advance the
+	// clock so the controller sees fault-induced stalls as elapsed
+	// time.
 	ticks atomic.Uint64
 	// dispatched counts completed dispatches only (Stats.Dispatched);
 	// it diverges from ticks once retries charge backoff.
@@ -291,6 +211,9 @@ type Mesh struct {
 	audit        *fleet.MultiAudit
 	obs          *metrics
 	wg           sync.WaitGroup
+	// recoverTimeout bounds rotation replenishment and settle waits: the
+	// package constant, held per mesh so in-package tests can shorten it.
+	recoverTimeout time.Duration
 
 	mu     sync.Mutex
 	closed bool
@@ -305,14 +228,15 @@ func New(opts Options) (*Mesh, error) {
 	if base == 0 {
 		base = fleet.DefaultBasePort
 	}
-	span := int(base) + opts.Pools*int(opts.PortStride)
+	span := int(base) + opts.Pools*int(portStride)
 	if span > 1<<16 {
-		return nil, fmt.Errorf("mesh: %d pools × stride %d from base %d overflow the port space", opts.Pools, opts.PortStride, base)
+		return nil, fmt.Errorf("mesh: %d pools × stride %d from base %d overflow the port space", opts.Pools, portStride, base)
 	}
 	m := &Mesh{
-		opts:  opts,
-		salts: make([]uint64, opts.Pools),
-		audit: fleet.NewMultiAudit(),
+		opts:           opts,
+		salts:          make([]uint64, opts.Pools),
+		audit:          fleet.NewMultiAudit(),
+		recoverTimeout: recoverTimeout,
 	}
 	// The controller struct exists before any pool starts so Stats is
 	// safe on every path, including Stop during a failed New.
@@ -322,8 +246,8 @@ func New(opts Options) (*Mesh, error) {
 	}
 	for i := 0; i < opts.Pools; i++ {
 		fo := opts.Fleet
-		fo.BasePort = base + uint16(i)*opts.PortStride
-		fo.PortSpan = opts.PortStride
+		fo.BasePort = base + uint16(i)*portStride
+		fo.PortSpan = portStride
 		fo.Seed = poolSeed(opts.Seed, i)
 		fo.Obs = opts.Obs
 		// Per-pool fault threading: each pool's injector and kernel
@@ -379,20 +303,12 @@ func (m *Mesh) Audit() *fleet.MultiAudit { return m.audit }
 func (m *Mesh) Ticks() uint64 { return m.ticks.Load() }
 
 // tick advances the mesh clock (one completed dispatch or one charged
-// backoff tick) and fires the controllers on their cadences. Hot path:
-// atomic adds and a non-blocking channel send only.
+// backoff tick) and fires a rotation on its cadence. Hot path: atomic
+// adds and a non-blocking channel send only.
 func (m *Mesh) tick() {
 	t := m.ticks.Add(1)
-	kick := false
 	if re := m.opts.RotateEvery; re > 0 && t%re == 0 {
 		m.ctl.rotWanted.Add(1)
-		kick = true
-	}
-	if ee := m.opts.ElasticEvery; ee > 0 && t%ee == 0 {
-		m.ctl.elWanted.Add(1)
-		kick = true
-	}
-	if kick {
 		m.ctl.kick()
 	}
 }
@@ -411,28 +327,35 @@ func (m *Mesh) chargeBackoff(n uint64) {
 	}
 }
 
-// settleControllers blocks until every rotation and sizing trigger
-// fired so far has been fully handled, or fails with
-// ErrSettleTimeout once RecoverTimeout has passed. The retry path
-// calls this after charging backoff: on the vtick clock, "waiting out
-// the backoff" means letting the control-plane work those ticks
-// scheduled finish — which is also what keeps a retried dispatch from
-// racing a rotation its own backoff triggered, so seeded campaign
-// runs stay byte-identical. Only wall-clock polling lives here; a
-// deadline that expires is reported, never silently carried past.
+// settleControllers blocks until every rotation trigger fired so far
+// has been fully handled, or fails with ErrSettleTimeout once
+// recoverTimeout has passed. The retry path calls this after charging
+// backoff: on the vtick clock, "waiting out the backoff" means letting
+// the rotations those ticks scheduled finish — which is also what
+// keeps a retried dispatch from racing a rotation its own backoff
+// triggered, so seeded campaign runs stay byte-identical. The
+// controller signals each handled trigger, so the wait wakes on
+// progress rather than polling; a deadline that expires is reported,
+// never silently carried past.
 func (m *Mesh) settleControllers() error {
-	deadline := time.Now().Add(m.opts.RecoverTimeout)
+	c := m.ctl
+	progress := c.progressed()
+	if c.settled() {
+		return nil
+	}
+	deadline := time.NewTimer(m.recoverTimeout)
+	defer deadline.Stop()
 	for {
-		if m.ctl.rotHandled.Load() >= m.ctl.rotWanted.Load() &&
-			m.ctl.elHandled.Load() >= m.ctl.elWanted.Load() {
+		select {
+		case <-progress:
+		case <-deadline.C:
+			return fmt.Errorf("%w: rotation %d/%d handled within %v", ErrSettleTimeout,
+				c.rotHandled.Load(), c.rotWanted.Load(), m.recoverTimeout)
+		}
+		progress = c.progressed()
+		if c.settled() {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: rotation %d/%d, sizing %d/%d handled within %v", ErrSettleTimeout,
-				m.ctl.rotHandled.Load(), m.ctl.rotWanted.Load(),
-				m.ctl.elHandled.Load(), m.ctl.elWanted.Load(), m.opts.RecoverTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
@@ -466,9 +389,6 @@ type Stats struct {
 	Rotations        uint64
 	RotationsSkipped uint64
 	RotationsHandled uint64
-	// Grown / Shrunk are elastic sizing outcomes across all pools.
-	Grown  uint64
-	Shrunk uint64
 	// DegradedPools counts shards with at least one group serving on a
 	// K-of-N quorum (an eviction absorbed, respawn pending) — the
 	// mesh-wide availability-exposure number quorum campaigns gate on.
@@ -479,8 +399,8 @@ type Stats struct {
 
 // String renders a one-line mesh summary plus per-pool lines.
 func (s Stats) String() string {
-	out := fmt.Sprintf("mesh[%s]: %d pools, %d dispatched, %d shed, %d retries (%d rerouted, %d backoff ticks), %d rotations (%d skipped), %d grown, %d shrunk",
-		s.Policy, len(s.Pools), s.Dispatched, s.Shed, s.Retries, s.Reroutes, s.BackoffTicks, s.Rotations, s.RotationsSkipped, s.Grown, s.Shrunk)
+	out := fmt.Sprintf("mesh[%s]: %d pools, %d dispatched, %d shed, %d retries (%d rerouted, %d backoff ticks), %d rotations (%d skipped)",
+		s.Policy, len(s.Pools), s.Dispatched, s.Shed, s.Retries, s.Reroutes, s.BackoffTicks, s.Rotations, s.RotationsSkipped)
 	for _, p := range s.Pools {
 		out += fmt.Sprintf("\n pool %d: served=%d shed=%d healthy=%d detections=%d rotated=%d",
 			p.Pool, p.Served, p.Shed, len(p.Fleet.Healthy), p.Fleet.Detections, p.Fleet.Rotated)
@@ -499,8 +419,6 @@ func (m *Mesh) Stats() Stats {
 		Rotations:        m.ctl.rotated.Load(),
 		RotationsSkipped: m.ctl.skipped.Load(),
 		RotationsHandled: m.ctl.rotHandled.Load(),
-		Grown:            m.ctl.grown.Load(),
-		Shrunk:           m.ctl.shrunk.Load(),
 	}
 	for _, p := range m.pools {
 		s.Shed += p.shed.Load()

@@ -18,8 +18,6 @@ import (
 //	mesh_retry_backoff_ticks         backoff ticks charged to the mesh clock
 //	mesh_rotations_total             moving-target rotations completed
 //	mesh_rotations_skipped_total     rotation triggers skipped at the availability floor or on a sick pool
-//	mesh_grows_total                 elastic group additions across pools
-//	mesh_shrinks_total               elastic group retirements across pools
 //	mesh_rotation_drain_seconds      rotation start → pool replenished
 //	mesh_exposure_window_seconds     rotated group's age: how long its masks were exposed
 //	mesh_pool_healthy_groups{pool}   per-shard healthy group count (sampled)
@@ -33,8 +31,6 @@ type metrics struct {
 	backoff    *obs.Counter
 	rotations  *obs.Counter
 	rotSkipped *obs.Counter
-	grows      *obs.Counter
-	shrinks    *obs.Counter
 	drain      *obs.Histogram
 	exposure   *obs.Histogram
 }
@@ -50,8 +46,6 @@ func newMetrics(reg *obs.Registry, m *Mesh) *metrics {
 		backoff:    reg.Counter("mesh_retry_backoff_ticks", "Retry backoff ticks charged to the mesh clock."),
 		rotations:  reg.Counter("mesh_rotations_total", "Moving-target rotations completed (drain + fresh-spec replace)."),
 		rotSkipped: reg.Counter("mesh_rotations_skipped_total", "Rotation triggers skipped at the availability floor or on a sick pool."),
-		grows:      reg.Counter("mesh_grows_total", "Elastic group additions across pools."),
-		shrinks:    reg.Counter("mesh_shrinks_total", "Elastic group retirements across pools."),
 		drain: reg.Histogram("mesh_rotation_drain_seconds",
 			"Rotation start to pool replenished with the replacement group.", nil),
 		exposure: reg.Histogram("mesh_exposure_window_seconds",

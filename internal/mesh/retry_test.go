@@ -27,7 +27,7 @@ func TestRetryReroutesOnSaturation(t *testing.T) {
 	if st.Retries != 1 || st.Reroutes != 1 {
 		t.Errorf("retries=%d reroutes=%d, want 1/1", st.Retries, st.Reroutes)
 	}
-	if want := m.opts.RetryBackoff; st.BackoffTicks != want {
+	if want := retryBackoff; st.BackoffTicks != want {
 		t.Errorf("backoff ticks = %d, want %d (one attempt at base)", st.BackoffTicks, want)
 	}
 	if st.Shed != 1 {
@@ -56,7 +56,7 @@ func TestRetriesExhaustedTyped(t *testing.T) {
 	if st.Retries != 2 || st.Reroutes != 0 {
 		t.Errorf("retries=%d reroutes=%d, want 2/0", st.Retries, st.Reroutes)
 	}
-	base := m.opts.RetryBackoff
+	const base = retryBackoff
 	if want := base + base<<1; st.BackoffTicks != want {
 		t.Errorf("backoff ticks = %d, want %d (exponential schedule)", st.BackoffTicks, want)
 	}
@@ -95,7 +95,7 @@ func TestHealthDecayDeterministic(t *testing.T) {
 		p.healthAdd(m, 16)
 		scores := []int64{p.healthScore(m)}
 		for window := 0; window < 4; window++ {
-			for i := uint64(0); i < m.opts.HealthHalfLife; i++ {
+			for i := uint64(0); i < healthHalfLife; i++ {
 				m.tick()
 			}
 			scores = append(scores, p.healthScore(m))
@@ -126,17 +126,17 @@ func TestSickPoolDemotedAndRecovers(t *testing.T) {
 	home := m.RouteKey(key)
 	alt := 1 - home
 
-	m.pools[home].healthAdd(m, m.opts.HealthSickAt)
+	m.pools[home].healthAdd(m, healthSickAt)
 	if got := m.RouteKey(key); got != alt {
 		t.Fatalf("sick home %d still routed (got %d, want demotion to %d)", home, got, alt)
 	}
 	// Both pools sick: the home pool wins again (no healthy alternative).
-	m.pools[alt].healthAdd(m, m.opts.HealthSickAt)
+	m.pools[alt].healthAdd(m, healthSickAt)
 	if got := m.RouteKey(key); got != home {
 		t.Fatalf("all-sick mesh routed %d, want original home %d", got, home)
 	}
 	// One half-life halves both scores under the threshold: recovered.
-	for i := uint64(0); i < m.opts.HealthHalfLife; i++ {
+	for i := uint64(0); i < healthHalfLife; i++ {
 		m.tick()
 	}
 	if got := m.RouteKey(key); got != home {
@@ -144,35 +144,29 @@ func TestSickPoolDemotedAndRecovers(t *testing.T) {
 	}
 }
 
-// TestFaultPressureGrowsPool: a sick pool grows on the next elastic
-// review regardless of load ratio, and sickness suppresses shrinking
-// until the score decays.
-func TestFaultPressureGrowsPool(t *testing.T) {
-	m := mustMesh(t, Options{Pools: 1, MinGroups: 1, MaxGroups: 2, Fleet: lightFleet(1)})
+// TestSickPoolSkipsRotationUntilDecayed: a pool charged to the sick
+// threshold skips its rotation turn (the trigger still counts as
+// handled), and once its score decays back below healthSickAt the
+// next turn rotates normally.
+func TestSickPoolSkipsRotationUntilDecayed(t *testing.T) {
+	m := mustMesh(t, Options{Pools: 1, AvailabilityFloor: 1, Fleet: lightFleet(2)})
 	p := m.pools[0]
 
-	p.healthAdd(m, m.opts.HealthSickAt)
-	p.peak.Store(0) // idle — only fault pressure justifies the grow
-	m.ctl.reviewOnce()
-	if h := p.fleet.HealthyCount(); h != 2 {
-		t.Fatalf("sick pool did not grow: healthy = %d, want 2", h)
+	p.healthAdd(m, healthSickAt)
+	m.ctl.rotateOnce()
+	if sk, rot := m.ctl.skipped.Load(), m.ctl.rotated.Load(); sk != 1 || rot != 0 {
+		t.Fatalf("sick pool: skipped=%d rotated=%d, want 1/0", sk, rot)
 	}
 
-	// Still sick: an idle review must not shrink the reinforcement away.
-	p.peak.Store(0)
-	m.ctl.reviewOnce()
-	if sh := m.ctl.shrunk.Load(); sh != 0 {
-		t.Fatalf("sick pool shrank (%d) — shrink must wait for recovery", sh)
-	}
-
-	// Decayed to zero: idle reviews shrink back to MinGroups.
-	for i := uint64(0); i < 5*m.opts.HealthHalfLife; i++ {
+	for i := uint64(0); i < 5*healthHalfLife; i++ {
 		m.tick()
 	}
-	p.peak.Store(0)
-	m.ctl.reviewOnce()
-	if sh := m.ctl.shrunk.Load(); sh != 1 {
-		t.Errorf("recovered idle pool did not shrink: shrunk = %d", sh)
+	if score := p.healthScore(m); score >= healthSickAt {
+		t.Fatalf("score %d did not decay below %d", score, healthSickAt)
+	}
+	m.ctl.rotateOnce()
+	if sk, rot := m.ctl.skipped.Load(), m.ctl.rotated.Load(); sk != 1 || rot != 1 {
+		t.Errorf("recovered pool: skipped=%d rotated=%d, want 1/1", sk, rot)
 	}
 }
 
@@ -247,13 +241,13 @@ func TestRetryRacesRotationSafely(t *testing.T) {
 }
 
 // TestSettleTimeoutReported: a retry whose backoff leaves a controller
-// trigger unhandled past RecoverTimeout fails with ErrSettleTimeout
+// trigger unhandled past the recover timeout fails with ErrSettleTimeout
 // (label "settle-timeout") instead of dispatching the retry against an
 // unsettled mesh — on both the Fetch and the Get path.
 func TestSettleTimeoutReported(t *testing.T) {
-	m := mustMesh(t, Options{Pools: 2, MaxInflight: 1, RetryBudget: 2,
-		RecoverTimeout: time.Millisecond, Fleet: lightFleet(1)})
+	m := mustMesh(t, Options{Pools: 2, MaxInflight: 1, RetryBudget: 2, Fleet: lightFleet(1)})
 	m.ctl.halt()
+	m.recoverTimeout = time.Millisecond
 	m.ctl.rotWanted.Add(1) // a rotation trigger nobody will handle
 
 	s := m.Session("settle-probe")

@@ -123,20 +123,21 @@ func healthCostFor(err error) int64 {
 	}
 }
 
-// fetchOn runs one admission + dispatch attempt against pool p. The
-// fleet's alarm and quorum-kill counters are snapshotted around the
-// dispatch (two atomic loads) so a transport error can be attributed
-// to the recovery window it raced; classification and health charging
-// happen only on the error path. On budgeted sessions a non-2xx
-// status is itself a faulted dispatch (ErrBadResponse) — a known-good
-// request's failure status can only mean wire corruption or a
-// mid-kill response.
-func (s *Session) fetchOn(p *pool, c *httpd.Client, req []byte) (int, int, error) {
+// dispatchOn runs one admission + dispatch attempt against pool p, with
+// do as the client call (Fetch or Get). The fleet's alarm and
+// quorum-kill counters are snapshotted around the dispatch (two atomic
+// loads) so a transport error can be attributed to the recovery window
+// it raced; classification and health charging happen only on the
+// error path. On budgeted sessions a non-2xx status is itself a
+// faulted dispatch (ErrBadResponse) — a known-good request's failure
+// status can only mean wire corruption or a mid-kill response.
+func dispatchOn[In, Out any](s *Session, p *pool, c *httpd.Client, in In, do func(*httpd.Client, In) (int, Out, error)) (int, Out, error) {
 	if !s.admitOn(p) {
-		return 0, 0, ErrSaturated
+		var none Out
+		return 0, none, ErrSaturated
 	}
 	alarms, quorum := p.fleet.AlarmCount(), p.fleet.QuorumLostCount()
-	code, bodyLen, err := c.Fetch(req)
+	code, out, err := do(c, in)
 	s.doneOn(p)
 	if err == nil && s.mesh.opts.RetryBudget > 0 && (code < 200 || code > 299) {
 		err = fmt.Errorf("%w: status %d", ErrBadResponse, code)
@@ -145,25 +146,31 @@ func (s *Session) fetchOn(p *pool, c *httpd.Client, req []byte) (int, int, error
 		err = classifyDispatchError(err, p.fleet.AlarmCount()-alarms, p.fleet.QuorumLostCount()-quorum)
 		p.healthAdd(s.mesh, healthCostFor(err))
 	}
-	return code, bodyLen, err
+	return code, out, err
 }
 
-// getOn is fetchOn for the Get path (response body retained).
-func (s *Session) getOn(p *pool, c *httpd.Client, uri string) (int, []byte, error) {
-	if !s.admitOn(p) {
-		return 0, nil, ErrSaturated
+// dispatch is the one attempt loop behind Fetch and Get: the first
+// attempt on the session's pool, then, with a retry budget configured,
+// backoff on the mesh clock and re-route to the next-ranked pool until
+// an attempt succeeds or the budget is spent (ErrRetriesExhausted).
+// do is a method expression, not a closure, so the first attempt adds
+// no allocation.
+func dispatch[In, Out any](s *Session, in In, do func(*httpd.Client, In) (int, Out, error)) (int, Out, error) {
+	code, out, err := dispatchOn(s, s.pool, s.client, in, do)
+	if err == nil || s.mesh.opts.RetryBudget <= 0 {
+		return code, out, err
 	}
-	alarms, quorum := p.fleet.AlarmCount(), p.fleet.QuorumLostCount()
-	code, body, err := c.Get(uri)
-	s.doneOn(p)
-	if err == nil && s.mesh.opts.RetryBudget > 0 && (code < 200 || code > 299) {
-		err = fmt.Errorf("%w: status %d", ErrBadResponse, code)
+	var none Out
+	for n := 1; n <= s.mesh.opts.RetryBudget; n++ {
+		p, c, settleErr := s.retryAttempt(n)
+		if settleErr != nil {
+			return 0, none, settleErr
+		}
+		if code, out, err = dispatchOn(s, p, c, in, do); err == nil {
+			return code, out, nil
+		}
 	}
-	if err != nil {
-		err = classifyDispatchError(err, p.fleet.AlarmCount()-alarms, p.fleet.QuorumLostCount()-quorum)
-		p.healthAdd(s.mesh, healthCostFor(err))
-	}
-	return code, body, err
+	return 0, none, s.exhausted(err)
 }
 
 // retryOrder ranks every pool for a retry pass: rendezvous weight
@@ -213,21 +220,21 @@ func (s *Session) retryTarget(attempt int) (*pool, *httpd.Client) {
 }
 
 // retryAttempt prepares one retry: charge the seeded exponential
-// backoff (base << attempt-1 ticks, so rotation, elasticity, and
-// health decay see fault pressure as elapsed time), let the
-// control-plane triggers those ticks fired settle, then rank pools
-// with the post-settle health state and resolve the attempt's target.
-// Counters: every attempt past the first is a retry; an attempt on a
-// non-home pool is additionally a re-route. A control plane that does
-// not settle within RecoverTimeout fails the attempt with
-// ErrSettleTimeout before anything is dispatched or counted.
+// backoff (base << attempt-1 ticks, so rotation and health decay see
+// fault pressure as elapsed time), let the rotation triggers those
+// ticks fired settle, then rank pools with the post-settle health
+// state and resolve the attempt's target. Counters: every attempt past
+// the first is a retry; an attempt on a non-home pool is additionally
+// a re-route. A control plane that does not settle within the recover
+// timeout fails the attempt with ErrSettleTimeout before anything is
+// dispatched or counted.
 func (s *Session) retryAttempt(attempt int) (*pool, *httpd.Client, error) {
 	m := s.mesh
 	shift := uint(attempt - 1)
 	if shift > 32 {
 		shift = 32
 	}
-	m.chargeBackoff(m.opts.RetryBackoff << shift)
+	m.chargeBackoff(retryBackoff << shift)
 	if err := m.settleControllers(); err != nil {
 		return nil, nil, err
 	}
@@ -257,37 +264,11 @@ func (s *Session) exhausted(lastErr error) error {
 // failed dispatch backs off on the mesh clock and re-routes to the
 // next-ranked pool until the budget is spent (ErrRetriesExhausted).
 func (s *Session) Fetch(req []byte) (code, bodyLen int, err error) {
-	code, bodyLen, err = s.fetchOn(s.pool, s.client, req)
-	if err == nil || s.mesh.opts.RetryBudget <= 0 {
-		return code, bodyLen, err
-	}
-	for attempt := 1; attempt <= s.mesh.opts.RetryBudget; attempt++ {
-		p, c, settleErr := s.retryAttempt(attempt)
-		if settleErr != nil {
-			return 0, 0, settleErr
-		}
-		if code, bodyLen, err = s.fetchOn(p, c, req); err == nil {
-			return code, bodyLen, nil
-		}
-	}
-	return 0, 0, s.exhausted(err)
+	return dispatch(s, req, (*httpd.Client).Fetch)
 }
 
 // Get dispatches a GET for uri and returns status and body, with the
 // same retry contract as Fetch.
 func (s *Session) Get(uri string) (int, []byte, error) {
-	code, body, err := s.getOn(s.pool, s.client, uri)
-	if err == nil || s.mesh.opts.RetryBudget <= 0 {
-		return code, body, err
-	}
-	for attempt := 1; attempt <= s.mesh.opts.RetryBudget; attempt++ {
-		p, c, settleErr := s.retryAttempt(attempt)
-		if settleErr != nil {
-			return 0, nil, settleErr
-		}
-		if code, body, err = s.getOn(p, c, uri); err == nil {
-			return code, body, nil
-		}
-	}
-	return 0, nil, s.exhausted(err)
+	return dispatch(s, uri, (*httpd.Client).Get)
 }

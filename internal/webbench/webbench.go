@@ -36,11 +36,9 @@ type Options struct {
 	// Engines is the number of concurrent client engines (1 =
 	// unsaturated, 15 = the paper's saturated load).
 	Engines int
-	// RequestsPerEngine is how many requests each engine issues.
+	// RequestsPerEngine is how many requests each engine issues. Engines
+	// round-robin over DefaultMix.
 	RequestsPerEngine int
-	// Mix is the URI list engines round-robin over (DefaultMix if
-	// empty).
-	Mix []string
 }
 
 // Metrics aggregates a load run's results.
@@ -124,10 +122,7 @@ func Run(net *simnet.Network, port uint16, opts Options) (Metrics, error) {
 	if opts.RequestsPerEngine <= 0 {
 		return Metrics{}, fmt.Errorf("webbench: requests per engine must be positive, got %d", opts.RequestsPerEngine)
 	}
-	mix := opts.Mix
-	if len(mix) == 0 {
-		mix = DefaultMix()
-	}
+	mix := DefaultMix()
 
 	var (
 		mu        sync.Mutex

@@ -174,8 +174,8 @@ func StartConfiguration(c Configuration, opts HTTPServerOptions, latency time.Du
 // reexpression functions takes its place.
 type Fleet = fleet.Fleet
 
-// FleetOptions configures a fleet (pool size, configuration,
-// per-group variant count and variation stack).
+// FleetOptions configures a fleet (pool size, per-group variant count
+// and variation stack).
 type FleetOptions = fleet.Options
 
 // NewFleet builds the pool, starts every group, and begins dispatching
