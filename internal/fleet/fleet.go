@@ -154,8 +154,9 @@ type Fleet struct {
 	// probe, and registration replays what arrived meanwhile.
 	starting map[int][]nvkernel.Eviction
 
-	// rngMu guards rng separately from mu: mask selection scans a
-	// ~65k-sample corpus and must not stall the dispatcher's pick().
+	// rngMu guards rng separately from mu, so drawing a spec never
+	// holds the lock the dispatcher's pick() takes: a stack that
+	// repeats a layer kind still runs the ~65k-sample property check.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -272,9 +273,8 @@ func (f *Fleet) spawn() (*group, error) {
 	}
 	f.mu.Unlock()
 
-	// Generate the spec and build outside the pool lock: mask
-	// selection with its property checks and group startup both take
-	// real time, and dispatch must keep flowing to the survivors
+	// Generate the spec and build outside the pool lock: group startup
+	// takes real time, and dispatch must keep flowing to the survivors
 	// meanwhile.
 	spec := f.specForGroup(id)
 	h, err := harness.StartSpec(f.net, f.specFor(id, port, spec))

@@ -2,56 +2,69 @@ package reexpress
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nvariant/internal/word"
 )
 
-// FuzzGenerate checks the Generate contract for arbitrary seeds: the
-// drawn UID functions are identity plus XOR masks that are pairwise
-// byte-distinct in every position (so any single-byte overwrite
-// diverges between every pair of variants), and the generated spec
-// holds the §2.2 inverse and §2.3 N-wide disjointness properties over
-// boundary values plus a seed-derived random sample. Seed corpus under
+// decodeFuzzStack maps a fuzz input to a variation stack of one to
+// four layers: the low two bits give the length minus one, and each
+// following bit pair picks a layer kind. Every kind can repeat, so the
+// input reaches both Generate's construction-checked path and its
+// sampled path for repeated reexpression kinds.
+func decodeFuzzStack(code uint16) []LayerKind {
+	stack := make([]LayerKind, 1+int(code&3))
+	for i := range stack {
+		stack[i] = LayerUID + LayerKind(code>>(2+2*i)&3)
+	}
+	return stack
+}
+
+// FuzzGenerate checks the Generate contract for arbitrary seeds, group
+// sizes and stacks: the spec carries the requested stack; a single UID
+// layer is identity plus XOR masks that are pairwise byte-distinct in
+// every position (so any single-byte overwrite diverges between every
+// pair of variants); a stack with no repeated reexpression kind passes
+// the structural checks Generate validates it by; and every generated
+// spec holds the §2.2 inverse and §2.3 N-wide disjointness properties
+// over boundary values plus a seed-derived random sample. A few words
+// suffice per input: two equal XOR masks collide on every value, and a
+// misplaced slot faults on most of its domain, while the full
+// BoundarySamples corpus would cut the fuzzer's rate a hundredfold
+// (TestGeneratedSpecsPassSampledCheck runs it). Seed corpus under
 // testdata/fuzz; CI runs this briefly in the chaos-smoke job.
 func FuzzGenerate(f *testing.F) {
-	f.Add(int64(1), byte(0))
-	f.Add(int64(42), byte(3))
-	f.Add(int64(-7), byte(1))
-	f.Add(int64(1<<62), byte(2))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw byte) {
+	f.Add(int64(1), byte(0), uint16(0x11))     // uid+addr
+	f.Add(int64(42), byte(3), uint16(0x11))    // uid+addr
+	f.Add(int64(-7), byte(1), uint16(0x1))     // uid+uid
+	f.Add(int64(1<<62), byte(2), uint16(0x12)) // uid+addr+uid
+	f.Fuzz(func(t *testing.T, seed int64, nRaw byte, stackCode uint16) {
 		n := 2 + int(nRaw%4) // group sizes 2..5
-		spec := Generate(seed, n, LayerUID, LayerAddressPartition)
-		funcs := spec.UIDFuncs()
-		if len(funcs) != n {
-			t.Fatalf("got %d UID funcs for n=%d", len(funcs), n)
-		}
-
-		masks := make([]word.Word, n)
-		for i, fn := range funcs {
-			switch m := fn.(type) {
-			case Identity:
-				if i != 0 {
-					t.Fatalf("variant %d drew identity", i)
-				}
-			case XORMask:
-				if i == 0 {
-					t.Fatal("variant 0 is not identity")
-				}
-				masks[i] = m.Mask
-				if m.Mask&word.HighBit != 0 {
-					t.Fatalf("mask %s has the sign bit set", m.Mask)
-				}
-			default:
-				t.Fatalf("unexpected func type %T", fn)
+		stack := decodeFuzzStack(stackCode)
+		spec := Generate(seed, n, stack...)
+		names := make([]string, len(stack))
+		uidLayers := 0
+		for i, k := range stack {
+			names[i] = k.String()
+			if k == LayerUID {
+				uidLayers++
 			}
 		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if !byteDistinct(masks[i], []word.Word{masks[j]}) {
-					t.Fatalf("masks %s and %s share a byte position", masks[i], masks[j])
-				}
+		if got, want := spec.StackString(), strings.Join(names, "+"); got != want {
+			t.Fatalf("stack = %s, want %s", got, want)
+		}
+		if !repeatsReexpressionKind(stack) {
+			if err := spec.checkConstruction(); err != nil {
+				t.Fatalf("generated spec fails its construction rules: %v", err)
 			}
+		}
+		if uidLayers == 1 {
+			funcs := spec.UIDFuncs()
+			if len(funcs) != n {
+				t.Fatalf("got %d UID funcs for n=%d", len(funcs), n)
+			}
+			assertGeneratedMasks(t, funcs)
 		}
 
 		samples := []word.Word{0, 1, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFF}
@@ -60,7 +73,40 @@ func FuzzGenerate(f *testing.F) {
 			samples = append(samples, word.Word(rng.Uint32()))
 		}
 		if err := CheckSpec(spec, samples); err != nil {
-			t.Fatalf("generated spec violates properties: %v", err)
+			t.Fatalf("generated spec %s violates properties: %v", spec, err)
 		}
 	})
+}
+
+// assertGeneratedMasks checks one generated UID layer: identity at
+// variant 0, then XOR masks with the sign bit clear that are pairwise
+// byte-distinct in every position.
+func assertGeneratedMasks(t *testing.T, funcs []Func) {
+	t.Helper()
+	masks := make([]word.Word, len(funcs))
+	for i, fn := range funcs {
+		switch m := fn.(type) {
+		case Identity:
+			if i != 0 {
+				t.Fatalf("variant %d drew identity", i)
+			}
+		case XORMask:
+			if i == 0 {
+				t.Fatal("variant 0 is not identity")
+			}
+			masks[i] = m.Mask
+			if m.Mask&word.HighBit != 0 {
+				t.Fatalf("mask %s has the sign bit set", m.Mask)
+			}
+		default:
+			t.Fatalf("unexpected func type %T", fn)
+		}
+	}
+	for i := range masks {
+		for j := i + 1; j < len(masks); j++ {
+			if !byteDistinct(masks[i], []word.Word{masks[j]}) {
+				t.Fatalf("masks %s and %s share a byte position", masks[i], masks[j])
+			}
+		}
+	}
 }

@@ -192,9 +192,9 @@ func (f Slot) Invert(y word.Word) (word.Word, error) {
 }
 
 // slotFaults precomputes one static error per observed slot index.
-// The fault path must stay allocation-free — spec validation inverts
-// tens of thousands of out-of-slot samples on the fleet's replacement
-// path, where a per-call fmt.Errorf was the profiled dominant
+// The fault path must stay allocation-free — sampled spec validation
+// (NewSpec, CheckSpec) inverts tens of thousands of out-of-slot
+// samples, where a per-call fmt.Errorf was the profiled dominant
 // allocator — but the PR 4 shared sentinel also erased *which* slot
 // the offending value claimed, the diagnostic the monitor's alarm
 // detail and the property-check failures report. A static table keeps
@@ -292,10 +292,10 @@ func (c composed) Domain(x word.Word) bool {
 }
 
 // UncheckedSpec builds a Spec without running the §2.2/§2.3 property
-// checks. It is the constructor behind the deprecated Pair-based
-// adapters and the ablation experiments, which deliberately deploy
-// undiversified or property-violating stacks; new code should use
-// NewSpec.
+// checks. It is the constructor behind FullStack, the configuration 3
+// baseline stacks and the ablation experiments, which deliberately
+// deploy undiversified or property-violating stacks; new code should
+// use NewSpec.
 func UncheckedSpec(n int, layers ...Layer) *Spec {
 	copied := make([]Layer, len(layers))
 	for i, l := range layers {
@@ -523,8 +523,12 @@ func Generate(seed int64, n int, stack ...LayerKind) *Spec {
 // range) and are pairwise byte-distinct in every byte position — a
 // single-byte overwrite therefore diverges between *every* pair of
 // variants, not just against variant 0 — with at least MinMaskBits
-// bits flipped each. The result is verified against the full §2.2/§2.3
-// property checks before use.
+// bits flipped each. The result is validated by construction
+// (checkConstruction): each drawn layer is checked against the
+// structural rules that imply the §2.2/§2.3 properties, in O(N²) per
+// layer. Only a stack that repeats a reexpression kind, whose layers
+// compose and can collide, is verified against the sampled property
+// checks (CheckSpec over BoundarySamples) instead.
 func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 	if n < 2 {
 		n = 2
@@ -532,13 +536,14 @@ func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 	if len(stack) == 0 {
 		stack = []LayerKind{LayerUID}
 	}
+	sampled := repeatsReexpressionKind(stack)
 	var lastErr error
 	for attempt := 0; attempt < 8; attempt++ {
 		layers := make([]Layer, 0, len(stack))
 		for _, k := range stack {
 			switch k {
 			case LayerUID:
-				layers = append(layers, UIDLayer(generateUIDFuncs(rng, n)...))
+				layers = append(layers, Layer{Kind: LayerUID, Funcs: generateUIDFuncs(rng, n)})
 			case LayerAddressPartition:
 				layers = append(layers, AddressPartitionLayer(n))
 			case LayerUnsharedFiles:
@@ -553,7 +558,17 @@ func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 				panic(fmt.Sprintf("reexpress: GenerateFrom: unknown layer kind %d", k))
 			}
 		}
-		s, err := NewSpec(n, layers...)
+		// The layers are freshly built and owned by nobody else, so
+		// the spec takes them without UncheckedSpec's defensive copy.
+		s := &Spec{n: n, layers: layers}
+		err := s.checkShape()
+		if err == nil {
+			if sampled {
+				err = CheckSpec(s, boundarySamples())
+			} else {
+				err = s.checkConstruction()
+			}
+		}
 		if err == nil {
 			return s
 		}
@@ -569,6 +584,86 @@ func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 	// here would silently change a security deployment, so fail loudly
 	// instead.
 	panic(fmt.Sprintf("reexpress: GenerateFrom: cannot generate a valid %d-variant spec: %v", n, lastErr))
+}
+
+// repeatsReexpressionKind reports whether the stack holds two layers
+// of one reexpression kind. Such layers compose per variant (FuncsFor),
+// and the structural rules cover single layers only: two disjoint
+// XOR-mask layers can compose into colliding masks.
+func repeatsReexpressionKind(stack []LayerKind) bool {
+	for i, k := range stack {
+		if k == LayerUnsharedFiles {
+			continue
+		}
+		for _, prev := range stack[:i] {
+			if prev == k {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkConstruction validates a spec with at most one layer per
+// reexpression kind against the structural rules Generate builds by.
+// Each rule implies the §2.2 inverse and §2.3 N-wide disjointness
+// properties of its layer, so no sampling is needed:
+//
+//   - UID: variant 0 is Identity and variants 1..N−1 are XORMasks with
+//     nonzero, pairwise distinct masks. XOR is an involution (inverse),
+//     and y^a = y^b only when a = b, identity being mask 0
+//     (disjointness).
+//   - Address partition and instruction tags: variant i is
+//     Slot{Index: i, Bits: SlotBits(N)}, so 2^Bits ≥ N and every
+//     index fits. A slot round-trips its domain, and at most one
+//     variant's slot can invert any value (disjointness).
+//
+// A spec this rejects may still satisfy the properties (an explicit
+// NewSpec stack is free to use other functions); it is not what
+// Generate draws.
+func (s *Spec) checkConstruction() error {
+	for li, l := range s.layers {
+		switch l.Kind {
+		case LayerUID:
+			if err := checkUIDConstruction(l.Funcs); err != nil {
+				return fmt.Errorf("reexpress: layer %d (%s): %w", li, l.Kind, err)
+			}
+		case LayerAddressPartition, LayerInstructionTags:
+			b := SlotBits(s.n)
+			for i, f := range l.Funcs {
+				if want := (Slot{Index: i, Bits: b}); f != want {
+					return fmt.Errorf("reexpress: layer %d (%s): variant %d is %s, want %s", li, l.Kind, i, f.Name(), want.Name())
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkUIDConstruction applies checkConstruction's UID rule to one
+// layer's functions.
+func checkUIDConstruction(funcs []Func) error {
+	for i, f := range funcs {
+		if i == 0 {
+			if _, ok := f.(Identity); !ok {
+				return fmt.Errorf("variant 0 is %s, want identity", f.Name())
+			}
+			continue
+		}
+		m, ok := f.(XORMask)
+		if !ok {
+			return fmt.Errorf("variant %d is %s, want a nonzero XOR mask", i, f.Name())
+		}
+		if m.Mask == 0 {
+			return fmt.Errorf("variant %d has the zero mask, which collides with variant 0's identity", i)
+		}
+		for j := 1; j < i; j++ {
+			if funcs[j].(XORMask).Mask == m.Mask {
+				return fmt.Errorf("variants %d and %d share mask %s", j, i, m.Mask)
+			}
+		}
+	}
+	return nil
 }
 
 // generateUIDFuncs draws identity plus n-1 XOR masks satisfying the
@@ -644,8 +739,8 @@ func byteDistinct(m word.Word, prev []word.Word) bool {
 }
 
 // boundaryOnce caches the ~65k-word adversarial sample corpus: it is
-// read-only and rebuilding it per spec validation (one per fleet
-// replacement) would be pure allocation churn.
+// read-only and rebuilding it per sampled spec validation would be
+// pure allocation churn.
 var boundaryOnce = sync.OnceValue(BoundarySamples)
 
 // boundarySamples returns the shared, cached property-check corpus.

@@ -1,6 +1,7 @@
 package reexpress
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -272,4 +273,91 @@ func TestGenerateStackedUIDLayersCompose(t *testing.T) {
 		t.Fatalf("stack = %q, want the requested uid+uid", got)
 	}
 	assertSpecProperties(t, s, BoundarySamples())
+}
+
+func TestGeneratedSpecsPassSampledCheck(t *testing.T) {
+	// Generate validates by construction; the sampled property check is
+	// the oracle it must agree with. Every subset of the layer kinds,
+	// each kind at most once, is a stack on the construction path. The
+	// seed draws only the UID masks, so other subsets run one seed.
+	kinds := []LayerKind{LayerUID, LayerAddressPartition, LayerInstructionTags, LayerUnsharedFiles}
+	samples := BoundarySamples()
+	for n := 2; n <= 5; n++ {
+		n := n
+		t.Run(fmt.Sprintf("variants-%d", n), func(t *testing.T) {
+			t.Parallel()
+			for subset := 1; subset < 1<<len(kinds); subset++ {
+				var stack []LayerKind
+				for i, k := range kinds {
+					if subset&(1<<i) != 0 {
+						stack = append(stack, k)
+					}
+				}
+				seeds := []int64{1}
+				if subset&1 != 0 { // kinds[0] is LayerUID
+					seeds = append(seeds, 2, 977)
+				}
+				for _, seed := range seeds {
+					s := Generate(seed, n, stack...)
+					if err := CheckSpec(s, samples); err != nil {
+						t.Errorf("seed=%d %s: %v", seed, s.StackString(), err)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestConstructionRulesRejectViolations(t *testing.T) {
+	// Each hand-built layer breaks one rule checkConstruction enforces;
+	// the sampled property check must catch the same spec, or the rule
+	// guards nothing the properties need.
+	const a, b = word.Word(UIDMask), word.Word(0x3C5A7E99)
+	cases := []struct {
+		name  string
+		n     int
+		layer Layer
+	}{
+		{"duplicate mask", 3, UIDLayer(Identity{}, XORMask{Mask: a}, XORMask{Mask: a})},
+		{"zero mask", 3, UIDLayer(Identity{}, XORMask{Mask: a}, XORMask{Mask: 0})},
+		{"identity at i>0", 3, UIDLayer(Identity{}, Identity{}, XORMask{Mask: b})},
+		{"non-identity variant 0", 3, UIDLayer(XORMask{Mask: b}, XORMask{Mask: a}, XORMask{Mask: b})},
+		{"slot index clash", 3, Layer{Kind: LayerInstructionTags, Funcs: []Func{Slot{0, 2}, Slot{1, 2}, Slot{1, 2}}}},
+		{"slot bits too small", 3, Layer{Kind: LayerAddressPartition, Funcs: []Func{Slot{0, 1}, Slot{1, 1}, Slot{2, 1}}}},
+	}
+	for _, tc := range cases {
+		s := UncheckedSpec(tc.n, tc.layer)
+		if err := s.checkShape(); err != nil {
+			t.Fatalf("%s: malformed case: %v", tc.name, err)
+		}
+		if err := s.checkConstruction(); err == nil {
+			t.Errorf("%s: construction rules accepted %s", tc.name, s)
+		}
+		if err := CheckSpec(s, BoundarySamples()); err == nil {
+			t.Errorf("%s: sampled check accepted %s", tc.name, s)
+		}
+	}
+}
+
+func TestGenerateReplayPinned(t *testing.T) {
+	// Recorded before Generate validated by construction: the rng draws
+	// must not move, or every seeded matrix would change.
+	cases := []struct {
+		seed int64
+		n    int
+		want string
+	}{
+		{1, 2, "spec[n=2; uid: identity|xor(0x7F7B8557); address-partition; unshared-files: /etc/passwd,/etc/group]"},
+		{2, 2, "spec[n=2; uid: identity|xor(0x2F7F3BD2); address-partition; unshared-files: /etc/passwd,/etc/group]"},
+		{3, 2, "spec[n=2; uid: identity|xor(0x7652DC3F); address-partition; unshared-files: /etc/passwd,/etc/group]"},
+		{1, 5, "spec[n=5; uid: identity|xor(0x7F7B8557)|xor(0x1878973E)|xor(0x513526EE)|xor(0x0CAF934E); address-partition; unshared-files: /etc/passwd,/etc/group]"},
+		{2, 5, "spec[n=5; uid: identity|xor(0x2F7F3BD2)|xor(0x57BACC8F)|xor(0x568F6E3A)|xor(0x17F19DA2); address-partition; unshared-files: /etc/passwd,/etc/group]"},
+		{3, 5, "spec[n=5; uid: identity|xor(0x7652DC3F)|xor(0x5B0C1CFA)|xor(0x3CC3DBAF)|xor(0x692D4AF4); address-partition; unshared-files: /etc/passwd,/etc/group]"},
+	}
+	for _, tc := range cases {
+		got := Generate(tc.seed, tc.n, LayerUID, LayerAddressPartition, LayerUnsharedFiles).String()
+		if got != tc.want {
+			t.Errorf("Generate(%d, %d, full stack) = %s, want %s", tc.seed, tc.n, got, tc.want)
+		}
+	}
 }
