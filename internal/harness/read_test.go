@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nvariant/internal/httpd"
 	"nvariant/internal/nvkernel"
 	"nvariant/internal/obs"
 	"nvariant/internal/simnet"
@@ -12,9 +13,12 @@ import (
 )
 
 // TestDocumentReadBoundaries: Config 4 (N=2, W=1) serves documents on
-// both sides of the 64 KiB read request byte-exact, and each costs
-// ⌈size/64 KiB⌉ data reads plus the end-of-file read — counted as read
-// rendezvous from nvk_syscalls_total deltas.
+// both sides of the 64 KiB read request byte-for-byte as
+// httpd.AppendResponse renders them, although the server reads each
+// document into variant memory and sends header and body from there.
+// Each costs ⌈size/64 KiB⌉ data reads plus the end-of-file read —
+// counted as read rendezvous from nvk_syscalls_total deltas — and the
+// error responses keep their bytes too.
 func TestDocumentReadBoundaries(t *testing.T) {
 	const k64 = 64 << 10
 	sizes := []int{0, 1, k64 - 1, k64, k64 + 1, 200 << 10}
@@ -50,17 +54,36 @@ func TestDocumentReadBoundaries(t *testing.T) {
 	cl := h.Client()
 	for i, size := range sizes {
 		before := reads.Value()
-		code, body, err := cl.Get(fmt.Sprintf("/bounds/s%d.bin", size))
-		if err != nil || code != 200 {
-			t.Fatalf("GET %d B document = %d, %v", size, code, err)
+		uri := fmt.Sprintf("/bounds/s%d.bin", size)
+		raw, err := cl.Raw(httpd.AppendRequest(nil, uri))
+		if err != nil {
+			t.Fatalf("GET %d B document: %v", size, err)
 		}
-		if !bytes.Equal(body, bodies[i]) {
-			t.Errorf("%d B document: body differs (got %d B)", size, len(body))
+		if want := httpd.AppendResponse(nil, 200, httpd.ContentTypeFor(uri), bodies[i]); !bytes.Equal(raw, want) {
+			t.Errorf("%d B document: response differs (got %d B, want %d B)", size, len(raw), len(want))
 		}
 		// The reads precede the response's send rendezvous, so they
 		// are all counted once the response has arrived.
 		if got, want := reads.Value()-before, uint64((size+k64-1)/k64+1); got != want {
 			t.Errorf("%d B document: %v read rendezvous, want %v", size, got, want)
+		}
+	}
+	for _, c := range []struct {
+		req  string
+		code int
+	}{
+		{"garbage\r\n\r\n", 400},
+		{"GET /private/secret.html HTTP/1.0\r\n\r\n", 403},
+		{"GET /../etc/passwd HTTP/1.0\r\n\r\n", 403},
+		{"GET /missing.html HTTP/1.0\r\n\r\n", 404},
+		{"POST /index.html HTTP/1.0\r\n\r\n", 405},
+	} {
+		raw, err := cl.Raw([]byte(c.req))
+		if err != nil {
+			t.Fatalf("%q: %v", c.req, err)
+		}
+		if want := httpd.AppendResponse(nil, c.code, "text/html", httpd.ErrorBody(c.code)); !bytes.Equal(raw, want) {
+			t.Errorf("%q: response %q, want %q", c.req, raw, want)
 		}
 	}
 	res, err := h.Stop()

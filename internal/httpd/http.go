@@ -76,10 +76,17 @@ func ContentTypeFor(uri string) string {
 	}
 }
 
-// AppendResponse appends a complete HTTP response to dst and returns
-// the extended slice — the allocation-free form the server's request
-// loop uses with a reused buffer.
+// AppendResponse appends a complete HTTP response — header, then
+// body — to dst and returns the extended slice. It is the byte-exact
+// reference for what the server sends, which renders the same header
+// in front of a body already in variant memory.
 func AppendResponse(dst []byte, code int, contentType string, body []byte) []byte {
+	return append(appendHeader(dst, code, contentType, len(body)), body...)
+}
+
+// appendHeader appends the status line and headers of a response with
+// an n-byte body, through the blank line that ends them.
+func appendHeader(dst []byte, code int, contentType string, n int) []byte {
 	text, ok := statusText[code]
 	if !ok {
 		text = "Unknown"
@@ -91,9 +98,8 @@ func AppendResponse(dst []byte, code int, contentType string, body []byte) []byt
 	dst = append(dst, "\r\nServer: nvariant-httpd/1.0\r\nContent-Type: "...)
 	dst = append(dst, contentType...)
 	dst = append(dst, "\r\nContent-Length: "...)
-	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	dst = strconv.AppendInt(dst, int64(n), 10)
 	dst = append(dst, "\r\n\r\n"...)
-	dst = append(dst, body...)
 	return dst
 }
 

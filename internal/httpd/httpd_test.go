@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,5 +178,20 @@ func TestQuickResponseRoundTrip(t *testing.T) {
 	}
 	if err := quickCheck(f); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHeaderFitsHeadroom: the server renders a response header into
+// the respHeadroom bytes in front of the body, so every header it can
+// emit (any status, any content type, any body length) must fit.
+func TestHeaderFitsHeadroom(t *testing.T) {
+	longest := 0
+	for code := range statusText {
+		for _, ct := range []string{"text/html", ContentTypeFor("/x.css"), ContentTypeFor("/x.gif"), ContentTypeFor("/x")} {
+			longest = max(longest, len(appendHeader(nil, code, ct, math.MaxUint32)))
+		}
+	}
+	if longest > respHeadroom {
+		t.Errorf("longest header is %d B, headroom %d B", longest, respHeadroom)
 	}
 }

@@ -21,6 +21,7 @@ package httpd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,6 +41,11 @@ const (
 	// guardSize keeps overflows up to RecvCap inside mapped memory so
 	// the interesting corruption target is the UID word, not a crash.
 	guardSize = RecvCap
+	// respHeadroom is the space the response region keeps in front of
+	// the body for the header, which is rendered once the body length
+	// is known. The longest header the server can emit is 134 bytes
+	// (TestHeaderFitsHeadroom).
+	respHeadroom = 256
 )
 
 // Consts holds the program's trusted UID constants. For variant i they
@@ -182,10 +188,17 @@ type state struct {
 	// the steady-state request loop reads variant memory without
 	// allocating.
 	parse [ReqBufSize]byte
-	// body and resp are the reusable document and response-rendering
-	// buffers of the request loop.
+	// bodyAddr is the response body in variant memory: bodyCap bytes
+	// with respHeadroom bytes for the header in front. Documents are
+	// read straight into the body, and the header is written just in
+	// front of it, so a response is sent from where it was read.
+	bodyAddr vmem.Addr
+	bodyCap  uint32
+	// hdr and body are reusable Go buffers: hdr renders the header,
+	// and body holds the body bytes copied out of variant memory
+	// (copyBody).
+	hdr  []byte
 	body []byte
-	resp []byte
 	// reqStart is the service-time clock, stamped at request receipt
 	// when metrics are active on variant 0.
 	reqStart time.Time
@@ -307,7 +320,7 @@ func (s *Server) serve(ctx *sys.Context) error {
 
 // RunWorker implements sys.WorkerProgram: one prefork worker lane's
 // request loop, with its own copy of the vulnerable data layout and
-// its own parse/body/resp state in a fresh per-lane address space.
+// its own parse and response state in a fresh per-lane address space.
 func (s *Server) RunWorker(ctx *sys.Context, worker int) error {
 	st := &state{ctx: ctx, cfg: s.boot.cfg, logFD: s.boot.logFD}
 	if err := s.mapRequestState(st, s.boot.uid); err != nil {
@@ -319,7 +332,8 @@ func (s *Server) RunWorker(ctx *sys.Context, worker int) error {
 // mapRequestState lays out the per-worker request-handling memory: the
 // request parse buffer sits directly below the worker-UID variable,
 // and the guard region keeps oversized payloads mapped so corruption,
-// not a crash, is the attack outcome. Every worker lane carries its
+// not a crash, is the attack outcome. The response region follows the
+// guard, out of the overflow's reach. Every worker lane carries its
 // own copy of the layout — an overflow corrupts the lane it lands on.
 func (s *Server) mapRequestState(st *state, uid vos.UID) error {
 	ctx := st.ctx
@@ -335,6 +349,11 @@ func (s *Server) mapRequestState(st *state, uid vos.UID) error {
 	if _, err := ctx.Mem.Alloc(guardSize); err != nil {
 		return err
 	}
+	region, err := ctx.Mem.Alloc(respHeadroom + sys.ReadSize)
+	if err != nil {
+		return err
+	}
+	st.bodyAddr, st.bodyCap = region+respHeadroom, sys.ReadSize
 	return ctx.Mem.WriteWord(st.uidAddr, uid)
 }
 
@@ -460,14 +479,19 @@ func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
 		return true, false, err
 	}
 
-	code, body := s.loadDocument(st, req.URI)
+	code, n, err := s.loadDocument(st, req.URI)
+	if err != nil {
+		return true, false, err
+	}
 
 	// Re-escalate for the next request (ruid stayed 0).
 	if err := ctx.Seteuid(s.consts.Root); err != nil {
 		return true, false, err
 	}
 
-	s.burnWork(st, body)
+	if err := s.burnWork(st, n); err != nil {
+		return true, false, err
+	}
 	if s.opts.ServiceTime > 0 {
 		// Simulated blocking service work, performed redundantly by
 		// every variant (like burnWork): the variants of this lane
@@ -476,12 +500,7 @@ func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
 		time.Sleep(s.opts.ServiceTime)
 	}
 
-	st.resp = AppendResponse(st.resp[:0], code, ContentTypeFor(req.URI), body)
-	err = ctx.SendBytes(cfd, st.resp)
-	if err == nil {
-		s.record(st, code)
-	}
-	return true, false, err
+	return true, false, s.respond(st, cfd, code, ContentTypeFor(req.URI), n)
 }
 
 // record counts one served response. Variant 0 only — each request is
@@ -494,8 +513,11 @@ func (s *Server) record(st *state, code int) {
 }
 
 // loadDocument maps the URI to a file and reads it under the current
-// (worker) credentials, translating errnos to HTTP statuses.
-func (s *Server) loadDocument(st *state, uri string) (int, []byte) {
+// (worker) credentials into the response body, translating errnos to
+// HTTP statuses (the body is then the error page). It returns the
+// status and the body length; an error is a fault in the program's own
+// memory.
+func (s *Server) loadDocument(st *state, uri string) (int, uint32, error) {
 	ctx := st.ctx
 	if strings.HasSuffix(uri, "/") {
 		uri += "index.html"
@@ -515,15 +537,88 @@ func (s *Server) loadDocument(st *state, uri string) (int, []byte) {
 			}
 		}
 		s.logDenied(st, uri, code)
-		return code, ErrorBody(code)
+		n, err := st.setBody(ErrorBody(code))
+		return code, n, err
 	}
-	body, err := ctx.ReadAllInto(fd, st.body[:0])
+	n, err := st.readBody(fd)
 	_ = ctx.Close(fd)
 	if err != nil {
-		return 500, ErrorBody(500)
+		n, err := st.setBody(ErrorBody(500))
+		return 500, n, err
 	}
-	st.body = body
-	return 200, body
+	return 200, n, nil
+}
+
+// readBody reads fd to end of file straight into the response body.
+// Each read asks for ReadSize bytes or the room left, whichever is
+// less, and a full region doubles before the next read, so a document
+// costs ceil(size/ReadSize)+1 reads at every size.
+func (st *state) readBody(fd int) (uint32, error) {
+	var n uint32
+	for {
+		if n == st.bodyCap {
+			if err := st.growBody(n); err != nil {
+				return 0, err
+			}
+		}
+		got, err := st.ctx.ReadMem(fd, st.bodyAddr+vmem.Addr(n), min(sys.ReadSize, st.bodyCap-n))
+		if err != nil {
+			return 0, err
+		}
+		if got == 0 {
+			return n, nil
+		}
+		n += got
+	}
+}
+
+// growBody moves the response region to a fresh one of twice the body
+// capacity, carrying the n body bytes read so far. The old region stays
+// mapped and unused: the simulated address space has no free.
+func (st *state) growBody(n uint32) error {
+	capacity := 2 * st.bodyCap
+	if capacity <= st.bodyCap {
+		return fmt.Errorf("httpd: response body exceeds %d bytes", st.bodyCap)
+	}
+	region, err := st.ctx.Mem.Alloc(respHeadroom + capacity)
+	if err != nil {
+		return err
+	}
+	if err := st.copyBody(n); err != nil {
+		return err
+	}
+	st.bodyAddr, st.bodyCap = region+respHeadroom, capacity
+	_, err = st.setBody(st.body)
+	return err
+}
+
+// copyBody copies the first n body bytes out of variant memory into
+// st.body.
+func (st *state) copyBody(n uint32) error {
+	st.body = slices.Grow(st.body[:0], int(n))[:n]
+	return st.ctx.Mem.ReadBytesInto(st.bodyAddr, st.body)
+}
+
+// setBody writes b as the response body and returns its length.
+func (st *state) setBody(b []byte) (uint32, error) {
+	return uint32(len(b)), st.ctx.Mem.WriteBytes(st.bodyAddr, b)
+}
+
+// respond sends the n-byte body in the response region, with its
+// header written directly in front of it: one send over both, straight
+// from variant memory.
+func (s *Server) respond(st *state, cfd, code int, contentType string, n uint32) error {
+	st.hdr = appendHeader(st.hdr[:0], code, contentType, int(n))
+	h := uint32(len(st.hdr))
+	start := st.bodyAddr - vmem.Addr(h)
+	if err := st.ctx.Mem.WriteBytes(start, st.hdr); err != nil {
+		return err
+	}
+	err := st.ctx.SendMem(cfd, start, h+n)
+	if err == nil {
+		s.record(st, code)
+	}
+	return err
 }
 
 // logDenied writes the §4 error-log line. With LogUIDs set it includes
@@ -546,28 +641,32 @@ func (s *Server) logDenied(st *state, uri string, code int) {
 
 // respondError sends an error response without touching credentials.
 func (s *Server) respondError(st *state, cfd int, code int) error {
-	st.resp = AppendResponse(st.resp[:0], code, "text/html", ErrorBody(code))
-	err := st.ctx.SendBytes(cfd, st.resp)
-	if err == nil {
-		s.record(st, code)
+	n, err := st.setBody(ErrorBody(code))
+	if err != nil {
+		return err
 	}
-	return err
+	return s.respond(st, cfd, code, "text/html", n)
 }
 
-// burnWork performs WorkFactor checksum passes over the body: the
-// synthetic stand-in for per-request processing, executed redundantly
-// by every variant (the paper's duplicated computation).
-func (s *Server) burnWork(st *state, body []byte) {
+// burnWork performs WorkFactor checksum passes over the n-byte body:
+// the synthetic stand-in for per-request processing, executed
+// redundantly by every variant (the paper's duplicated computation).
+// Only then is the body copied out of variant memory.
+func (s *Server) burnWork(st *state, n uint32) error {
 	if s.opts.WorkFactor <= 0 {
-		return
+		return nil
+	}
+	if err := st.copyBody(n); err != nil {
+		return err
 	}
 	sum := st.workSink
 	for k := 0; k < s.opts.WorkFactor; k++ {
-		for _, b := range body {
+		for _, b := range st.body {
 			sum = sum*31 + word.Word(b)
 		}
 	}
 	st.workSink = sum // keep the loop live
+	return nil
 }
 
 // logf appends one line to the error log.

@@ -1,7 +1,6 @@
 package nvkernel
 
 import (
-	"bytes"
 	"fmt"
 
 	"nvariant/internal/simnet"
@@ -499,55 +498,44 @@ func (l *lane) readScratch(n uint32, f *vos.OpenFile) []byte {
 	return l.ioScratch(n)
 }
 
-// cmpScratch is ioScratch's sibling for cross-variant comparison.
-func (l *lane) cmpScratch(n uint32) []byte {
-	if uint32(cap(l.cmpBuf)) < n {
-		l.cmpBuf = make([]byte, n)
-	}
-	return l.cmpBuf[:n]
-}
-
-// gatherPayloads reads each variant's output payload from its memory
-// and checks byte equality (output equivalence, §3.1). A memory fault
-// is a variant fault; divergent payloads are a data-divergence alarm
-// (this is how the Apache UID-in-log-message pitfall of §4 manifests).
-// The returned slice is pooled lane scratch, borrowed until the next
-// rendezvous — every consumer (stdout capture, file write, network
-// send) copies before the lane loops again. Lane-local: no lock.
-func (l *lane) gatherPayloads(canon []word.Word, msgs []*callMsg, seq int, spec sys.Spec) ([]byte, bool) {
-	n := uint32(canon[2])
+// gatherPayloads copies the reference variant's output payload into
+// dst (len(dst) == canon[2]) and checks every other live variant's
+// payload equal to it in place, in that variant's memory (output
+// equivalence, §3.1): one copy per output call, whatever N. A memory
+// fault is a variant fault; divergent payloads are a data-divergence
+// alarm (this is how the Apache UID-in-log-message pitfall of §4
+// manifests). On false the alarm is raised and dst holds nothing the
+// caller may use. Lane-local: no lock.
+func (l *lane) gatherPayloads(dst []byte, msgs []*callMsg, seq int, spec sys.Spec) bool {
 	ref := l.ref
-	first := l.ioScratch(n)
-	if err := l.variants[ref].mem.ReadBytesInto(msgs[ref].call.Args[1], first); err != nil {
+	if err := l.variants[ref].mem.ReadBytesInto(msgs[ref].call.Args[1], dst); err != nil {
 		l.raise(&Alarm{
 			Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: ref,
 			Detail: fmt.Sprintf("copy from variant memory: %v", err),
 		}, msgs)
-		return nil, false
+		return false
 	}
-	if len(l.variants) > 1 {
-		other := l.cmpScratch(n)
-		for i := 0; i < len(l.variants); i++ {
-			if i == ref || msgs[i] == nil {
-				continue
-			}
-			if err := l.variants[i].mem.ReadBytesInto(msgs[i].call.Args[1], other); err != nil {
-				l.raise(&Alarm{
-					Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
-					Detail: fmt.Sprintf("copy from variant memory: %v", err),
-				}, msgs)
-				return nil, false
-			}
-			if !bytes.Equal(other, first) {
-				l.raise(&Alarm{
-					Reason: ReasonDataDivergence, Syscall: spec.Name, Seq: seq, Variant: i,
-					Detail: fmt.Sprintf("output payload differs from variant %d (%d bytes)", ref, n),
-				}, msgs)
-				return nil, false
-			}
+	for i := 0; i < len(l.variants); i++ {
+		if i == ref || msgs[i] == nil {
+			continue
+		}
+		eq, err := l.variants[i].mem.EqualBytes(msgs[i].call.Args[1], dst)
+		if err != nil {
+			l.raise(&Alarm{
+				Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
+				Detail: fmt.Sprintf("copy from variant memory: %v", err),
+			}, msgs)
+			return false
+		}
+		if !eq {
+			l.raise(&Alarm{
+				Reason: ReasonDataDivergence, Syscall: spec.Name, Seq: seq, Variant: i,
+				Detail: fmt.Sprintf("output payload differs from variant %d (%d bytes)", ref, len(dst)),
+			}, msgs)
+			return false
 		}
 	}
-	return first, true
+	return true
 }
 
 // execWrite implements the output class: payloads are cross-checked
@@ -557,8 +545,8 @@ func (l *lane) execWrite(canon []word.Word, msgs []*callMsg, seq int, spec sys.S
 	s := l.sys
 	fd := canon[0]
 	if fd == sys.FDStdout || fd == sys.FDStderr {
-		data, ok := l.gatherPayloads(canon, msgs, seq, spec)
-		if !ok {
+		data := l.ioScratch(uint32(canon[2]))
+		if !l.gatherPayloads(data, msgs, seq, spec) {
 			return true
 		}
 		s.mu.Lock()
@@ -597,8 +585,8 @@ func (l *lane) execWrite(canon []word.Word, msgs []*callMsg, seq int, spec sys.S
 	s.mu.Unlock()
 
 	if entry.shared {
-		data, ok := l.gatherPayloads(canon, msgs, seq, spec)
-		if !ok {
+		data := l.ioScratch(uint32(canon[2]))
+		if !l.gatherPayloads(data, msgs, seq, spec) {
 			return true
 		}
 		s.mu.Lock()
@@ -705,7 +693,12 @@ func (l *lane) execRecv(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 	return false
 }
 
-// execSend cross-checks payloads and transmits once.
+// execSend cross-checks payloads and transmits once. The reference
+// payload is gathered straight into a pooled network buffer and handed
+// to the wire with SendOwned, so a response crosses from variant
+// memory to the client in one copy. The buffer goes back to the pool
+// only if the wire never took it: the gather alarmed or the send
+// failed.
 func (l *lane) execSend(canon []word.Word, msgs []*callMsg, seq int, spec sys.Spec) bool {
 	s := l.sys
 	s.mu.Lock()
@@ -717,14 +710,17 @@ func (l *lane) execSend(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 	}
 	conn := s.files[idx].conn
 	s.mu.Unlock()
-	data, ok := l.gatherPayloads(canon, msgs, seq, spec)
-	if !ok {
+	n := canon[2]
+	data := simnet.GetBuffer(int(n))
+	if !l.gatherPayloads(data, msgs, seq, spec) {
+		simnet.PutBuffer(data)
 		return true
 	}
-	if err := conn.Send(data); err != nil {
+	if err := conn.SendOwned(data); err != nil {
+		simnet.PutBuffer(data)
 		return l.replyFail(msgs, vos.ErrBadFD)
 	}
-	replyAll(msgs, sys.Reply{Val: word.Word(len(data))})
+	replyAll(msgs, sys.Reply{Val: n})
 	return false
 }
 

@@ -243,7 +243,7 @@ var errStillRunning = errors.New("nvkernel: variant still running at shutdown")
 //
 //   - Per lane, held by the lane's current executor: the variant
 //     mailboxes of the round in flight and the rendezvous scratch
-//     (msgs/canon/ioBuf/cmpBuf/pin, ref, cred) — never locked, because
+//     (msgs/canon/ioBuf/pin, ref, cred) — never locked, because
 //     at most one goroutine executes a lane's round at a time (hold),
 //     which is what keeps the steady-state path allocation- and
 //     contention-free. The barrier itself (arrivals, live set,
@@ -376,8 +376,7 @@ type lane struct {
 	slots  uint64 // the variants msgs holds
 	ref    int
 	canon  []word.Word
-	ioBuf  []byte // reference-variant payloads and shared-read staging
-	cmpBuf []byte // other variants' payloads during cross-checking
+	ioBuf  []byte // read staging and write payloads (sends gather into pooled network buffers)
 	pin    []*vos.OpenFile
 	exited bool
 

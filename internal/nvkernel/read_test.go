@@ -18,10 +18,10 @@ import (
 // than 600 bytes.
 var stockSmallURIs = []string{"/index.html", "/about.html", "/logo.gif", "/styles.css", "/page1.html"}
 
-// TestReadStagingSizedToData: every ReadAllInto read asks for 64 KiB,
-// but the kernel stages only the bytes left in the file, so a lane
-// that serves only the stock ≤600 B documents never grows its staging
-// buffer past 4 KiB.
+// TestReadStagingSizedToData: httpd's document reads ask for up to
+// 64 KiB, but the kernel stages only the bytes left in the file, so a
+// lane that serves only the stock ≤600 B documents never grows its
+// staging buffer past 4 KiB.
 func TestReadStagingSizedToData(t *testing.T) {
 	w := newWorld(t)
 	if err := httpd.SetupWorldAt(w, httpd.DefaultPort); err != nil {

@@ -64,7 +64,6 @@ type Network struct {
 	mu        sync.Mutex
 	listeners map[uint16]*Listener
 	latency   time.Duration
-	sleep     func(time.Duration)
 	// faults, when non-nil, is consulted once per message send. It is
 	// set before any traffic flows (SetFaultInjector) so the data-plane
 	// hot path pays exactly one nil check when chaos is disabled.
@@ -123,7 +122,6 @@ func New(latency time.Duration) *Network {
 		listeners: make(map[uint16]*Listener),
 		awaited:   make(map[uint16]chan struct{}),
 		latency:   latency,
-		sleep:     time.Sleep,
 	}
 }
 
@@ -517,7 +515,7 @@ func (c *Conn) Recv() ([]byte, error) {
 // waitWire blocks until the message has "crossed the wire".
 func (c *Conn) waitWire(msg message) {
 	if d := time.Until(msg.readyAt); d > 0 {
-		c.net.sleep(d)
+		time.Sleep(d)
 	}
 }
 

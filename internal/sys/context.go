@@ -196,29 +196,24 @@ func (c *Context) WriteMem(fd int, addr vmem.Addr, n uint32) (uint32, error) {
 	return uint32(v), err
 }
 
+// ReadSize is the count a bulk reader asks of each read: 64 KiB, so
+// a document up to that size costs one data read plus the end-of-file
+// read, the way a real server hands a whole file to the kernel in one
+// call. Every read is a lockstep rendezvous of all variants, so the
+// request size sets how many of them a document costs. ReadAll and
+// httpd's document reads both use it.
+const ReadSize = 64 << 10
+
 // ReadAll reads fd to end of file and returns the contents as Go
 // bytes (copied out of variant memory).
 func (c *Context) ReadAll(fd int) ([]byte, error) {
-	return c.ReadAllInto(fd, nil)
-}
-
-// readRequest is the count ReadAllInto asks of each read: 64 KiB, so a
-// document up to that size costs one data read plus the end-of-file
-// read, the way a real server hands a whole file to the kernel in one
-// call. Every read is a lockstep rendezvous of all variants, so the
-// request size sets how many of them a document costs.
-const readRequest = 64 << 10
-
-// ReadAllInto is ReadAll appending onto buf — pass a reused buf[:0] to
-// read repeatedly without allocating (the httpd request loop does).
-func (c *Context) ReadAllInto(fd int, buf []byte) ([]byte, error) {
-	addr, err := c.scratchBuf(readRequest)
+	addr, err := c.scratchBuf(ReadSize)
 	if err != nil {
 		return nil, err
 	}
-	out := buf
+	var out []byte
 	for {
-		n, err := c.ReadMem(fd, addr, readRequest)
+		n, err := c.ReadMem(fd, addr, ReadSize)
 		if err != nil {
 			return nil, err
 		}
@@ -226,14 +221,7 @@ func (c *Context) ReadAllInto(fd int, buf []byte) ([]byte, error) {
 			return out, nil
 		}
 		start := len(out)
-		need := start + int(n)
-		if cap(out) < need {
-			grown := make([]byte, need, 2*need)
-			copy(grown, out)
-			out = grown
-		} else {
-			out = out[:need]
-		}
+		out = append(out, make([]byte, n)...)
 		if err := c.Mem.ReadBytesInto(addr, out[start:]); err != nil {
 			return nil, err
 		}
@@ -320,19 +308,6 @@ func (c *Context) RecvMem(fd int, addr vmem.Addr, n uint32) (uint32, error) {
 func (c *Context) SendMem(fd int, addr vmem.Addr, n uint32) error {
 	_, err := c.sys3(Send, word.Word(fd), addr, word.Word(n))
 	return err
-}
-
-// SendBytes transmits b on fd via the scratch buffer without
-// allocating, for reused response buffers.
-func (c *Context) SendBytes(fd int, b []byte) error {
-	addr, err := c.scratchBuf(uint32(len(b)))
-	if err != nil {
-		return err
-	}
-	if err := c.Mem.WriteBytes(addr, b); err != nil {
-		return err
-	}
-	return c.SendMem(fd, addr, uint32(len(b)))
 }
 
 // Prefork starts w-1 additional worker lanes running the program's

@@ -14,6 +14,7 @@
 package vmem
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -262,6 +263,27 @@ func (s *Space) ReadBytesInto(addr Addr, buf []byte) error {
 		return &SegfaultError{Addr: addr, Op: "read"}
 	}
 	return s.readInto(addr, buf)
+}
+
+// EqualBytes reports whether the len(b) bytes starting at addr equal b,
+// comparing page by page in place — the copy-free form of
+// bytes.Equal(ReadBytes(addr, len(b)), b) the monitor's output
+// cross-check uses. An unmapped range is the same SegfaultError a read
+// of it returns.
+func (s *Space) EqualBytes(addr Addr, b []byte) (bool, error) {
+	if !s.mapped(addr, uint32(len(b))) {
+		return false, &SegfaultError{Addr: addr, Op: "read"}
+	}
+	for i := 0; i < len(b); {
+		a := addr + Addr(i)
+		p := s.page(a)[a%PageSize:]
+		n := min(len(p), len(b)-i)
+		if !bytes.Equal(p[:n], b[i:i+n]) {
+			return false, nil
+		}
+		i += n
+	}
+	return true, nil
 }
 
 // readInto copies the (already validated) range into buf page by page.
