@@ -401,8 +401,10 @@ func (l *lane) execOpen(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 // once with the result replicated into every variant's memory;
 // unshared files are read per variant from the variant's own file.
 // File I/O happens under the kernel lock (the filesystem is
-// single-threaded by contract); the copies into lane-local variant
-// memory do not.
+// single-threaded by contract). A shared read takes a view of the
+// file's bytes (vos.OpenFile.Next, which later writes never modify) and
+// copies it into each variant's lane-local memory after the lock is
+// dropped, so the lock holds no byte copy.
 func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Spec) bool {
 	s := l.sys
 	s.mu.Lock()
@@ -418,11 +420,9 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 		replyErrno(msgs, vos.ErrBadFD)
 		return false
 	}
-	n := uint32(canon[2])
 
 	if entry.shared {
-		buf := l.readScratch(n, entry.files[0])
-		cnt, err := entry.files[0].Read(buf)
+		data, err := entry.files[0].Next(int(canon[2]))
 		s.mu.Unlock()
 		if err != nil {
 			replyErrno(msgs, err)
@@ -433,7 +433,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 				continue
 			}
 			addr := m.call.Args[1]
-			if err := l.variants[i].mem.WriteBytes(addr, buf[:cnt]); err != nil {
+			if err := l.variants[i].mem.WriteBytes(addr, data); err != nil {
 				l.raise(&Alarm{
 					Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
 					Detail: fmt.Sprintf("copy to variant memory: %v", err),
@@ -441,7 +441,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 				return true
 			}
 		}
-		replyAll(msgs, sys.Reply{Val: word.Word(cnt)})
+		replyAll(msgs, sys.Reply{Val: word.Word(len(data))})
 		return false
 	}
 
@@ -455,15 +455,14 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 		if m == nil {
 			continue
 		}
-		buf := l.readScratch(uint32(m.call.Args[2]), entry.files[i])
-		cnt, err := entry.files[i].Read(buf)
+		data, err := entry.files[i].Next(int(m.call.Args[2]))
 		if err != nil {
 			s.mu.Unlock()
 			replyErrno(msgs[i:], err)
 			return false
 		}
 		addr := m.call.Args[1]
-		if err := l.variants[i].mem.WriteBytes(addr, buf[:cnt]); err != nil {
+		if err := l.variants[i].mem.WriteBytes(addr, data); err != nil {
 			s.mu.Unlock()
 			l.raise(&Alarm{
 				Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
@@ -471,31 +470,20 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 			}, msgs[i:])
 			return true
 		}
-		m.reply <- sys.Reply{Val: word.Word(cnt)}
+		m.reply <- sys.Reply{Val: word.Word(len(data))}
 	}
 	s.mu.Unlock()
 	return false
 }
 
-// ioScratch returns the lane's reusable staging buffer sized to n
-// bytes; the result is valid until the next use (one rendezvous at
+// ioScratch returns the lane's reusable write-payload buffer sized to
+// n bytes; the result is valid until the next use (one rendezvous at
 // most).
 func (l *lane) ioScratch(n uint32) []byte {
 	if uint32(cap(l.ioBuf)) < n {
 		l.ioBuf = make([]byte, n)
 	}
 	return l.ioBuf[:n]
-}
-
-// readScratch is ioScratch for a read of up to n bytes from f, sized
-// to min(n, bytes left in f): a read never returns more than the file
-// holds, so a large requested count does not grow the lane's staging
-// past the data it actually carries.
-func (l *lane) readScratch(n uint32, f *vos.OpenFile) []byte {
-	if left := f.Remaining(); int64(n) > left {
-		n = uint32(left)
-	}
-	return l.ioScratch(n)
 }
 
 // gatherPayloads copies the reference variant's output payload into

@@ -376,7 +376,7 @@ type lane struct {
 	slots  uint64 // the variants msgs holds
 	ref    int
 	canon  []word.Word
-	ioBuf  []byte // read staging and write payloads (sends gather into pooled network buffers)
+	ioBuf  []byte // write payloads (reads copy from the file's view; sends gather into pooled network buffers)
 	pin    []*vos.OpenFile
 	exited bool
 

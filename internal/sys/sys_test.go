@@ -197,8 +197,8 @@ func TestContextMemoryHelpers(t *testing.T) {
 	}
 	// The payload must be readable from the context's memory at the
 	// address passed to the kernel.
-	b, err := ctx.Mem.ReadBytes(call.Args[1], 5)
-	if err != nil || string(b) != "hello" {
+	b := make([]byte, 5)
+	if err := ctx.Mem.ReadBytesInto(call.Args[1], b); err != nil || string(b) != "hello" {
 		t.Errorf("scratch content = %q, %v", b, err)
 	}
 }

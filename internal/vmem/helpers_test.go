@@ -20,3 +20,12 @@ func (s *Space) AllocAligned(size, align uint32) (Addr, error) {
 	s.brk = (s.brk + mask) &^ mask
 	return s.Alloc(size)
 }
+
+// ReadBytes loads n bytes starting at addr into a new slice.
+func (s *Space) ReadBytes(addr Addr, n uint32) ([]byte, error) {
+	out := make([]byte, n)
+	if err := s.ReadBytesInto(addr, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

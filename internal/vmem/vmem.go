@@ -11,12 +11,17 @@
 // runtime"), so variants in this reproduction run on these simulated
 // spaces instead, preserving exactly the fault semantics the detection
 // argument needs.
+//
+// Each mapped segment has its own backing store, so a bulk copy within
+// one segment is a single memmove. A store holds only the prefix of its
+// segment touched so far and grows by doubling up to the segment's
+// size; bytes never touched read as zero.
 package vmem
 
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nvariant/internal/word"
 )
@@ -24,7 +29,9 @@ import (
 // Addr is an address in a simulated 32-bit address space.
 type Addr = word.Word
 
-// PageSize is the granularity of backing storage.
+// PageSize is the guard offset Alloc leaves above the partition base,
+// so address 0 (NULL) is never mapped. Backing storage is per segment,
+// not per page.
 const PageSize = 4096
 
 // Partition constrains which slice of the address space a Space may
@@ -116,10 +123,13 @@ func (e *SegfaultError) Error() string {
 	return fmt.Sprintf("vmem: segmentation fault: %s at %s", e.Op, e.Addr)
 }
 
-// segment is a mapped region [base, base+size).
+// segment is a mapped region [base, base+size) with its backing store:
+// store holds the region's first len(store) bytes, the prefix touched
+// so far.
 type segment struct {
-	base Addr
-	size uint32
+	base  Addr
+	size  uint32
+	store []byte
 }
 
 func (s segment) end() uint64 { return uint64(s.base) + uint64(s.size) }
@@ -129,8 +139,7 @@ func (s segment) end() uint64 { return uint64(s.base) + uint64(s.size) }
 type Space struct {
 	partition Partition
 	segments  []segment // sorted by base, non-overlapping
-	pages     map[Addr][]byte
-	brk       Addr // next allocation address for Alloc
+	brk       Addr      // next allocation address for Alloc
 }
 
 // New returns an empty address space confined to the given partition.
@@ -139,7 +148,6 @@ type Space struct {
 func New(partition Partition) *Space {
 	return &Space{
 		partition: partition,
-		pages:     make(map[Addr][]byte),
 		brk:       partition.Base() + PageSize,
 	}
 }
@@ -170,13 +178,15 @@ func (s *Space) Map(base Addr, size uint32) error {
 	if !s.partition.Contains(base) || !s.partition.Contains(last) {
 		return &SegfaultError{Addr: base, Op: "map"}
 	}
-	for _, seg := range s.segments {
-		if uint64(base) < seg.end() && uint64(seg.base) < uint64(base)+uint64(size) {
+	// The first segment ending above base is the only one the new
+	// region can overlap, and the place it goes otherwise.
+	i := s.search(base)
+	if i < len(s.segments) {
+		if seg := s.segments[i]; uint64(seg.base) < uint64(base)+uint64(size) {
 			return fmt.Errorf("vmem: map %s+%d: overlaps segment %s+%d", base, size, seg.base, seg.size)
 		}
 	}
-	s.segments = append(s.segments, segment{base: base, size: size})
-	sort.Slice(s.segments, func(i, j int) bool { return s.segments[i].base < s.segments[j].base })
+	s.segments = slices.Insert(s.segments, i, segment{base: base, size: size})
 	return nil
 }
 
@@ -197,6 +207,21 @@ func (s *Space) Alloc(size uint32) (Addr, error) {
 	return base, nil
 }
 
+// search returns the index of the first segment that ends above addr
+// (len(s.segments) if none does).
+func (s *Space) search(addr Addr) int {
+	lo, hi := 0, len(s.segments)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.segments[m].end() <= uint64(addr) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // mapped reports whether the full range [addr, addr+n) is mapped.
 func (s *Space) mapped(addr Addr, n uint32) bool {
 	if n == 0 {
@@ -209,10 +234,7 @@ func (s *Space) mapped(addr Addr, n uint32) bool {
 	// mapped iff it is covered by consecutive adjacent segments.
 	need := uint64(addr)
 	stop := uint64(addr) + uint64(n)
-	for _, seg := range s.segments {
-		if seg.end() <= need {
-			continue
-		}
+	for _, seg := range s.segments[s.search(addr):] {
 		if uint64(seg.base) > need {
 			return false
 		}
@@ -224,15 +246,29 @@ func (s *Space) mapped(addr Addr, n uint32) bool {
 	return false
 }
 
-// page returns the backing page for addr, creating it on demand.
-func (s *Space) page(addr Addr) []byte {
-	base := addr &^ Addr(PageSize-1)
-	p, ok := s.pages[base]
-	if !ok {
-		p = make([]byte, PageSize)
-		s.pages[base] = p
+// at returns the backing store of the segment holding addr, from addr
+// to the store's end, first growing the store to cover the next n
+// bytes or the rest of the segment, whichever is shorter. The caller
+// has checked that addr is mapped and n > 0.
+func (s *Space) at(addr Addr, n int) []byte {
+	seg := &s.segments[s.search(addr)]
+	off := int(addr - seg.base)
+	if need := min(off+n, int(seg.size)); need > len(seg.store) {
+		store := make([]byte, min(max(need, 2*len(seg.store)), int(seg.size)))
+		copy(store, seg.store)
+		seg.store = store
 	}
-	return p
+	return seg.store[off:]
+}
+
+// Resident returns the bytes of backing store the space holds: the sum
+// over its segments of the prefix touched so far.
+func (s *Space) Resident() int {
+	n := 0
+	for _, seg := range s.segments {
+		n += len(seg.store)
+	}
+	return n
 }
 
 // LoadByte loads one byte.
@@ -240,33 +276,22 @@ func (s *Space) LoadByte(addr Addr) (byte, error) {
 	if !s.mapped(addr, 1) {
 		return 0, &SegfaultError{Addr: addr, Op: "read"}
 	}
-	return s.page(addr)[addr%PageSize], nil
+	return s.at(addr, 1)[0], nil
 }
 
-// ReadBytes loads n bytes starting at addr.
-func (s *Space) ReadBytes(addr Addr, n uint32) ([]byte, error) {
-	if !s.mapped(addr, n) {
-		return nil, &SegfaultError{Addr: addr, Op: "read"}
-	}
-	out := make([]byte, n)
-	if err := s.readInto(addr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBytesInto loads len(buf) bytes starting at addr into buf — the
-// allocation-free form of ReadBytes for callers that reuse a scratch
-// buffer (the monitor's payload gathering, httpd's request parsing).
+// ReadBytesInto loads len(buf) bytes starting at addr into buf; the
+// caller owns buf and may reuse it (the monitor's payload gathering,
+// httpd's request parsing).
 func (s *Space) ReadBytesInto(addr Addr, buf []byte) error {
 	if !s.mapped(addr, uint32(len(buf))) {
 		return &SegfaultError{Addr: addr, Op: "read"}
 	}
-	return s.readInto(addr, buf)
+	s.readInto(addr, buf)
+	return nil
 }
 
 // EqualBytes reports whether the len(b) bytes starting at addr equal b,
-// comparing page by page in place — the copy-free form of
+// comparing segment by segment in place — the copy-free form of
 // bytes.Equal(ReadBytes(addr, len(b)), b) the monitor's output
 // cross-check uses. An unmapped range is the same SegfaultError a read
 // of it returns.
@@ -275,8 +300,7 @@ func (s *Space) EqualBytes(addr Addr, b []byte) (bool, error) {
 		return false, &SegfaultError{Addr: addr, Op: "read"}
 	}
 	for i := 0; i < len(b); {
-		a := addr + Addr(i)
-		p := s.page(a)[a%PageSize:]
+		p := s.at(addr+Addr(i), len(b)-i)
 		n := min(len(p), len(b)-i)
 		if !bytes.Equal(p[:n], b[i:i+n]) {
 			return false, nil
@@ -286,30 +310,25 @@ func (s *Space) EqualBytes(addr Addr, b []byte) (bool, error) {
 	return true, nil
 }
 
-// readInto copies the (already validated) range into buf page by page.
-func (s *Space) readInto(addr Addr, buf []byte) error {
+// readInto copies the (already validated) range into buf, one copy per
+// segment it spans.
+func (s *Space) readInto(addr Addr, buf []byte) {
 	for i := 0; i < len(buf); {
-		a := addr + Addr(i)
-		off := a % PageSize
-		n := copy(buf[i:], s.page(a)[off:])
-		i += n
+		i += copy(buf[i:], s.at(addr+Addr(i), len(buf)-i))
 	}
-	return nil
 }
 
-// writeInto copies src into the (already validated) range page by
-// page. Generic over string and []byte so WriteBytes and WriteString
-// share one copy loop.
+// writeInto copies src into the (already validated) range, one copy per
+// segment it spans. Generic over string and []byte so WriteBytes and
+// WriteString share one copy loop.
 func writeInto[T ~string | ~[]byte](s *Space, addr Addr, src T) {
 	for i := 0; i < len(src); {
-		a := addr + Addr(i)
-		off := a % PageSize
-		n := copy(s.page(a)[off:], src[i:])
-		i += n
+		i += copy(s.at(addr+Addr(i), len(src)-i), src[i:])
 	}
 }
 
-// WriteBytes stores b starting at addr, copying page by page.
+// WriteBytes stores b starting at addr. A range not wholly mapped
+// writes nothing.
 func (s *Space) WriteBytes(addr Addr, b []byte) error {
 	if !s.mapped(addr, uint32(len(b))) {
 		return &SegfaultError{Addr: addr, Op: "write"}
@@ -318,8 +337,8 @@ func (s *Space) WriteBytes(addr Addr, b []byte) error {
 	return nil
 }
 
-// WriteString stores str starting at addr, page by page, without the
-// []byte conversion (and its allocation) WriteBytes would need.
+// WriteString stores str starting at addr without the []byte
+// conversion (and its allocation) WriteBytes would need.
 func (s *Space) WriteString(addr Addr, str string) error {
 	if !s.mapped(addr, uint32(len(str))) {
 		return &SegfaultError{Addr: addr, Op: "write"}
@@ -328,13 +347,13 @@ func (s *Space) WriteString(addr Addr, str string) error {
 	return nil
 }
 
-// ReadWord loads a little-endian 32-bit word.
+// ReadWord loads a little-endian 32-bit word, allocating nothing.
 func (s *Space) ReadWord(addr Addr) (word.Word, error) {
-	b, err := s.ReadBytes(addr, word.Size)
-	if err != nil {
+	var b [word.Size]byte
+	if err := s.ReadBytesInto(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return word.FromBytes([word.Size]byte{b[0], b[1], b[2], b[3]}), nil
+	return word.FromBytes(b), nil
 }
 
 // WriteWord stores a little-endian 32-bit word.

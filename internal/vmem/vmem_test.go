@@ -307,6 +307,22 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadWordAllocates pins ReadWord as allocation-free: httpd reads
+// the worker-UID word once per request in every variant.
+func TestReadWordAllocates(t *testing.T) {
+	s := New(PartitionLow)
+	addr, err := s.Alloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteWord(addr, 0xDEADBEEF); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = s.ReadWord(addr) }); allocs != 0 {
+		t.Errorf("ReadWord: %.0f allocs, want 0", allocs)
+	}
+}
+
 func TestAllocAligned(t *testing.T) {
 	s := New(PartitionLow)
 	if _, err := s.Alloc(10); err != nil {

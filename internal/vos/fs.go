@@ -59,7 +59,9 @@ type inode struct {
 // FS is an in-memory Unix-like filesystem with ownership and
 // permission checks. It is not safe for concurrent use; the kernel
 // serializes access (the monitor executes one syscall rendezvous at a
-// time, exactly as the paper's wrapped kernel does).
+// time, exactly as the paper's wrapped kernel does). The bytes of a
+// view returned by OpenFile.Next are never written again, so they may
+// be read outside that serialization.
 type FS struct {
 	root *inode
 }
@@ -325,34 +327,39 @@ type OpenFile struct {
 	closed bool
 }
 
-// Remaining returns the bytes between the current offset and the end
-// of the file: the most the next Read can return.
-func (f *OpenFile) Remaining() int64 {
-	if left := int64(len(f.node.data)) - f.offset; left > 0 {
-		return left
-	}
-	return 0
-}
-
-// Read reads up to len(p) bytes at the current offset. At end of file
-// it returns 0, nil (Unix read semantics rather than io.EOF, since
-// programs observe the syscall return value).
-func (f *OpenFile) Read(p []byte) (int, error) {
+// Next advances the offset by up to n bytes and returns those bytes of
+// the file without copying them. At end of file it returns an empty
+// slice and nil (Unix read semantics rather than io.EOF, since programs
+// observe the syscall return value). The result is a view of the
+// file's contents that stays valid and unchanged after the call: Write
+// never modifies an inode's bytes in place, so a later write, truncate
+// or append through any description leaves it as it was.
+func (f *OpenFile) Next(n int) ([]byte, error) {
 	if f.closed {
-		return 0, fmt.Errorf("read %s: %w", f.path, ErrBadFD)
+		return nil, fmt.Errorf("read %s: %w", f.path, ErrBadFD)
 	}
 	if f.flags&ReadOnly == 0 {
-		return 0, fmt.Errorf("read %s: %w", f.path, ErrBadFD)
+		return nil, fmt.Errorf("read %s: %w", f.path, ErrBadFD)
 	}
-	if f.offset >= int64(len(f.node.data)) {
-		return 0, nil
+	data := f.node.data
+	if f.offset >= int64(len(data)) {
+		return nil, nil
 	}
-	n := copy(p, f.node.data[f.offset:])
-	f.offset += int64(n)
-	return n, nil
+	end := min(f.offset+int64(n), int64(len(data)))
+	b := data[f.offset:end:end]
+	f.offset = end
+	return b, nil
+}
+
+// Read reads up to len(p) bytes at the current offset into p.
+func (f *OpenFile) Read(p []byte) (int, error) {
+	b, err := f.Next(len(p))
+	return copy(p, b), err
 }
 
 // Write writes p at the current offset, extending the file as needed.
+// It builds the file's new contents and swaps them in, so views
+// returned by Next keep the bytes they had.
 func (f *OpenFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, fmt.Errorf("write %s: %w", f.path, ErrBadFD)
@@ -361,12 +368,10 @@ func (f *OpenFile) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("write %s: %w", f.path, ErrBadFD)
 	}
 	end := f.offset + int64(len(p))
-	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.node.data = grown
-	}
-	copy(f.node.data[f.offset:], p)
+	data := make([]byte, max(end, int64(len(f.node.data))))
+	copy(data, f.node.data)
+	copy(data[f.offset:], p)
+	f.node.data = data
 	f.offset = end
 	return len(p), nil
 }

@@ -462,6 +462,60 @@ func TestOpenFileReadAtEOF(t *testing.T) {
 	}
 }
 
+// TestNextViewSurvivesWrites: a slice returned by Next stays
+// byte-identical after another description overwrites the file in
+// place, truncates it or appends to it — the kernel copies a shared
+// read out of that view after dropping its lock.
+func TestNextViewSurvivesWrites(t *testing.T) {
+	const orig = "0123456789abcdef"
+	changes := []struct {
+		name  string
+		flags OpenFlag
+		data  string
+		after string
+	}{
+		{"overwrite", WriteOnly, "XXXXXXXX", "XXXXXXXX89abcdef"},
+		{"truncate", WriteOnly | Truncate, "", ""},
+		{"truncate and rewrite", WriteOnly | Truncate, "zz", "zz"},
+		{"append", WriteOnly | Append, "tail", orig + "tail"},
+	}
+	for _, c := range changes {
+		fs := NewFS()
+		if err := fs.WriteFile("/f", []byte(orig), 0644, root()); err != nil {
+			t.Fatal(err)
+		}
+		r, err := fs.Open("/f", ReadOnly, 0, root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := r.Next(4)
+		if err != nil || string(head) != "0123" {
+			t.Fatalf("%s: Next(4) = %q, %v", c.name, head, err)
+		}
+		rest, err := r.Next(100)
+		if err != nil || string(rest) != orig[4:] {
+			t.Fatalf("%s: Next(100) = %q, %v", c.name, rest, err)
+		}
+		w, err := fs.Open("/f", c.flags, 0, root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write([]byte(c.data)); err != nil {
+			t.Fatal(err)
+		}
+		if string(head) != "0123" || string(rest) != orig[4:] {
+			t.Errorf("%s: views read %q, %q after the write; want %q, %q", c.name, head, rest, "0123", orig[4:])
+		}
+		if got, err := fs.ReadFile("/f", root()); err != nil || string(got) != c.after {
+			t.Errorf("%s: file = %q, %v; want %q", c.name, got, err, c.after)
+		}
+		// The reader's offset stays at the old end of file.
+		if b, err := r.Next(100); err != nil || string(b) != c.after[min(len(orig), len(c.after)):] {
+			t.Errorf("%s: Next past the old end = %q, %v", c.name, b, err)
+		}
+	}
+}
+
 func TestChownChmodPermissions(t *testing.T) {
 	fs := NewFS()
 	if err := fs.WriteFile("/f", []byte("x"), 0644, root()); err != nil {

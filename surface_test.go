@@ -23,7 +23,8 @@ import (
 // one-line reason, and an entry that gains a caller or disappears
 // fails the test until it is removed.
 var surfaceAllowlist = map[string]string{
-	"nvariant/internal/testutil": "test-support package: only _test.go files are meant to import it",
+	"nvariant/internal/testutil":            "test-support package: only _test.go files are meant to import it",
+	"nvariant/internal/vmem.Space.Resident": "introspection for nvkernel's TestReadStagingSizedToData: pins that a lane serving small documents backs only the bytes it touched",
 }
 
 // TestExportedSurfaceHasCallers enforces the surface rule: every
