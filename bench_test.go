@@ -528,7 +528,7 @@ func BenchmarkFleetSaturatedPool8(b *testing.B) { benchFleetSaturated(b, 8, 15) 
 
 // BenchmarkFleetDispatchOverhead measures the per-request cost the
 // dispatcher adds over a directly-dialed group (pool of one, so the
-// difference is pure proxy overhead). The fleet runs instrumented so
+// difference is pure dispatch overhead). The fleet runs instrumented so
 // the allocs/op gate proves counting dispatches stays allocation-free.
 func BenchmarkFleetDispatchOverhead(b *testing.B) {
 	f, err := fleet.New(fleet.Options{Groups: 1, Obs: obs.NewRegistry()})

@@ -6,18 +6,19 @@ import (
 	"nvariant/internal/simnet"
 )
 
-// Dial retry tuning: a quarantined group's port refuses dials for the
-// moment between its kill and its watcher pruning it from the pool, and
-// a pool of one has nothing to serve from until the replacement is up.
-// The dispatcher retries across the pool within this budget before
-// failing the client connection.
+// Handoff retry tuning: a quarantined group's port refuses handoffs
+// for the moment between its kill and its watcher pruning it from the
+// pool, and a pool of one has nothing to serve from until the
+// replacement is up. The dispatcher retries across the pool within
+// this budget before failing the client connection.
 const (
-	dialRetryInterval = 200 * time.Microsecond
-	dialRetryBudget   = 5 * time.Second
+	handRetryInterval = 200 * time.Microsecond
+	handRetryBudget   = 5 * time.Second
 )
 
 // acceptLoop accepts client connections on the front port and hands
-// each to a proxy goroutine. It exits when the front listener closes.
+// each to a dispatch goroutine. It exits when the front listener
+// closes.
 func (f *Fleet) acceptLoop() {
 	defer f.wg.Done()
 	for {
@@ -43,38 +44,51 @@ func (f *Fleet) pick() *group {
 	return pool[int(f.rr.Add(1)-1)%len(pool)]
 }
 
-// pickAndDial selects a group and opens a backend connection to it,
-// retrying across the pool while groups are being replaced.
-func (f *Fleet) pickAndDial() (*group, *simnet.Conn) {
-	deadline := time.Now().Add(dialRetryBudget)
+// pickAndHand selects a group and queues conn on its listener, retrying
+// across the pool while groups are being replaced. The returned group
+// has conn counted in flight; the caller releases it once the exchange
+// ends. nil means no group took conn within the budget, and the caller
+// still owns it.
+func (f *Fleet) pickAndHand(conn *simnet.Conn) *group {
+	deadline := time.Now().Add(handRetryBudget)
 	for {
 		if g := f.pick(); g != nil {
-			conn, err := f.net.Dial(g.port)
-			if err == nil {
-				return g, conn
+			// Count before handing and re-check the drain flag after:
+			// retire sets the flag before it reads inflight, so either
+			// the drain sees this connection or this sees the drain. A
+			// group picked from a stale snapshot can be draining.
+			g.inflight.Add(1)
+			if !g.draining.Load() && f.net.Handoff(g.port, conn) == nil {
+				return g
 			}
-			// The group's port refused: it is dying or just died; its
-			// watcher will prune it. Fall through to retry.
+			// Draining, or the port refused: the group is retiring,
+			// dying or just died, and its watcher will prune it.
+			g.release()
 		}
 		if f.isClosed() || time.Now().After(deadline) {
-			return nil, nil
+			return nil
 		}
-		time.Sleep(dialRetryInterval)
+		time.Sleep(handRetryInterval)
 	}
 }
 
-// serve proxies one client connection to one backend group. The client
-// is oblivious to pool membership (the paper's monitor already hides
-// the variant count; the dispatcher additionally hides the group). If
-// the monitor kills the group mid-exchange, both sides are torn down,
-// so the client observes exactly what a direct attacker observes: the
-// connection drops with no response.
+// serve hands one client connection to one backend group and waits
+// for the exchange to end. The group's monitor accepts the connection
+// itself, so the client talks to the group over a single hop and stays
+// oblivious to pool membership (the paper's monitor already hides the
+// variant count; the dispatcher additionally hides the group). Every
+// way an exchange ends closes the handed-off endpoint: the group
+// responds and closes it; the client closes and the server, seeing end
+// of stream, closes it; the monitor kills the group and closes all its
+// descriptors; or the group's listener closes with it still queued.
+// A killed group therefore drops the connection with no response, as
+// a direct attacker observes.
 func (f *Fleet) serve(client *simnet.Conn) {
 	defer f.wg.Done()
-	defer func() { _ = client.Close() }()
 
-	g, backend := f.pickAndDial()
-	if backend == nil {
+	g := f.pickAndHand(client)
+	if g == nil {
+		_ = client.Close()
 		f.dispatchErrors.Add(1)
 		if f.obs != nil {
 			f.obs.dispatchErrors.Inc()
@@ -82,7 +96,6 @@ func (f *Fleet) serve(client *simnet.Conn) {
 		return
 	}
 	f.dispatched.Add(1)
-	g.inflight.Add(1)
 	g.served.Add(1)
 	if f.obs != nil {
 		// Mirrors of the internal counters as registered series; plain
@@ -92,44 +105,6 @@ func (f *Fleet) serve(client *simnet.Conn) {
 		f.obs.inflight.Add(1)
 		defer f.obs.inflight.Add(-1)
 	}
-	defer g.inflight.Add(-1)
-	defer func() { _ = backend.Close() }()
-
-	// No watchdog is needed for group death: the monitor's teardown
-	// closes every accepted connection, and Listener.Close drops
-	// backlog-queued ones, so both pumps unblock on a kill.
-
-	// Request pump: client → backend. Closing the backend on client EOF
-	// propagates end-of-stream to the server (simnet has no half-close,
-	// but the response — if any — has already crossed by the time a
-	// well-behaved client closes). Both pumps hand each message's
-	// pooled buffer straight through with SendOwned — the proxy never
-	// copies a payload; ownership passes from one wire to the other.
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		defer func() { _ = backend.Close() }()
-		for {
-			msg, err := client.Recv()
-			if err != nil || msg == nil {
-				return
-			}
-			if backend.SendOwned(msg) != nil {
-				simnet.PutBuffer(msg)
-				return
-			}
-		}
-	}()
-
-	// Response pump: backend → client, inline.
-	for {
-		msg, err := backend.Recv()
-		if err != nil || msg == nil {
-			return
-		}
-		if client.SendOwned(msg) != nil {
-			simnet.PutBuffer(msg)
-			return
-		}
-	}
+	defer g.release()
+	<-client.Done()
 }

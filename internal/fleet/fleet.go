@@ -80,8 +80,8 @@ type Options struct {
 	Seed int64
 	// Faults is an optional fault injector installed on the fleet's
 	// shared network before any group starts — the chaos campaign's
-	// way of disturbing the whole data plane (dispatch proxying
-	// included).
+	// way of disturbing the whole data plane, including the single
+	// client↔group hop of every front-door connection.
 	Faults simnet.FaultInjector
 	// Kernel holds extra kernel options every spawned group (initial
 	// or replacement) is built with — e.g. a chaos fault hook.
@@ -289,7 +289,7 @@ func (f *Fleet) spawn() (*group, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	g := &group{id: id, port: port, spec: spec, workers: workers, r1: spec.VariantName(1), handle: h, born: time.Now()}
+	g := &group{id: id, port: port, spec: spec, workers: workers, r1: spec.VariantName(1), handle: h, born: time.Now(), drained: make(chan struct{}, 1)}
 
 	f.mu.Lock()
 	early := f.starting[id]
@@ -755,13 +755,19 @@ func (f *Fleet) retire(id int, mode retireMode, drainFor time.Duration) error {
 	f.publishLocked()
 	f.mu.Unlock()
 
-	// Drain: the snapshot no longer offers the group, so inflight only
-	// falls. A connection that outlives the budget is dropped by the
-	// shutdown below — rotation must never wedge behind one slow
-	// client.
-	deadline := time.Now().Add(drainFor)
-	for victim.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(dialRetryInterval)
+	// Drain: the snapshot no longer offers the group, and a dispatcher
+	// still holding an older snapshot backs off once it sees the flag,
+	// so after the flag is set inflight only falls. A connection that
+	// outlives the budget is dropped by the shutdown below — rotation
+	// must never wedge behind one slow client.
+	victim.draining.Store(true)
+	if victim.inflight.Load() > 0 {
+		timer := time.NewTimer(drainFor)
+		select {
+		case <-victim.drained:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
 	return f.net.ShutdownPort(victim.port)
 }

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -33,6 +34,30 @@ func TestFleetServesBenignLoad(t *testing.T) {
 	}
 	if m.Requests != 60 {
 		t.Errorf("requests = %d, want 60", m.Requests)
+	}
+	// Every connection is dispatched and served once, and leaves
+	// nothing in flight once its exchange ends; the release follows the
+	// group's close, so await it.
+	settled := func(want int64) {
+		t.Helper()
+		if err := f.Await(func(s fleet.Stats) bool {
+			served, inflight := int64(0), int64(0)
+			for _, g := range s.Healthy {
+				served += g.Served
+				inflight += g.Inflight
+			}
+			return s.Dispatched == want && served == want && inflight == 0
+		}, 5*time.Second); err != nil {
+			t.Fatalf("after %d connections: %v", want, err)
+		}
+	}
+	settled(60)
+	client := f.Client()
+	for want := int64(61); want <= 63; want++ {
+		if code, _, err := client.Get("/index.html"); err != nil || code != 200 {
+			t.Fatalf("request %d = %d, %v", want, code, err)
+		}
+		settled(want)
 	}
 	stats, err := f.Stop()
 	if err != nil {
@@ -90,16 +115,28 @@ func TestFleetQuarantineAndReplacement(t *testing.T) {
 	}
 
 	// Step 2: drive requests until the struck group uses the forged
-	// UID and the monitor kills it.
+	// UID and the monitor kills it. The kill drops the exchange it
+	// interrupts with no response bytes at all.
 	deadline := time.Now().Add(15 * time.Second)
+	drops := 0
 	for f.Stats().Detections == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("attack not detected")
 		}
-		code, body, err := client.Get("/private/secret.html")
-		if err == nil && code == 200 && httpd.ContainsSecret(body) {
+		raw, err := client.Raw([]byte("GET /private/secret.html HTTP/1.0\r\n\r\n"))
+		if err != nil {
+			if !errors.Is(err, httpd.ErrConnClosed) {
+				t.Fatalf("trigger request: %v, want a drop with no response", err)
+			}
+			drops++
+			continue
+		}
+		if httpd.ContainsSecret(httpd.Body(raw)) {
 			t.Fatal("secret leaked through the fleet")
 		}
+	}
+	if drops == 0 {
+		t.Error("the killed group's exchange was not dropped")
 	}
 
 	// The replacement must come up and the fleet keep serving.

@@ -43,10 +43,33 @@ type group struct {
 	// while the fleet respawns it in the background. Atomic because the
 	// kernel's eviction hook fires from the lanes' goroutines.
 	degraded atomic.Bool
-	// inflight counts connections currently proxied to the group.
+	// inflight counts connections currently handed to the group (and
+	// handoffs about to be tried: the dispatcher counts first).
 	inflight atomic.Int64
 	// served counts connections ever dispatched to the group.
 	served atomic.Int64
+	// draining is set by retire before it reads inflight; a dispatcher
+	// re-checks it after counting a connection, so a handoff never
+	// lands behind a drain that has already read zero.
+	draining atomic.Bool
+	// drained receives a token when the last in-flight connection of a
+	// draining group is released: retire waits on it instead of
+	// polling inflight.
+	drained chan struct{}
+}
+
+// release uncounts one in-flight connection and, when that empties a
+// draining group, wakes its drain. Only one retire ever drains a
+// group, and once the flag is set no counted connection proceeds to a
+// handoff, so a token means the group really is empty; a second token
+// finds the buffer full and is dropped.
+func (g *group) release() {
+	if g.inflight.Add(-1) == 0 && g.draining.Load() {
+		select {
+		case g.drained <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // retireMode classifies an administrative drain of a healthy group.

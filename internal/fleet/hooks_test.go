@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nvariant/internal/httpd"
+	"nvariant/internal/testutil"
 )
 
 // Tests for the mesh-facing fleet hooks: LiveGroups, Rotate, the
@@ -73,6 +76,104 @@ func TestRotateDrainsAndReplaces(t *testing.T) {
 	}
 	if entry.Action != "rotate+replace" || entry.ReplacementID < 0 || entry.ReplacementR1 == "" {
 		t.Errorf("audit entry = %+v, want rotate+replace with a replacement spec", entry)
+	}
+}
+
+// TestRotateWaitsForInflightExchange: a client on the front port that
+// has not yet sent its request holds Rotate open — the victim shows as
+// draining with one connection in flight — and once it sends, it gets
+// the whole response before the drain closes the port.
+func TestRotateWaitsForInflightExchange(t *testing.T) {
+	f := mustFleet(t, Options{Groups: 1})
+	victim := f.OldestGroupID()
+	conn, err := f.Net().Dial(f.Port())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	victimInfo := func() GroupInfo {
+		for _, g := range f.LiveGroups() {
+			if g.ID == victim {
+				return g
+			}
+		}
+		return GroupInfo{}
+	}
+	testutil.Eventually(t, 5*time.Second, func() bool { return victimInfo().Inflight == 1 },
+		"connection never handed to group %d", victim)
+
+	rotated := make(chan error, 1)
+	go func() { rotated <- f.Rotate(victim, 5*time.Second) }()
+	testutil.Eventually(t, 5*time.Second, func() bool { return victimInfo().Draining },
+		"group %d never started draining", victim)
+	if g := victimInfo(); g.Inflight != 1 {
+		t.Fatalf("draining victim has %d connections in flight, want 1", g.Inflight)
+	}
+	select {
+	case err := <-rotated:
+		t.Fatalf("Rotate returned (%v) with an exchange in flight", err)
+	default:
+	}
+
+	if err := conn.Send(httpd.AppendRequest(nil, "/index.html")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := conn.Recv()
+	if err != nil || resp == nil {
+		t.Fatalf("response = %q, %v; want a full 200", resp, err)
+	}
+	const want = "<html><body><h1>It works!</h1></body></html>\n"
+	if code, err := httpd.ParseStatus(resp); err != nil || code != 200 || string(httpd.Body(resp)) != want {
+		t.Fatalf("response = %q (%d, %v), want a full 200", resp, code, err)
+	}
+	if err := <-rotated; err != nil {
+		t.Fatalf("Rotate: %v", err)
+	}
+}
+
+// TestHandoffSkipsDrainingGroup: a dispatcher holding a pool snapshot
+// that still lists a draining group must not hand it a connection, or
+// the drain, having read zero, could close the port on it.
+func TestHandoffSkipsDrainingGroup(t *testing.T) {
+	f := mustFleet(t, Options{Groups: 2})
+	pool := *f.pool.Load()
+	draining, live := pool[0], pool[1]
+	draining.draining.Store(true)
+	defer draining.draining.Store(false)
+
+	l, err := f.Net().Listen(8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	// Round-robin offers the draining group first on one of two picks.
+	for i := 0; i < 2; i++ {
+		client, err := f.Net().Dial(8080)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Closed before the fleet stops: a group whose lane waits on an
+		// open, silent client would never exit.
+		t.Cleanup(func() { _ = client.Close() })
+		handed, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := f.pickAndHand(handed)
+		if g != live {
+			t.Fatalf("handoff %d went to %v, want the non-draining %v", i, g, live)
+		}
+		if n := draining.inflight.Load(); n != 0 {
+			t.Errorf("draining group has %d in flight after the dispatcher backed off", n)
+		}
+		if err := client.Send(httpd.AppendRequest(nil, "/index.html")); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := client.Recv(); err != nil || resp == nil {
+			t.Fatalf("exchange %d through the live group: %q, %v", i, resp, err)
+		}
+		<-handed.Done()
+		g.release()
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // instrumented dispatcher adds no allocations (see the bench gate and
 // TestInstrumentedDispatchAddsNoAllocs). Series owned by this layer:
 //
-//	fleet_dispatched_total           connections proxied to a group
+//	fleet_dispatched_total           connections handed to a group
 //	fleet_dispatch_errors_total      connections that found no healthy group
-//	fleet_inflight                   connections currently proxied
+//	fleet_inflight                   connections currently handed to a group
 //	fleet_detections_total           groups that exited with an alarm
 //	fleet_quarantines_total          groups pruned from the pool
 //	fleet_replacements_total         replacement groups spawned
@@ -43,9 +43,9 @@ type metrics struct {
 // while the counters aggregate across all of them.
 func newMetrics(reg *obs.Registry, f *Fleet) *metrics {
 	m := &metrics{
-		dispatched:     reg.Counter("fleet_dispatched_total", "Connections proxied to a group."),
+		dispatched:     reg.Counter("fleet_dispatched_total", "Connections handed to a group."),
 		dispatchErrors: reg.Counter("fleet_dispatch_errors_total", "Connections that found no healthy group."),
-		inflight:       reg.Gauge("fleet_inflight", "Connections currently proxied."),
+		inflight:       reg.Gauge("fleet_inflight", "Connections currently handed to a group."),
 		detections:     reg.Counter("fleet_detections_total", "Groups that exited with an alarm."),
 		quarantines:    reg.Counter("fleet_quarantines_total", "Groups pruned from the pool."),
 		replacements:   reg.Counter("fleet_replacements_total", "Replacement groups spawned."),

@@ -121,8 +121,8 @@ func TestFleetQuorumEvictionRespawns(t *testing.T) {
 	}
 }
 
-// TestFleetQuorumRespawnUnderLoadRace hammers the dispatcher's pooled
-// proxy buffers across the eviction → drain → respawn window: held
+// TestFleetQuorumRespawnUnderLoadRace hammers the pooled response
+// buffers across the eviction → drain → respawn window: held
 // response bodies must never be scribbled on by a recycled buffer even
 // while the degraded group's slot is torn down and re-registered
 // concurrently with dispatch. Payload aliasing fails the body checks —

@@ -116,13 +116,13 @@ func TestFleetConcurrentDispatchRace(t *testing.T) {
 	}
 }
 
-// TestFleetProxyPooledPayloadIntegrity hammers the dispatcher's
-// zero-copy proxy pumps with concurrent clients and verifies that no
-// response payload is ever observed mutated after delivery: each body
-// is checked on arrival and re-checked after the client holds it
-// across further traffic. The proxy hands pooled buffers between the
-// two wires with SendOwned, so an ownership bug (a buffer recycled
-// while a client still reads it) fails this test — and trips -race.
+// TestFleetProxyPooledPayloadIntegrity hammers the front door with
+// concurrent clients and verifies that no response payload is ever
+// observed mutated after delivery: each body is checked on arrival and
+// re-checked after the client holds it across further traffic. Groups
+// send pooled buffers with SendOwned, so an ownership bug (a buffer
+// recycled while a client still reads it) fails this test — and trips
+// -race.
 func TestFleetProxyPooledPayloadIntegrity(t *testing.T) {
 	f := startFleet(t, fleet.Options{Groups: 2})
 	const want = "<html><body><h1>It works!</h1></body></html>\n"

@@ -41,7 +41,7 @@ type GroupStat struct {
 	// R1 names the group's variant-1 effective UID reexpression
 	// function.
 	R1 string
-	// Inflight is the number of connections currently proxied to it.
+	// Inflight is the number of connections currently handed to it.
 	Inflight int64
 	// Served is the number of connections ever dispatched to it.
 	Served int64
@@ -77,7 +77,7 @@ type Stats struct {
 	// K-of-N quorum (evicted variant, respawn pending) — the
 	// availability exposure the mesh aggregates per pool.
 	DegradedGroups int
-	// Dispatched counts client connections proxied to a group.
+	// Dispatched counts client connections handed to a group.
 	Dispatched int64
 	// DispatchErrors counts client connections the dispatcher could not
 	// place on any healthy group.

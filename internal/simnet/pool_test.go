@@ -133,10 +133,10 @@ func TestPooledSendAliasing(t *testing.T) {
 }
 
 // TestSendOwnedHandoffAliasing drives payloads through a zero-copy
-// proxy chain (sender → proxy → receiver) built on SendOwned, the
-// fleet dispatcher's pump shape: the proxy hands each received buffer
-// straight to the next wire without copying, and the final receiver
-// verifies the payload then recycles it.
+// relay chain (sender → relay → receiver) built on SendOwned: the
+// relay hands each received buffer straight to the next wire without
+// copying, and the final receiver verifies the payload then recycles
+// it.
 func TestSendOwnedHandoffAliasing(t *testing.T) {
 	net := New(0)
 	const messages = 500
@@ -155,7 +155,7 @@ func TestSendOwnedHandoffAliasing(t *testing.T) {
 	errs := make(chan error, 3)
 	var wg sync.WaitGroup
 
-	// Proxy: front → back, zero-copy.
+	// Relay: front → back, zero-copy.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -188,7 +188,7 @@ func TestSendOwnedHandoffAliasing(t *testing.T) {
 		}
 	}()
 
-	// Receiver: verifies every proxied payload, then recycles it.
+	// Receiver: verifies every relayed payload, then recycles it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -207,7 +207,7 @@ func TestSendOwnedHandoffAliasing(t *testing.T) {
 			want := make([]byte, 1+(m*13)%256)
 			fillPattern(want, byte(m))
 			if !bytes.Equal(msg, want) {
-				errs <- fmt.Errorf("message %d corrupted through proxy", m)
+				errs <- fmt.Errorf("message %d corrupted through the relay", m)
 				return
 			}
 			PutBuffer(msg)

@@ -27,14 +27,15 @@ import (
 var (
 	// ErrClosed is returned when the endpoint has been closed.
 	ErrClosed = errors.New("simnet: endpoint closed")
-	// ErrRefused is returned by Dial when nothing listens on the port.
+	// ErrRefused is returned by Dial and Handoff when the port has no
+	// open listener or its backlog is full.
 	ErrRefused = errors.New("simnet: connection refused")
 	// ErrInUse is returned by Listen when the port is taken.
 	ErrInUse = errors.New("simnet: address in use")
 )
 
-// Closed-endpoint errors, built once: the proxy pumps of every
-// forwarded request meet end of stream, so these are on the hot path.
+// Closed-endpoint errors, built once: they carry no per-call detail,
+// so a send or receive that meets a closed endpoint allocates nothing.
 var (
 	errRecvClosed     = fmt.Errorf("recv: %w", ErrClosed)
 	errSendClosed     = fmt.Errorf("send: %w", ErrClosed)
@@ -43,18 +44,18 @@ var (
 
 const (
 	// backlog bounds a listener's queue of connections not yet
-	// accepted (the SYN queue); Dial refuses once it is full.
+	// accepted (the SYN queue); Dial and Handoff refuse once it is
+	// full.
 	backlog = 256
 	// mailbox bounds the messages queued at one endpoint and not yet
 	// received. HTTP/1.0 carries one request and one response per
-	// connection, the fleet proxy forwards them one for one, and a
-	// Hold fault parks at most one more: across the test suite,
-	// cmd/campaign (group and -mesh) and the nvbench workloads no
-	// mailbox held more than 2 messages, except in this package's
-	// unpaced streaming stress tests. The capacity is the smallest
-	// power of two at or above twice that. A full mailbox blocks the
-	// sender until the peer receives or closes (deliver); only a held
-	// message's release drops instead (deliverHeld).
+	// connection, and a Hold fault parks at most one more: across the
+	// test suite, cmd/campaign (group and -mesh) and the nvbench
+	// workloads no mailbox held more than 2 messages, except in this
+	// package's unpaced streaming stress tests. The capacity is the
+	// smallest power of two at or above twice that. A full mailbox
+	// blocks the sender until the peer receives or closes (deliver);
+	// only a held message's release drops instead (deliverHeld).
 	mailbox = 4
 )
 
@@ -168,26 +169,44 @@ func (n *Network) Listening(port uint16) <-chan struct{} {
 // the connection. A full backlog refuses the connection (SYN-queue
 // overflow).
 func (n *Network) Dial(port uint16) (*Conn, error) {
+	client, server := newPair(n)
+	if err := n.enqueue("dial", port, server); err != nil {
+		return nil, err
+	}
+	return client, nil
+}
+
+// Handoff queues c, the server end of a connection accepted elsewhere
+// on this network, on the listener of port, as if c's peer had dialed
+// that port: the listener's Accept returns c itself, and c's peer now
+// talks to whoever accepts it. Handoff refuses with ErrRefused in the
+// cases Dial does (no listener, listener closed, backlog full); the
+// caller then still owns c, untouched, and may hand it elsewhere.
+func (n *Network) Handoff(port uint16, c *Conn) error {
+	return n.enqueue("handoff", port, c)
+}
+
+// enqueue queues server on port's listener backlog. It enqueues under
+// the listener lock so a connection can never slip into the backlog
+// after Close has drained it — a raced conn would otherwise strand its
+// peer in Recv forever.
+func (n *Network) enqueue(op string, port uint16, server *Conn) error {
 	n.mu.Lock()
 	l, ok := n.listeners[port]
 	n.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("dial %d: %w", port, ErrRefused)
+		return fmt.Errorf("%s %d: %w", op, port, ErrRefused)
 	}
-	client, server := newPair(n)
-	// Enqueue under the listener lock so a connection can never slip
-	// into the backlog after Close has drained it — a raced conn would
-	// otherwise strand its dialer in Recv forever.
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.isClosed {
-		return nil, fmt.Errorf("dial %d: %w", port, ErrRefused)
+		return fmt.Errorf("%s %d: %w", op, port, ErrRefused)
 	}
 	select {
 	case l.accept <- server:
-		return client, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("dial %d: backlog full: %w", port, ErrRefused)
+		return fmt.Errorf("%s %d: backlog full: %w", op, port, ErrRefused)
 	}
 }
 
@@ -368,9 +387,9 @@ func (c *Conn) Send(data []byte) error {
 // SendOwned transmits data to the peer without copying: ownership of
 // the backing array passes with the message, so the caller must not
 // read or write data after a nil return. The receiving side owns the
-// buffer from Recv on (and may PutBuffer it when done). This is the
-// zero-copy handoff the fleet dispatcher's proxy pumps use. On error
-// the caller keeps ownership.
+// buffer from Recv on (and may PutBuffer it when done). The monitor
+// kernel sends each response this way, from the buffer it gathered the
+// payload into. On error the caller keeps ownership.
 func (c *Conn) SendOwned(data []byte) error {
 	if m := c.net.metrics; m != nil {
 		m.messages.Inc()
@@ -523,6 +542,13 @@ func (c *Conn) waitWire(msg message) {
 // has been closed — how a dialer that sends nothing learns the server
 // is done with the connection.
 func (c *Conn) PeerClosed() <-chan struct{} { return c.peer.closed }
+
+// Done returns a channel that is closed once this endpoint has been
+// closed: by whoever holds it, by a Drop fault on its own sends, or by
+// its listener closing while it waits in the backlog. It mirrors
+// PeerClosed; a caller that handed c off waits on it to learn the
+// exchange is over.
+func (c *Conn) Done() <-chan struct{} { return c.closed }
 
 // Close shuts the endpoint down. Peer reads observe end of stream
 // after draining in-flight messages. A message still held for

@@ -342,7 +342,9 @@ func TestDialBacklogFullRefused(t *testing.T) {
 func TestQueuedConnsClosedOnListenerClose(t *testing.T) {
 	// A connection queued in the backlog when the listener closes must
 	// observe end-of-stream, not hang in Recv — the stranded-dialer
-	// case the fleet dispatcher's shutdown depends on.
+	// case the fleet dispatcher's shutdown depends on. A handed-off
+	// connection is queued the same way: its endpoint closes, so Done
+	// fires, and its peer reads end of stream.
 	n := New(0)
 	l, err := n.Listen(80)
 	if err != nil {
@@ -355,20 +357,191 @@ func TestQueuedConnsClosedOnListenerClose(t *testing.T) {
 	if err := c.Send([]byte("request")); err != nil {
 		t.Fatal(err)
 	}
+	client, handed := acceptedPair(t, n, 81)
+	if err := n.Handoff(80, handed); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got, err := c.Recv(); err == nil && got != nil {
-			t.Errorf("Recv = %q, want end of stream or error", got)
-		}
-	}()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("dialer hung in Recv after listener close")
+	case <-handed.Done():
+	default:
+		t.Error("handed-off conn still open after its listener closed")
+	}
+	for _, dialer := range []*Conn{c, client} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if got, err := dialer.Recv(); err == nil && got != nil {
+				t.Errorf("Recv = %q, want end of stream or error", got)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("dialer hung in Recv after listener close")
+		}
+	}
+}
+
+// acceptedPair dials a fresh listener on port and accepts the
+// connection, returning the dialer's end and the accepted server end —
+// the connection a front door hands on. The listener is closed again,
+// which leaves the accepted connection open.
+func acceptedPair(t *testing.T, n *Network, port uint16) (client, server *Conn) {
+	t.Helper()
+	l, err := n.Listen(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	client, err = n.Dial(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err = l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, server
+}
+
+// TestHandoffRefused: Handoff refuses where Dial does — no listener,
+// a closed listener, a full backlog — and the refused connection stays
+// the caller's, open and usable: handed on to a live listener, it
+// carries the dialer's request to whoever accepts it there and the
+// reply back.
+func TestHandoffRefused(t *testing.T) {
+	n := New(0)
+	client, handed := acceptedPair(t, n, 80)
+
+	if err := n.Handoff(9999, handed); !errors.Is(err, ErrRefused) {
+		t.Errorf("handoff to a port with no listener = %v, want ErrRefused", err)
+	}
+	closed, err := n.Listen(81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = closed.Close()
+	if err := n.Handoff(81, handed); !errors.Is(err, ErrRefused) {
+		t.Errorf("handoff to a closed listener = %v, want ErrRefused", err)
+	}
+	full, err := n.Listen(82)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = full.Close() }()
+	for i := 0; i < backlog; i++ {
+		if _, err := n.Dial(82); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+	}
+	if err := n.Handoff(82, handed); !errors.Is(err, ErrRefused) {
+		t.Errorf("handoff on a full backlog = %v, want ErrRefused", err)
+	}
+	select {
+	case <-handed.Done():
+		t.Fatal("a refused handoff closed the connection")
+	default:
+	}
+
+	backend, err := n.Listen(83)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = backend.Close() }()
+	if err := n.Handoff(83, handed); err != nil {
+		t.Fatalf("handoff after refusals: %v", err)
+	}
+	server, err := backend.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if server != handed {
+		t.Fatal("Accept did not return the handed-off connection")
+	}
+	if err := client.Send([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := server.Recv(); err != nil || string(msg) != "ping" {
+		t.Fatalf("backend Recv = %q, %v", msg, err)
+	}
+	if err := server.Send([]byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	_ = server.Close()
+	if msg, err := client.Recv(); err != nil || string(msg) != "pong" {
+		t.Fatalf("client Recv = %q, %v", msg, err)
+	}
+	if msg, err := client.Recv(); err != nil || msg != nil {
+		t.Errorf("client Recv after the backend closed = %q, %v; want end of stream", msg, err)
+	}
+	select {
+	case <-server.Done():
+	default:
+		t.Error("Done not closed after Close")
+	}
+}
+
+// TestHandoffRacesListenerClose races Handoff against Listener.Close:
+// every connection a Handoff queued must end up accepted or closed,
+// never stranded in a backlog nobody drains. Run under -race -count=20.
+func TestHandoffRacesListenerClose(t *testing.T) {
+	const rounds, handers, perHander = 50, 4, 8
+	n := New(0)
+	for r := 0; r < rounds; r++ {
+		conns := make([]*Conn, handers*perHander)
+		for i := range conns {
+			_, conns[i] = newPair(n)
+		}
+		l, err := n.Listen(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Odd rounds accept concurrently; even rounds leave every
+		// queued connection to Close's drain.
+		accepted := make(map[*Conn]bool)
+		acceptDone := make(chan struct{})
+		go func() {
+			defer close(acceptDone)
+			for r%2 == 1 {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				accepted[c] = true
+			}
+		}()
+		handedOff := make([][]*Conn, handers)
+		var wg sync.WaitGroup
+		for h := 0; h < handers; h++ {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				for _, c := range conns[h*perHander : (h+1)*perHander] {
+					if n.Handoff(80, c) == nil {
+						handedOff[h] = append(handedOff[h], c)
+					}
+					runtime.Gosched()
+				}
+			}(h)
+		}
+		runtime.Gosched()
+		_ = l.Close()
+		wg.Wait()
+		<-acceptDone
+		for _, list := range handedOff {
+			for _, c := range list {
+				select {
+				case <-c.Done():
+				default:
+					if !accepted[c] {
+						t.Fatalf("round %d: a handed-off conn was neither accepted nor closed", r)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -332,8 +332,8 @@ type OpenFile struct {
 // slice and nil (Unix read semantics rather than io.EOF, since programs
 // observe the syscall return value). The result is a view of the
 // file's contents that stays valid and unchanged after the call: Write
-// never modifies an inode's bytes in place, so a later write, truncate
-// or append through any description leaves it as it was.
+// never modifies an inode's existing bytes in place, so a later write,
+// truncate or append through any description leaves it as it was.
 func (f *OpenFile) Next(n int) ([]byte, error) {
 	if f.closed {
 		return nil, fmt.Errorf("read %s: %w", f.path, ErrBadFD)
@@ -358,8 +358,15 @@ func (f *OpenFile) Read(p []byte) (int, error) {
 }
 
 // Write writes p at the current offset, extending the file as needed.
-// It builds the file's new contents and swaps them in, so views
-// returned by Next keep the bytes they had.
+// Views returned by Next keep the bytes they had. A write that starts
+// inside the file builds the file's new contents and swaps them in. A
+// write at or past the end (an append) only adds bytes past the old
+// length, which no view covers: Next caps every view's capacity at
+// its end. So an append goes in place, into spare capacity that grows
+// by doubling, and a growing log costs amortized constant time per
+// append. Spare capacity is never written before it becomes part of
+// the file, and Truncate drops the backing array, so the bytes between
+// the old end and a later offset read as zero.
 func (f *OpenFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, fmt.Errorf("write %s: %w", f.path, ErrBadFD)
@@ -367,9 +374,19 @@ func (f *OpenFile) Write(p []byte) (int, error) {
 	if f.flags&WriteOnly == 0 {
 		return 0, fmt.Errorf("write %s: %w", f.path, ErrBadFD)
 	}
+	old := f.node.data
 	end := f.offset + int64(len(p))
-	data := make([]byte, max(end, int64(len(f.node.data))))
-	copy(data, f.node.data)
+	var data []byte
+	switch {
+	case f.offset < int64(len(old)):
+		data = make([]byte, max(end, int64(len(old))))
+		copy(data, old)
+	case end <= int64(cap(old)):
+		data = old[:end]
+	default:
+		data = make([]byte, end, max(end, 2*int64(cap(old))))
+		copy(data, old)
+	}
 	copy(data[f.offset:], p)
 	f.node.data = data
 	f.offset = end

@@ -412,6 +412,67 @@ func TestFSAppendAndOffsets(t *testing.T) {
 	}
 }
 
+// TestAppendsGrowInPlace pins appends at amortized constant time by
+// counting allocations: 4,096 appends of a 49-byte log line grow the
+// file by doubling, about a dozen allocations, where copying the file
+// on every append would allocate once per write.
+func TestAppendsGrowInPlace(t *testing.T) {
+	const appends, maxAllocs = 4096, 20
+	line := []byte(strings.Repeat("x", 48) + "\n")
+	fs := NewFS()
+	allocs := testing.AllocsPerRun(1, func() {
+		f, err := fs.Open("/log", WriteOnly|Create|Truncate|Append, 0644, root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < appends; i++ {
+			if _, err := f.Write(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("%d appends allocated %.0f times, want at most %d", appends, allocs, maxAllocs)
+	}
+	got, err := fs.ReadFile("/log", root())
+	if err != nil || len(got) != appends*len(line) || string(got[len(got)-len(line):]) != string(line) {
+		t.Errorf("log = %d bytes, %v; want %d", len(got), err, appends*len(line))
+	}
+}
+
+// TestWritePastEndReadsZeroGap: a description whose offset lies past
+// the end of a file truncated under it writes in place into spare
+// capacity; the bytes it skips over read as zero.
+func TestWritePastEndReadsZeroGap(t *testing.T) {
+	fs := NewFS()
+	if err := fs.WriteFile("/f", []byte("0123456789abcdef"), 0644, root()); err != nil {
+		t.Fatal(err)
+	}
+	late, err := fs.Open("/f", ReadOnly|WriteOnly, 0, root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.Next(14); err != nil {
+		t.Fatal(err)
+	}
+	w, err := fs.Open("/f", WriteOnly|Truncate, 0, root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []string{"ab", "cd", "e", "fghij", "k"} {
+		if _, err := w.Write([]byte(part)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := late.Write([]byte("Q")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadFile("/f", root())
+	if want := "abcdefghijk\x00\x00\x00Q"; err != nil || string(got) != want {
+		t.Errorf("file = %q, %v; want %q", got, err, want)
+	}
+}
+
 func TestOpenFileModes(t *testing.T) {
 	fs := NewFS()
 	if err := fs.WriteFile("/f", []byte("abc"), 0644, root()); err != nil {
