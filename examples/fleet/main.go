@@ -31,7 +31,7 @@ func main() {
 
 func run() error {
 	variants := flag.Int("variants", 2, "variant count N per group")
-	stackCSV := flag.String("stack", "", "variation stack per group spec (e.g. uid,addr,files; default: the full paper stack)")
+	stackCSV := flag.String("stack", "", "variation stack per group spec, each kind at most once (e.g. uid,files; default: the full paper stack uid,addr,files)")
 	flag.Parse()
 
 	var stack []nvariant.DiversityLayerKind

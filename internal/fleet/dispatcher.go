@@ -80,9 +80,11 @@ func (f *Fleet) pickAndHand(conn *simnet.Conn) *group {
 // way an exchange ends closes the handed-off endpoint: the group
 // responds and closes it; the client closes and the server, seeing end
 // of stream, closes it; the monitor kills the group and closes all its
-// descriptors; or the group's listener closes with it still queued.
-// A killed group therefore drops the connection with no response, as
-// a direct attacker observes.
+// descriptors; the group's listener closes with it still queued; or
+// on the group's drop signal (drain budget spent, fleet stopping)
+// serve ends the group's input, and the group, reading end of stream
+// once it has served what it already read, closes it. A killed group therefore drops the connection
+// with no response, as a direct attacker observes.
 func (f *Fleet) serve(client *simnet.Conn) {
 	defer f.wg.Done()
 
@@ -106,5 +108,9 @@ func (f *Fleet) serve(client *simnet.Conn) {
 		defer f.obs.inflight.Add(-1)
 	}
 	defer g.release()
-	<-client.Done()
+	select {
+	case <-client.Done():
+	case <-g.drop:
+		client.CloseRead()
+	}
 }

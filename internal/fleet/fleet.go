@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -154,11 +155,8 @@ type Fleet struct {
 	// probe, and registration replays what arrived meanwhile.
 	starting map[int][]nvkernel.Eviction
 
-	// rngMu guards rng separately from mu, so drawing a spec never
-	// holds the lock the dispatcher's pick() takes: a stack that
-	// repeats a layer kind still runs the ~65k-sample property check.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// rng draws every spawned group's spec, under mu.
+	rng *rand.Rand
 
 	rr             atomic.Uint64
 	dispatched     atomic.Int64
@@ -181,14 +179,12 @@ type Fleet struct {
 // functions, so the pool is representation-diverse from the start.
 func New(opts Options) (*Fleet, error) {
 	opts = opts.withDefaults()
-	for _, k := range opts.Stack {
-		switch k {
-		case reexpress.LayerUID, reexpress.LayerAddressPartition, reexpress.LayerUnsharedFiles:
-			// Deployable by the monitor kernel.
-		case reexpress.LayerInstructionTags:
+	if len(opts.Stack) > 0 {
+		if err := reexpress.CheckStack(opts.Stack); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		if slices.Contains(opts.Stack, reexpress.LayerInstructionTags) {
 			return nil, fmt.Errorf("fleet: instruction-tag layers cannot be deployed in server groups")
-		default:
-			return nil, fmt.Errorf("fleet: unknown stack layer kind %d", k)
 		}
 	}
 	f := &Fleet{
@@ -271,12 +267,13 @@ func (f *Fleet) spawn() (*group, error) {
 		}
 		f.nextPort++
 	}
+	// Drawn with the id, so specs follow spawn order; a draw takes
+	// microseconds, and dispatch reads the lock-free pool snapshot.
+	spec := f.specForGroup(id)
 	f.mu.Unlock()
 
-	// Generate the spec and build outside the pool lock: group startup
-	// takes real time, and dispatch must keep flowing to the survivors
-	// meanwhile.
-	spec := f.specForGroup(id)
+	// Build outside the pool lock: group startup takes real time, and
+	// dispatch must keep flowing to the survivors meanwhile.
 	h, err := harness.StartSpec(f.net, f.specFor(id, port, spec))
 	if err != nil {
 		f.mu.Lock()
@@ -289,7 +286,7 @@ func (f *Fleet) spawn() (*group, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	g := &group{id: id, port: port, spec: spec, workers: workers, r1: spec.VariantName(1), handle: h, born: time.Now(), drained: make(chan struct{}, 1)}
+	g := &group{id: id, port: port, spec: spec, workers: workers, r1: spec.VariantName(1), handle: h, born: time.Now(), drained: make(chan struct{}, 1), drop: make(chan struct{})}
 
 	f.mu.Lock()
 	early := f.starting[id]
@@ -758,14 +755,15 @@ func (f *Fleet) retire(id int, mode retireMode, drainFor time.Duration) error {
 	// Drain: the snapshot no longer offers the group, and a dispatcher
 	// still holding an older snapshot backs off once it sees the flag,
 	// so after the flag is set inflight only falls. A connection that
-	// outlives the budget is dropped by the shutdown below — rotation
-	// must never wedge behind one slow client.
+	// outlives the budget is closed — rotation must never wedge behind
+	// one slow or silent client.
 	victim.draining.Store(true)
 	if victim.inflight.Load() > 0 {
 		timer := time.NewTimer(drainFor)
 		select {
 		case <-victim.drained:
 		case <-timer.C:
+			victim.dropConns()
 		}
 		timer.Stop()
 	}
@@ -818,6 +816,9 @@ func (f *Fleet) Stop() (Stats, error) {
 	}
 	var firstErr error
 	for _, g := range groups {
+		// A lane blocked reading a silent client would keep the group
+		// alive past its listener's close.
+		g.dropConns()
 		if _, err := g.handle.Stop(); err != nil && firstErr == nil {
 			firstErr = err
 		}

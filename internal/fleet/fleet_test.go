@@ -304,4 +304,7 @@ func TestFleetRejectsBadStack(t *testing.T) {
 	if _, err := fleet.New(fleet.Options{Stack: []reexpress.LayerKind{reexpress.LayerUID, reexpress.LayerInstructionTags}}); err == nil {
 		t.Error("instruction-tag stack layer accepted for server groups")
 	}
+	if _, err := fleet.New(fleet.Options{Stack: []reexpress.LayerKind{reexpress.LayerUID, reexpress.LayerUID}}); err == nil {
+		t.Error("repeated UID stack layer accepted")
+	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,7 +57,16 @@ type group struct {
 	// draining group is released: retire waits on it instead of
 	// polling inflight.
 	drained chan struct{}
+	// drop is closed (once, by dropConns) when the group's in-flight
+	// connections must end: retire's drain budget expired, or the fleet
+	// is stopping. serve ends the group's input on each of them, so a
+	// client that never sends cannot keep the group alive.
+	drop     chan struct{}
+	dropOnce sync.Once
 }
+
+// dropConns ends every connection still handed to the group.
+func (g *group) dropConns() { g.dropOnce.Do(func() { close(g.drop) }) }
 
 // release uncounts one in-flight connection and, when that empties a
 // draining group, wakes its drain. Only one retire ever drains a
@@ -96,9 +106,8 @@ var defaultStack = []reexpress.LayerKind{
 }
 
 // specForGroup selects the DiversitySpec a fresh group deploys.
+// Caller holds f.mu.
 func (f *Fleet) specForGroup(id int) *reexpress.Spec {
-	f.rngMu.Lock()
-	defer f.rngMu.Unlock()
 	n := f.opts.Variants
 	if id == 0 && n == 2 && len(f.opts.Stack) == 0 {
 		// Group 0 runs the paper's published functions; every further

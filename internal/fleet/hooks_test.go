@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nvariant/internal/httpd"
+	"nvariant/internal/simnet"
 	"nvariant/internal/testutil"
 )
 
@@ -128,6 +129,73 @@ func TestRotateWaitsForInflightExchange(t *testing.T) {
 	}
 	if err := <-rotated; err != nil {
 		t.Fatalf("Rotate: %v", err)
+	}
+}
+
+// dialSilent opens a front-port connection that never sends and waits
+// until the fleet has handed it to a group.
+func dialSilent(t *testing.T, f *Fleet) *simnet.Conn {
+	t.Helper()
+	conn, err := f.Net().Dial(f.Port())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	testutil.Eventually(t, 5*time.Second, func() bool { return f.Stats().Healthy[0].Inflight == 1 },
+		"connection never handed to a group")
+	return conn
+}
+
+// TestRotateClosesSilentClient: a client that never sends holds a
+// rotation only for its drain budget; then the drain closes the
+// connection, the group exits without an alarm and its replacement
+// registers.
+func TestRotateClosesSilentClient(t *testing.T) {
+	f := mustFleet(t, Options{Groups: 1})
+	conn := dialSilent(t, f)
+	if err := f.Rotate(f.OldestGroupID(), 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-conn.PeerClosed():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the silent client's connection outlived the drain budget")
+	}
+	if err := f.Await(func(s Stats) bool { return s.Rotated == 1 && s.Replaced == 1 && len(s.Healthy) == 1 }, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Detections != 0 || st.Quarantined != 0 {
+		t.Errorf("closing the silent client raised an alarm: %+v", st)
+	}
+}
+
+// TestStopClosesSilentClient: Stop returns while a client that never
+// sends still holds its connection open, the client sees it close,
+// and the group exits without an alarm.
+func TestStopClosesSilentClient(t *testing.T) {
+	f := mustFleet(t, Options{Groups: 1})
+	conn := dialSilent(t, f)
+	type result struct {
+		st  Stats
+		err error
+	}
+	stopped := make(chan result, 1)
+	go func() {
+		st, err := f.Stop()
+		stopped <- result{st, err}
+	}()
+	select {
+	case r := <-stopped:
+		if r.err != nil || r.st.Detections != 0 {
+			t.Errorf("Stop = %+v, %v; want no error and no detection", r.st, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop blocked behind a silent client")
+	}
+	select {
+	case <-conn.PeerClosed():
+	default:
+		t.Error("Stop returned with the silent client's connection open")
 	}
 }
 

@@ -184,9 +184,9 @@ func buildSpec(world *vos.World, spec GroupSpec) ([]sys.Program, []nvkernel.Opti
 	case Config4UIDVariation:
 		// The full system: every layer of the group's DiversitySpec is
 		// materialized — variant programs are built with the spec's
-		// (composed) UID functions, the diversified passwd/group files
-		// are written for every variant, and the kernel is configured
-		// from the same spec.
+		// UID functions, the diversified passwd/group files are
+		// written for every variant, and the kernel is configured from
+		// the same spec.
 		d := spec.diversity()
 		if d.HasLayer(reexpress.LayerUID) && !d.HasLayer(reexpress.LayerUnsharedFiles) {
 			// Reexpressed UID constants with shared system databases

@@ -358,7 +358,7 @@ func TestCompositionDetectsBothAttackClasses(t *testing.T) {
 	// Configuration 4 composes address partitioning with the UID
 	// variation (§4: "the practical possibility of combining
 	// variations"). The UID attack is covered by TestAttackMatrix;
-	// here the composed system also faces an overlong payload that
+	// here the combined system also faces an overlong payload that
 	// would run past mapped memory — a crash-divergence case — and
 	// must flag it rather than serve on.
 	h := startConfig(t, Config4UIDVariation, httpd.DefaultOptions())

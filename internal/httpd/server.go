@@ -159,8 +159,8 @@ func BuildVariants(opts Options, funcs []reexpress.Func) ([]sys.Program, error) 
 }
 
 // BuildFromSpec builds one transformed server per variant of a
-// DiversitySpec, applying the spec's effective (stack-composed) UID
-// function of each variant to the program's constants.
+// DiversitySpec, applying each variant's UID function to the
+// program's constants.
 func BuildFromSpec(opts Options, spec *reexpress.Spec) ([]sys.Program, error) {
 	return BuildVariants(opts, spec.UIDFuncs())
 }

@@ -460,7 +460,7 @@ func RunN(canonical []word.Word, funcs []reexpress.Func, inject []word.Word, inj
 }
 
 // RunSpec deploys a DiversitySpec's instruction-tag layer: one tagged
-// variant per effective (stack-composed) tag function.
+// variant per tag function.
 func RunSpec(canonical []word.Word, spec *reexpress.Spec, inject []word.Word, injectAt int, maxSteps int) ([][]word.Word, error) {
 	funcs := spec.FuncsFor(reexpress.LayerInstructionTags)
 	if funcs == nil {

@@ -73,8 +73,6 @@ type ChaosCampaignConfig struct {
 	// Rotations lists the rotation settings to sweep (default
 	// {false, true}).
 	Rotations []bool
-	// Probes is the forged-UID probe count per attack cell (default 2).
-	Probes int
 	// Faults lists the chaos plans to sweep (default: none, net-mixed,
 	// slow-syscalls, group-restart, variant-crash, variant-stall).
 	Faults []chaos.Plan
@@ -90,6 +88,8 @@ type ChaosCampaignConfig struct {
 const (
 	// campaignGroups is each pool's fleet size.
 	campaignGroups = 2
+	// campaignProbes is the forged-UID probe count per attack cell.
+	campaignProbes = 2
 	// campaignRotateEvery is the rotation cadence in mesh ticks for
 	// rotation-on cells.
 	campaignRotateEvery uint64 = 6
@@ -109,9 +109,6 @@ func (c ChaosCampaignConfig) withDefaults() ChaosCampaignConfig {
 	}
 	if len(c.Rotations) == 0 {
 		c.Rotations = []bool{false, true}
-	}
-	if c.Probes <= 0 {
-		c.Probes = 2
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = defaultChaosPlans()
@@ -450,10 +447,10 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 	// by the fault plan. Serialized probe-and-await keeps detection
 	// counts settled.
 	if att == "forge-uid" {
-		cell.Probes = cfg.Probes
+		cell.Probes = campaignProbes
 		rng := rand.New(rand.NewSource(seed + 3))
 		perPool := make([]int, pools)
-		for i := 0; i < cfg.Probes; i++ {
+		for i := 0; i < campaignProbes; i++ {
 			pi := m.RouteKey(fmt.Sprintf("attacker-%d", i))
 			f := m.Pool(pi)
 			if quorum && f.Stats().Evictions == 0 {

@@ -24,7 +24,6 @@ func testChaosConfig(seed int64) ChaosCampaignConfig {
 		Seed:     seed,
 		Requests: 12,
 		Pools:    []int{1, 2, 4},
-		Probes:   1,
 		Faults:   testChaosPlans(),
 	}
 }
@@ -160,7 +159,6 @@ func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
 		Seed:     17,
 		Requests: 8,
 		Pools:    []int{2},
-		Probes:   1,
 		Faults:   testChaosPlans(),
 	}
 	plain, err := RunChaosCampaign(cfg)

@@ -94,8 +94,8 @@ func defaultConfig(n int) Config {
 }
 
 // WithSpec configures the group from a DiversitySpec, materializing
-// each layer of its variation stack: the UID layer's (composed)
-// per-variant functions, address partitioning, and unshared files.
+// each layer of its variation stack: the UID layer's per-variant
+// functions, address partitioning, and unshared files.
 // Layers absent from the stack leave the corresponding fields
 // untouched, so a spec composes with individually-set options.
 func WithSpec(s *reexpress.Spec) Option {

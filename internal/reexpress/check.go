@@ -85,9 +85,9 @@ func CheckDisjointN(funcs []Func, samples []word.Word) error {
 }
 
 // CheckSpec runs the construction-time property checks of a spec: for
-// every diversified layer kind in the stack, the effective (composed)
-// per-variant functions must satisfy the inverse property and N-wide
-// pairwise disjointness over the given samples.
+// every diversified layer kind in the stack, the layer's per-variant
+// functions must satisfy the inverse property and N-wide pairwise
+// disjointness over the given samples.
 func CheckSpec(s *Spec, samples []word.Word) error {
 	for _, kind := range []LayerKind{LayerUID, LayerAddressPartition, LayerInstructionTags} {
 		funcs := s.FuncsFor(kind)

@@ -67,7 +67,8 @@ func (k LayerKind) String() string {
 
 // ParseStack parses a comma-separated variation-stack description into
 // layer kinds. Accepted tokens (with aliases): "uid", "addr"
-// ("address"), "files" ("unshared"), "tags" ("instr").
+// ("address"), "files" ("unshared"), "tags" ("instr"). Each kind may
+// appear once (CheckStack).
 func ParseStack(csv string) ([]LayerKind, error) {
 	var out []LayerKind
 	for _, tok := range strings.Split(csv, ",") {
@@ -88,10 +89,42 @@ func ParseStack(csv string) ([]LayerKind, error) {
 			return nil, fmt.Errorf("reexpress: unknown stack layer %q (want uid, addr, files, or tags)", tok)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("reexpress: empty variation stack")
+	if err := CheckStack(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// CheckStack validates a variation stack: at least one layer, every
+// kind known, and no kind twice. Every Spec holds at most one layer of
+// each kind. A repeated kind adds nothing a single layer lacks: slot
+// and file layers draw nothing, and two UID layers compose into masks
+// that can share a byte position, so a single-byte overwrite there
+// would not diverge between every pair of variants.
+func CheckStack(stack []LayerKind) error {
+	if len(stack) == 0 {
+		return fmt.Errorf("reexpress: empty variation stack")
+	}
+	var seen [LayerInstructionTags + 1]bool
+	for i, k := range stack {
+		if k < LayerUID || k > LayerInstructionTags {
+			return fmt.Errorf("reexpress: layer %d: unknown kind %d", i, k)
+		}
+		if seen[k] {
+			return fmt.Errorf("reexpress: layer %d: a second %s layer (a stack holds at most one layer of each kind)", i, k)
+		}
+		seen[k] = true
+	}
+	return nil
+}
+
+// kindsOf lists the kinds of a layer stack, for CheckStack.
+func kindsOf(layers []Layer) []LayerKind {
+	kinds := make([]LayerKind, len(layers))
+	for i, l := range layers {
+		kinds[i] = l.Kind
+	}
+	return kinds
 }
 
 // Layer is one variation in a spec's stack. Reexpression layers (UID,
@@ -223,80 +256,16 @@ func slotFaultFor(got int) error {
 // Domain implements Func: canonical values occupy the low bits.
 func (f Slot) Domain(x word.Word) bool { return x>>f.shift() == 0 }
 
-// Compose returns the composition of the given functions as a single
-// Func: Apply runs them in argument order, Invert in reverse. An empty
-// composition is the identity. This is how a stacked spec (§5) derives
-// the effective per-variant function of a layer kind.
-func Compose(fs ...Func) Func {
-	switch len(fs) {
-	case 0:
-		return Identity{}
-	case 1:
-		return fs[0]
-	}
-	return composed(append([]Func(nil), fs...))
-}
-
-// composed chains reexpression functions.
-type composed []Func
-
-var _ Func = composed{}
-
-// Name implements Func.
-func (c composed) Name() string {
-	names := make([]string, len(c))
-	for i, f := range c {
-		names[i] = f.Name()
-	}
-	return strings.Join(names, "∘")
-}
-
-// Apply implements Func, applying each function in order.
-func (c composed) Apply(x word.Word) (word.Word, error) {
-	v := x
-	for _, f := range c {
-		var err error
-		if v, err = f.Apply(v); err != nil {
-			return 0, err
-		}
-	}
-	return v, nil
-}
-
-// Invert implements Func, inverting in reverse order.
-func (c composed) Invert(y word.Word) (word.Word, error) {
-	v := y
-	for i := len(c) - 1; i >= 0; i-- {
-		var err error
-		if v, err = c[i].Invert(v); err != nil {
-			return 0, err
-		}
-	}
-	return v, nil
-}
-
-// Domain implements Func: x is in the composition's domain when the
-// whole Apply chain is.
-func (c composed) Domain(x word.Word) bool {
-	v := x
-	for _, f := range c {
-		if !f.Domain(v) {
-			return false
-		}
-		var err error
-		if v, err = f.Apply(v); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // UncheckedSpec builds a Spec without running the §2.2/§2.3 property
 // checks. It is the constructor behind FullStack, the configuration 3
 // baseline stacks and the ablation experiments, which deliberately
 // deploy undiversified or property-violating stacks; new code should
-// use NewSpec.
+// use NewSpec. The layer kinds come from code, so a stack CheckStack
+// rejects (such as a repeated kind) panics.
 func UncheckedSpec(n int, layers ...Layer) *Spec {
+	if err := CheckStack(kindsOf(layers)); err != nil {
+		panic("reexpress: UncheckedSpec: " + err.Error())
+	}
 	copied := make([]Layer, len(layers))
 	for i, l := range layers {
 		copied[i] = Layer{
@@ -309,34 +278,34 @@ func UncheckedSpec(n int, layers ...Layer) *Spec {
 }
 
 // NewSpec builds and validates a Spec for n variants: the shape is
-// checked (n ≥ 2, every reexpression layer carries exactly n
-// functions), then every diversified layer kind is verified against
+// checked (n ≥ 2, CheckStack, every reexpression layer carries exactly
+// n functions), then every diversified layer kind is verified against
 // the inverse and N-wide pairwise-disjointness properties over the
 // adversarial BoundarySamples corpus.
 func NewSpec(n int, layers ...Layer) (*Spec, error) {
-	s := UncheckedSpec(n, layers...)
-	if err := s.checkShape(); err != nil {
+	if err := checkShape(n, layers); err != nil {
 		return nil, err
 	}
+	s := UncheckedSpec(n, layers...)
 	if err := CheckSpec(s, boundarySamples()); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// checkShape validates the structural invariants of a spec.
-func (s *Spec) checkShape() error {
-	if s.n < 2 {
-		return fmt.Errorf("reexpress: spec needs at least 2 variants, got %d", s.n)
+// checkShape validates the structural invariants of a spec's layers.
+func checkShape(n int, layers []Layer) error {
+	if n < 2 {
+		return fmt.Errorf("reexpress: spec needs at least 2 variants, got %d", n)
 	}
-	if len(s.layers) == 0 {
-		return fmt.Errorf("reexpress: spec has no variation layers")
+	if err := CheckStack(kindsOf(layers)); err != nil {
+		return err
 	}
-	for li, l := range s.layers {
+	for li, l := range layers {
 		switch l.Kind {
 		case LayerUID, LayerAddressPartition, LayerInstructionTags:
-			if len(l.Funcs) != s.n {
-				return fmt.Errorf("reexpress: layer %d (%s): %d funcs for %d variants", li, l.Kind, len(l.Funcs), s.n)
+			if len(l.Funcs) != n {
+				return fmt.Errorf("reexpress: layer %d (%s): %d funcs for %d variants", li, l.Kind, len(l.Funcs), n)
 			}
 			for i, f := range l.Funcs {
 				if f == nil {
@@ -347,8 +316,6 @@ func (s *Spec) checkShape() error {
 			if len(l.Paths) == 0 {
 				return fmt.Errorf("reexpress: layer %d (unshared-files): no paths", li)
 			}
-		default:
-			return fmt.Errorf("reexpress: layer %d: unknown kind %d", li, l.Kind)
 		}
 	}
 	return nil
@@ -357,46 +324,32 @@ func (s *Spec) checkShape() error {
 // N returns the variant count.
 func (s *Spec) N() int { return s.n }
 
+// layer returns the stack's layer of kind k (a spec holds at most
+// one), or nil when the kind is absent.
+func (s *Spec) layer(k LayerKind) *Layer {
+	for i := range s.layers {
+		if s.layers[i].Kind == k {
+			return &s.layers[i]
+		}
+	}
+	return nil
+}
+
 // HasLayer reports whether the stack contains a layer of the given
 // kind.
-func (s *Spec) HasLayer(k LayerKind) bool {
-	for _, l := range s.layers {
-		if l.Kind == k {
-			return true
-		}
-	}
-	return false
-}
+func (s *Spec) HasLayer(k LayerKind) bool { return s.layer(k) != nil }
 
-// FuncsFor returns the effective per-variant functions of the given
-// layer kind: the stack-ordered composition when several layers share
-// the kind, nil when the kind is absent.
+// FuncsFor returns the per-variant functions of the given layer kind,
+// nil when the kind is absent or carries no functions.
 func (s *Spec) FuncsFor(k LayerKind) []Func {
-	var stacked [][]Func
-	for _, l := range s.layers {
-		if l.Kind == k && len(l.Funcs) > 0 {
-			stacked = append(stacked, l.Funcs)
-		}
+	if l := s.layer(k); l != nil {
+		return append([]Func(nil), l.Funcs...)
 	}
-	switch len(stacked) {
-	case 0:
-		return nil
-	case 1:
-		return append([]Func(nil), stacked[0]...)
-	}
-	out := make([]Func, s.n)
-	for i := range out {
-		chain := make([]Func, len(stacked))
-		for j := range stacked {
-			chain[j] = stacked[j][i]
-		}
-		out[i] = Compose(chain...)
-	}
-	return out
+	return nil
 }
 
-// UIDFuncs returns the effective per-variant UID functions, defaulting
-// to identity for every variant when the stack has no UID layer.
+// UIDFuncs returns the per-variant UID functions, defaulting to
+// identity for every variant when the stack has no UID layer.
 func (s *Spec) UIDFuncs() []Func {
 	if fs := s.FuncsFor(LayerUID); fs != nil {
 		return fs
@@ -408,26 +361,16 @@ func (s *Spec) UIDFuncs() []Func {
 	return out
 }
 
-// UnsharedPaths returns the union of the stack's unshared-file paths
-// in first-appearance order.
+// UnsharedPaths returns the unshared-files layer's paths, nil when the
+// stack has none.
 func (s *Spec) UnsharedPaths() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, l := range s.layers {
-		if l.Kind != LayerUnsharedFiles {
-			continue
-		}
-		for _, p := range l.Paths {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
+	if l := s.layer(LayerUnsharedFiles); l != nil {
+		return append([]string(nil), l.Paths...)
 	}
-	return out
+	return nil
 }
 
-// VariantName names variant i's effective UID function — what fleet
+// VariantName names variant i's UID function — what fleet
 // stats and audit logs record about a deployment.
 func (s *Spec) VariantName(i int) string {
 	fs := s.UIDFuncs()
@@ -526,9 +469,10 @@ func Generate(seed int64, n int, stack ...LayerKind) *Spec {
 // bits flipped each. The result is validated by construction
 // (checkConstruction): each drawn layer is checked against the
 // structural rules that imply the §2.2/§2.3 properties, in O(N²) per
-// layer. Only a stack that repeats a reexpression kind, whose layers
-// compose and can collide, is verified against the sampled property
-// checks (CheckSpec over BoundarySamples) instead.
+// layer. The stack's kinds come from code (user input goes through
+// ParseStack), so a stack CheckStack rejects — an unknown or repeated
+// kind — is a bug at the call site and panics rather than deploying a
+// spec the caller did not ask for.
 func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 	if n < 2 {
 		n = 2
@@ -536,78 +480,38 @@ func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 	if len(stack) == 0 {
 		stack = []LayerKind{LayerUID}
 	}
-	sampled := repeatsReexpressionKind(stack)
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
-		layers := make([]Layer, 0, len(stack))
-		for _, k := range stack {
-			switch k {
-			case LayerUID:
-				layers = append(layers, Layer{Kind: LayerUID, Funcs: generateUIDFuncs(rng, n)})
-			case LayerAddressPartition:
-				layers = append(layers, AddressPartitionLayer(n))
-			case LayerUnsharedFiles:
-				layers = append(layers, UnsharedFilesLayer(DefaultUnsharedPaths...))
-			case LayerInstructionTags:
-				layers = append(layers, InstructionTagLayer(n))
-			default:
-				// Silently skipping would generate a spec the caller
-				// did not ask for; layer kinds are programmer-supplied
-				// constants (user input goes through ParseStack), so
-				// an unknown kind is a bug at the call site.
-				panic(fmt.Sprintf("reexpress: GenerateFrom: unknown layer kind %d", k))
-			}
-		}
-		// The layers are freshly built and owned by nobody else, so
-		// the spec takes them without UncheckedSpec's defensive copy.
-		s := &Spec{n: n, layers: layers}
-		err := s.checkShape()
-		if err == nil {
-			if sampled {
-				err = CheckSpec(s, boundarySamples())
-			} else {
-				err = s.checkConstruction()
-			}
-		}
-		if err == nil {
-			return s
-		}
-		// A validation failure is astronomically unlikely (the
-		// construction rules guarantee the properties per layer; only
-		// stacked random layers of the same kind can collide under
-		// composition, at ~2⁻³⁰ per pair) — redraw rather than ever
-		// deploying a spec that differs from the requested stack.
-		lastErr = err
+	if err := CheckStack(stack); err != nil {
+		panic("reexpress: GenerateFrom: " + err.Error())
 	}
-	// Eight consecutive failed draws cannot happen by chance; the
-	// construction rules are broken. Substituting a different stack
-	// here would silently change a security deployment, so fail loudly
-	// instead.
-	panic(fmt.Sprintf("reexpress: GenerateFrom: cannot generate a valid %d-variant spec: %v", n, lastErr))
-}
-
-// repeatsReexpressionKind reports whether the stack holds two layers
-// of one reexpression kind. Such layers compose per variant (FuncsFor),
-// and the structural rules cover single layers only: two disjoint
-// XOR-mask layers can compose into colliding masks.
-func repeatsReexpressionKind(stack []LayerKind) bool {
+	layers := make([]Layer, len(stack))
 	for i, k := range stack {
-		if k == LayerUnsharedFiles {
-			continue
-		}
-		for _, prev := range stack[:i] {
-			if prev == k {
-				return true
-			}
+		switch k {
+		case LayerUID:
+			layers[i] = Layer{Kind: LayerUID, Funcs: generateUIDFuncs(rng, n)}
+		case LayerAddressPartition:
+			layers[i] = AddressPartitionLayer(n)
+		case LayerUnsharedFiles:
+			layers[i] = UnsharedFilesLayer(DefaultUnsharedPaths...)
+		case LayerInstructionTags:
+			layers[i] = InstructionTagLayer(n)
 		}
 	}
-	return false
+	// The layers are freshly built and owned by nobody else, so the
+	// spec takes them without UncheckedSpec's defensive copy.
+	s := &Spec{n: n, layers: layers}
+	// The construction rules cannot fail on these layers; the check
+	// pins them, so a change to the drawing code that breaks §2.3
+	// disjointness fails loudly instead of deploying.
+	if err := s.checkConstruction(); err != nil {
+		panic("reexpress: GenerateFrom: " + err.Error())
+	}
+	return s
 }
 
-// checkConstruction validates a spec with at most one layer per
-// reexpression kind against the structural rules Generate builds by.
-// Each rule implies the §2.2 inverse and §2.3 N-wide disjointness
-// properties of its layer, so no sampling is needed:
+// checkConstruction validates a spec against the structural rules
+// Generate builds by. Each rule implies the §2.2 inverse and §2.3
+// N-wide disjointness properties of its layer, so no sampling is
+// needed:
 //
 //   - UID: variant 0 is Identity and variants 1..N−1 are XORMasks with
 //     nonzero, pairwise distinct masks. XOR is an involution (inverse),

@@ -113,27 +113,15 @@ func TestGeneratedMasksPairwiseByteDistinct(t *testing.T) {
 	}
 }
 
-func TestComposedStackSatisfiesProperties(t *testing.T) {
-	// Stacking two UID layers composes per-variant: the effective
-	// function is xor(a)∘xor(b) = xor(a^b), and the composed spec must
-	// still satisfy the N-wide properties.
-	n := 3
+func TestNewSpecRejectsRepeatedKind(t *testing.T) {
+	// Two UID layers would act per variant as xor(a^b), and those
+	// masks can share a byte position: every spec holds at most one
+	// layer of each kind, so the stack is refused outright.
 	inner := UIDLayer(Identity{}, XORMask{Mask: 0x7FFFFFFF}, XORMask{Mask: 0x3C5A7E99})
 	outer := UIDLayer(Identity{}, XORMask{Mask: 0x00FF00FF}, XORMask{Mask: 0x013579BD})
-	s, err := NewSpec(n, inner, outer)
-	if err != nil {
-		t.Fatalf("NewSpec: %v", err)
-	}
-	assertSpecProperties(t, s, BoundarySamples())
-
-	funcs := s.FuncsFor(LayerUID)
-	u := word.Word(30)
-	got, err := funcs[1].Apply(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := u ^ 0x7FFFFFFF ^ 0x00FF00FF; got != want {
-		t.Errorf("composed apply = %s, want %s", got, want)
+	_, err := NewSpec(3, inner, outer)
+	if err == nil || !strings.Contains(err.Error(), "second uid layer") {
+		t.Fatalf("NewSpec with two UID layers: err = %v, want the repeated-kind refusal", err)
 	}
 }
 
@@ -260,26 +248,32 @@ func TestGenerateFromPanicsOnUnknownKind(t *testing.T) {
 	Generate(1, 2, LayerKind(99))
 }
 
-func TestGenerateStackedUIDLayersCompose(t *testing.T) {
-	// "uid,uid" is reachable through ParseStack: the two random layers
-	// must compose into a still-valid spec (retried on the ~2⁻³⁰
-	// collision), never be silently replaced by a different stack.
-	kinds, err := ParseStack("uid,uid")
-	if err != nil {
-		t.Fatal(err)
+func TestRepeatedKindsRejected(t *testing.T) {
+	for _, csv := range []string{"uid,uid", "addr,addr", "files,files", "uid,addr,uid", "tags,instr"} {
+		if kinds, err := ParseStack(csv); err == nil {
+			t.Errorf("ParseStack(%q) = %v, want a repeated-kind error", csv, kinds)
+		}
 	}
-	s := Generate(17, 3, kinds...)
-	if got := s.StackString(); got != "uid+uid" {
-		t.Fatalf("stack = %q, want the requested uid+uid", got)
+	// Kinds in code go through Generate and UncheckedSpec, which panic
+	// on a stack ParseStack would refuse.
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted a repeated kind", name)
+			}
+		}()
+		fn()
 	}
-	assertSpecProperties(t, s, BoundarySamples())
+	mustPanic("Generate", func() { Generate(17, 3, LayerUID, LayerUID) })
+	mustPanic("UncheckedSpec", func() { UncheckedSpec(2, AddressPartitionLayer(2), AddressPartitionLayer(2)) })
 }
 
 func TestGeneratedSpecsPassSampledCheck(t *testing.T) {
 	// Generate validates by construction; the sampled property check is
-	// the oracle it must agree with. Every subset of the layer kinds,
-	// each kind at most once, is a stack on the construction path. The
-	// seed draws only the UID masks, so other subsets run one seed.
+	// the oracle it must agree with on every stack: every subset of the
+	// layer kinds. The seed draws only the UID masks, so other subsets
+	// run one seed.
 	kinds := []LayerKind{LayerUID, LayerAddressPartition, LayerInstructionTags, LayerUnsharedFiles}
 	samples := BoundarySamples()
 	for n := 2; n <= 5; n++ {
@@ -326,10 +320,10 @@ func TestConstructionRulesRejectViolations(t *testing.T) {
 		{"slot bits too small", 3, Layer{Kind: LayerAddressPartition, Funcs: []Func{Slot{0, 1}, Slot{1, 1}, Slot{2, 1}}}},
 	}
 	for _, tc := range cases {
-		s := UncheckedSpec(tc.n, tc.layer)
-		if err := s.checkShape(); err != nil {
+		if err := checkShape(tc.n, []Layer{tc.layer}); err != nil {
 			t.Fatalf("%s: malformed case: %v", tc.name, err)
 		}
+		s := UncheckedSpec(tc.n, tc.layer)
 		if err := s.checkConstruction(); err == nil {
 			t.Errorf("%s: construction rules accepted %s", tc.name, s)
 		}

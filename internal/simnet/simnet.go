@@ -508,10 +508,10 @@ func (c *Conn) releaseHeld(msg *message) {
 }
 
 // Recv blocks for the next message. It returns (nil, nil) on orderly
-// peer close (end of stream), mirroring a zero-byte read. The returned
-// buffer is owned by the caller: it may be retained indefinitely,
-// handed onward with SendOwned, or returned to the pool with PutBuffer
-// once its bytes are consumed.
+// peer close or after CloseRead (end of stream), mirroring a zero-byte
+// read. The returned buffer is owned by the caller: it may be retained
+// indefinitely, handed onward with SendOwned, or returned to the pool
+// with PutBuffer once its bytes are consumed.
 func (c *Conn) Recv() ([]byte, error) {
 	select {
 	case msg := <-c.in:
@@ -549,6 +549,21 @@ func (c *Conn) PeerClosed() <-chan struct{} { return c.peer.closed }
 // PeerClosed; a caller that handed c off waits on it to learn the
 // exchange is over.
 func (c *Conn) Done() <-chan struct{} { return c.closed }
+
+// CloseRead ends c's input, as a peer that shuts down its sending side
+// does: once the messages already queued at c are read, the next Recv
+// returns end of stream. c's own sends still reach the peer, so an
+// exchange whose request was already read completes. A caller that
+// handed c off ends the connection this way without failing the new
+// holder's pending read or its response, which closing either
+// endpoint would. With c's mailbox full the reader has input pending
+// and CloseRead does nothing.
+func (c *Conn) CloseRead() {
+	select {
+	case c.in <- message{}:
+	default:
+	}
+}
 
 // Close shuts the endpoint down. Peer reads observe end of stream
 // after draining in-flight messages. A message still held for

@@ -170,6 +170,41 @@ func TestRecvEOFOnPeerClose(t *testing.T) {
 	if err != nil || msg != nil {
 		t.Errorf("Recv after peer close = (%v, %v), want (nil, nil)", msg, err)
 	}
+
+	// CloseRead ends a reader's input after what is already queued,
+	// and the reader's sends still reach the peer.
+	c, err = n.Dial(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send([]byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			msg, err := s.Recv()
+			if err != nil {
+				got <- err.Error()
+				continue
+			}
+			got <- string(msg)
+		}
+	}()
+	s.CloseRead()
+	if a, b := <-got, <-got; a != "queued" || b != "" {
+		t.Errorf("Recv across CloseRead = %q then %q, want the queued message then end of stream", a, b)
+	}
+	if err := s.Send([]byte("reply")); err != nil {
+		t.Fatalf("send after CloseRead: %v", err)
+	}
+	if msg, err := c.Recv(); err != nil || string(msg) != "reply" {
+		t.Errorf("peer Recv after CloseRead = (%q, %v), want the reply", msg, err)
+	}
 }
 
 func TestSendAfterCloseFails(t *testing.T) {

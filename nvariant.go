@@ -92,7 +92,8 @@ var (
 	// Table 1 row.
 	SpecFromVariation = reexpress.FromVariation
 	// ParseStack parses a comma-separated stack description
-	// ("uid,addr,files") into layer kinds.
+	// ("uid,addr,files") into layer kinds; an empty stack, an unknown
+	// token or a kind given twice is an error.
 	ParseStack = reexpress.ParseStack
 )
 
