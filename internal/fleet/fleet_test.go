@@ -183,6 +183,46 @@ func TestFleetStopIdempotent(t *testing.T) {
 	}
 }
 
+// TestFleetClientHangUpRaisesNoAlarm: clients that send a request and
+// close before the response arrives are not an attack. Each response's
+// send meets a closed peer and answers EPIPE, httpd ends that
+// connection, and the group keeps serving: no detection, no
+// quarantine.
+func TestFleetClientHangUpRaisesNoAlarm(t *testing.T) {
+	const hangUps = 20
+	f := startFleet(t, fleet.Options{Groups: 1})
+	for i := 0; i < hangUps; i++ {
+		conn, err := f.Net().Dial(f.Port())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(httpd.AppendRequest(nil, "/index.html")); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+	}
+	if code, _, err := f.Client().Get("/index.html"); err != nil || code != 200 {
+		t.Fatalf("request after the hang-ups = %d, %v", code, err)
+	}
+	if err := f.Await(func(s fleet.Stats) bool {
+		inflight := int64(0)
+		for _, g := range s.Healthy {
+			inflight += g.Inflight
+		}
+		return s.Dispatched == hangUps+1 && inflight == 0
+	}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := f.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Detections != 0 || stats.Quarantined != 0 || stats.Replaced != 0 {
+		t.Errorf("client hang-ups caused recovery actions: detections %d, quarantined %d, replaced %d",
+			stats.Detections, stats.Quarantined, stats.Replaced)
+	}
+}
+
 // TestFleetRecyclesQuarantinedPorts is the port-exhaustion regression
 // test: with only exactly Groups ports in the space above BasePort, a
 // replacement can only come up by recycling the quarantined group's

@@ -20,6 +20,7 @@
 package httpd
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -606,7 +607,8 @@ func (st *state) setBody(b []byte) (uint32, error) {
 
 // respond sends the n-byte body in the response region, with its
 // header written directly in front of it: one send over both, straight
-// from variant memory.
+// from variant memory. A client that hung up first (EPIPE) is not an
+// error: the connection is over and the server keeps serving.
 func (s *Server) respond(st *state, cfd, code int, contentType string, n uint32) error {
 	st.hdr = appendHeader(st.hdr[:0], code, contentType, int(n))
 	h := uint32(len(st.hdr))
@@ -615,8 +617,13 @@ func (s *Server) respond(st *state, cfd, code int, contentType string, n uint32)
 		return err
 	}
 	err := st.ctx.SendMem(cfd, start, h+n)
-	if err == nil {
+	switch {
+	case err == nil:
 		s.record(st, code)
+	case errors.Is(err, vos.ErrPipe):
+		// The client hung up before its response: that ends this
+		// connection, not the server.
+		return nil
 	}
 	return err
 }

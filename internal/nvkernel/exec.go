@@ -1,6 +1,7 @@
 package nvkernel
 
 import (
+	"errors"
 	"fmt"
 
 	"nvariant/internal/simnet"
@@ -401,10 +402,11 @@ func (l *lane) execOpen(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 // once with the result replicated into every variant's memory;
 // unshared files are read per variant from the variant's own file.
 // File I/O happens under the kernel lock (the filesystem is
-// single-threaded by contract). A shared read takes a view of the
-// file's bytes (vos.OpenFile.Next, which later writes never modify) and
-// copies it into each variant's lane-local memory after the lock is
-// dropped, so the lock holds no byte copy.
+// single-threaded by contract). A read takes a view of the file's bytes
+// (vos.OpenFile.Next, which later writes never modify) and hands it to
+// each variant's memory as a pending view (vmem.Space.WriteView), so
+// no byte is copied into a variant until it writes over part of the
+// range; a shared read does that after the lock is dropped.
 func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Spec) bool {
 	s := l.sys
 	s.mu.Lock()
@@ -433,7 +435,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 				continue
 			}
 			addr := m.call.Args[1]
-			if err := l.variants[i].mem.WriteBytes(addr, data); err != nil {
+			if err := l.variants[i].mem.WriteView(addr, data); err != nil {
 				l.raise(&Alarm{
 					Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
 					Detail: fmt.Sprintf("copy to variant memory: %v", err),
@@ -462,7 +464,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 			return false
 		}
 		addr := m.call.Args[1]
-		if err := l.variants[i].mem.WriteBytes(addr, data); err != nil {
+		if err := l.variants[i].mem.WriteView(addr, data); err != nil {
 			s.mu.Unlock()
 			l.raise(&Alarm{
 				Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
@@ -489,14 +491,18 @@ func (l *lane) ioScratch(n uint32) []byte {
 // gatherPayloads copies the reference variant's output payload into
 // dst (len(dst) == canon[2]) and checks every other live variant's
 // payload equal to it in place, in that variant's memory (output
-// equivalence, §3.1): one copy per output call, whatever N. A memory
-// fault is a variant fault; divergent payloads are a data-divergence
-// alarm (this is how the Apache UID-in-log-message pitfall of §4
-// manifests). On false the alarm is raised and dst holds nothing the
-// caller may use. Lane-local: no lock.
+// equivalence, §3.1): one copy per output call, whatever N. A part of
+// the payload that a variant still holds as the very view of a file
+// the reference holds there is equal by construction and not compared
+// (vmem.Space.EqualGathered); every other byte is. A memory fault is a
+// variant fault; divergent payloads are a data-divergence alarm (this
+// is how the Apache UID-in-log-message pitfall of §4 manifests). On
+// false the alarm is raised and dst holds nothing the caller may use.
+// Lane-local: no lock.
 func (l *lane) gatherPayloads(dst []byte, msgs []*callMsg, seq int, spec sys.Spec) bool {
 	ref := l.ref
-	if err := l.variants[ref].mem.ReadBytesInto(msgs[ref].call.Args[1], dst); err != nil {
+	refMem, refAddr := l.variants[ref].mem, msgs[ref].call.Args[1]
+	if err := refMem.ReadBytesInto(refAddr, dst); err != nil {
 		l.raise(&Alarm{
 			Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: ref,
 			Detail: fmt.Sprintf("copy from variant memory: %v", err),
@@ -507,7 +513,7 @@ func (l *lane) gatherPayloads(dst []byte, msgs []*callMsg, seq int, spec sys.Spe
 		if i == ref || msgs[i] == nil {
 			continue
 		}
-		eq, err := l.variants[i].mem.EqualBytes(msgs[i].call.Args[1], dst)
+		eq, err := l.variants[i].mem.EqualGathered(msgs[i].call.Args[1], dst, refMem, refAddr)
 		if err != nil {
 			l.raise(&Alarm{
 				Reason: ReasonVariantFault, Syscall: spec.Name, Seq: seq, Variant: i,
@@ -686,7 +692,9 @@ func (l *lane) execRecv(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 // to the wire with SendOwned, so a response crosses from variant
 // memory to the client in one copy. The buffer goes back to the pool
 // only if the wire never took it: the gather alarmed or the send
-// failed.
+// failed. A send to a peer that has hung up answers every variant
+// EPIPE, which a server treats as the end of that connection; any
+// other failure is EBADF.
 func (l *lane) execSend(canon []word.Word, msgs []*callMsg, seq int, spec sys.Spec) bool {
 	s := l.sys
 	s.mu.Lock()
@@ -706,6 +714,9 @@ func (l *lane) execSend(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 	}
 	if err := conn.SendOwned(data); err != nil {
 		simnet.PutBuffer(data)
+		if errors.Is(err, simnet.ErrPeerClosed) {
+			return l.replyFail(msgs, vos.ErrPipe)
+		}
 		return l.replyFail(msgs, vos.ErrBadFD)
 	}
 	replyAll(msgs, sys.Reply{Val: n})

@@ -1,6 +1,7 @@
 package nvkernel
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -8,13 +9,22 @@ import (
 	"nvariant/internal/simnet"
 	"nvariant/internal/sys"
 	"nvariant/internal/vmem"
+	"nvariant/internal/vos"
+	"nvariant/internal/word"
 )
 
-// serveOnce runs progs over a fresh network and returns the group's
-// outcome channel and the network, once a listener is open on port.
+// serveOnce runs progs over a fresh world and network and returns the
+// group's outcome channel and the network, once a listener is open on
+// port.
 func serveOnce(t *testing.T, progs []sys.Program, port uint16, opts ...Option) (*simnet.Network, <-chan *Result) {
 	t.Helper()
-	w, net := newWorld(t), simnet.New(0)
+	return serveOnceIn(t, newWorld(t), progs, port, opts...)
+}
+
+// serveOnceIn is serveOnce in the given world.
+func serveOnceIn(t *testing.T, w *vos.World, progs []sys.Program, port uint16, opts ...Option) (*simnet.Network, <-chan *Result) {
+	t.Helper()
+	net := simnet.New(0)
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := Run(w, net, progs, opts...)
@@ -146,5 +156,51 @@ func TestOwnedSendAliasing(t *testing.T) {
 	}
 	if res := <-done; !res.Clean {
 		t.Fatalf("group did not exit cleanly: %v", res.Alarm)
+	}
+}
+
+// TestSendToClosedPeerIsEPIPE: a send to a client that has hung up
+// answers EPIPE to every variant, with no alarm, and a send on a
+// descriptor the server has closed still answers EBADF. Each variant
+// exits with a status built from the errnos it saw, so a variant that
+// saw another errno would diverge at exit.
+func TestSendToClosedPeerIsEPIPE(t *testing.T) {
+	net, done := serveOnce(t, same(2, "hangup", func(ctx *sys.Context) error {
+		lfd, err := ctx.Listen(8080)
+		if err != nil {
+			return err
+		}
+		cfd, err := ctx.Accept(lfd)
+		if err != nil {
+			return err
+		}
+		buf, err := ctx.Mem.Alloc(64)
+		if err != nil {
+			return err
+		}
+		// End of stream: the client has closed.
+		if n, err := ctx.RecvMem(cfd, buf, 64); n != 0 || err != nil {
+			return fmt.Errorf("recv = %d, %v; want end of stream", n, err)
+		}
+		status := word.Word(10)
+		if err := ctx.SendMem(cfd, buf, 64); !errors.Is(err, vos.ErrPipe) {
+			status++
+		}
+		if err := ctx.Close(cfd); err != nil {
+			return err
+		}
+		if err := ctx.SendMem(cfd, buf, 64); !errors.Is(err, vos.ErrBadFD) {
+			status += 2
+		}
+		return ctx.Exit(status)
+	}), 8080)
+
+	conn, err := net.Dial(8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	if res := <-done; !res.Clean || res.Alarm != nil || res.Status != 10 {
+		t.Fatalf("clean %v, status %d, alarm %v; want a clean exit with status 10 (EPIPE, then EBADF)", res.Clean, res.Status, res.Alarm)
 	}
 }

@@ -32,6 +32,9 @@ var (
 	ErrRefused = errors.New("simnet: connection refused")
 	// ErrInUse is returned by Listen when the port is taken.
 	ErrInUse = errors.New("simnet: address in use")
+	// ErrPeerClosed is returned by a send whose peer has closed: the
+	// other side hung up, not this endpoint. It is also ErrClosed.
+	ErrPeerClosed = fmt.Errorf("peer: %w", ErrClosed)
 )
 
 // Closed-endpoint errors, built once: they carry no per-call detail,
@@ -39,7 +42,7 @@ var (
 var (
 	errRecvClosed     = fmt.Errorf("recv: %w", ErrClosed)
 	errSendClosed     = fmt.Errorf("send: %w", ErrClosed)
-	errSendPeerClosed = fmt.Errorf("send: peer: %w", ErrClosed)
+	errSendPeerClosed = fmt.Errorf("send: %w", ErrPeerClosed)
 )
 
 const (

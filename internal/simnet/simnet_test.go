@@ -692,17 +692,18 @@ func TestHeldReleaseDropsOnFullMailbox(t *testing.T) {
 
 // TestClosedErrorsKeepTextAndIdentity pins the preallocated
 // closed-endpoint errors: the same text as before, still ErrClosed,
-// and no allocation to report them.
+// ErrPeerClosed only when the other side closed, and no allocation to
+// report them.
 func TestClosedErrorsKeepTextAndIdentity(t *testing.T) {
 	n := New(0)
 	client, server := newPair(n)
 	_ = server.Close()
-	if err := client.Send([]byte("x")); !errors.Is(err, ErrClosed) || err.Error() != "send: peer: simnet: endpoint closed" {
+	if err := client.Send([]byte("x")); !errors.Is(err, ErrClosed) || !errors.Is(err, ErrPeerClosed) || err.Error() != "send: peer: simnet: endpoint closed" {
 		t.Errorf("Send to a closed peer = %v", err)
 	}
 	client, _ = newPair(n)
 	_ = client.Close()
-	if err := client.Send([]byte("x")); !errors.Is(err, ErrClosed) || err.Error() != "send: simnet: endpoint closed" {
+	if err := client.Send([]byte("x")); !errors.Is(err, ErrClosed) || errors.Is(err, ErrPeerClosed) || err.Error() != "send: simnet: endpoint closed" {
 		t.Errorf("Send on a closed endpoint = %v", err)
 	}
 	if _, err := client.Recv(); !errors.Is(err, ErrClosed) || err.Error() != "recv: simnet: endpoint closed" {

@@ -29,3 +29,14 @@ func (s *Space) ReadBytes(addr Addr, n uint32) ([]byte, error) {
 	}
 	return out, nil
 }
+
+// pendingViews counts the segments that hold a pending view.
+func (s *Space) pendingViews() int {
+	n := 0
+	for _, seg := range s.segments {
+		if len(seg.view.src) > 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -165,10 +165,16 @@ func sameErr(a, b error) bool {
 
 // FuzzSpace drives Space and the pageSpace reference model with the
 // same program of Map, Alloc, WriteBytes, WriteString, WriteWord,
-// ReadBytesInto, EqualBytes, LoadByte and ReadWord calls, decoded from
-// the fuzz input four bytes per call, and requires the same bytes and
-// the same errors from both — then compares the segment lists and every
-// mapped byte.
+// WriteView, ReadBytesInto, EqualGathered, LoadByte and ReadWord
+// calls, decoded from the fuzz input four bytes per call, and
+// requires the same bytes and the same errors from both — then compares
+// the segment lists and every mapped byte. The reference stores a
+// WriteView's bytes with WriteBytes. Views are slices of one source
+// array, and one op continues the last view with the next bytes of the
+// array at the next address, so views join, straddle segments and are
+// partly overwritten, read and compared. After every op the source
+// array must still hold what it held before: nothing writes through a
+// view.
 func FuzzSpace(f *testing.F) {
 	// Two adjacent allocations, then a write across their boundary
 	// and a read back across both.
@@ -178,9 +184,25 @@ func FuzzSpace(f *testing.F) {
 	f.Add([]byte{0, 0x02, 0x00, 0x10, 0, 0x08, 0x00, 0x10, 2, 0x02, 0xff, 0xf0, 4, 0x01, 0x00, 0x40, 3, 0x02, 0x80, 0xff})
 	// Page-straddling writes, words and byte loads inside one mapping.
 	f.Add([]byte{0, 0x01, 0x00, 0x30, 5, 0x01, 0xfe, 0x00, 6, 0x01, 0xfe, 0x00, 2, 0x01, 0xf0, 0x20, 7, 0x02, 0x00, 0, 8, 0x01, 0xff, 0})
+	// Two adjacent allocations, a view across their boundary continued
+	// twice (the views join), partial overwrites and reads of the
+	// pending range, a read and a compare over it.
+	f.Add([]byte{1, 0x10, 0x20, 0x40, 1, 0x40, 0x00, 0x40, 9, 0x18, 0x00, 0x20, 10, 0, 0, 0x10, 10, 0, 0, 0x08,
+		4, 0x18, 0x10, 0x30, 6, 0x20, 0x10, 0, 5, 0x18, 0x08, 0x31, 7, 0x1a, 0x00, 0, 2, 0x1b, 0x00, 0x02, 4, 0x18, 0x00, 0x40})
+	// A fresh view into the middle of a pending one in the same
+	// segment, which must first copy the old view in, then a read
+	// across both.
+	f.Add([]byte{1, 0x10, 0x20, 0x40, 9, 0x10, 0x00, 0x20, 9, 0x12, 0x00, 0x08, 4, 0x10, 0x00, 0x30})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		got, want := New(PartitionLow), newPageSpace(PartitionLow)
+		// plain is mapped like got but never written, so it holds no
+		// view and EqualGathered against it compares every byte.
+		plain := New(PartitionLow)
 		base := PartitionLow.Base()
+		viewSrc := pattern(fuzzSpan, 0x3c)
+		pristine := bytes.Clone(viewSrc)
+		// The address and source offset right after the last view.
+		nextAddr, nextSrc := base, 0
 		for pc := 0; pc+4 <= len(prog) && pc < 4*64; pc += 4 {
 			op, x, y := prog[pc], int(prog[pc+1]), int(prog[pc+2])
 			n := int(prog[pc+3])
@@ -192,12 +214,13 @@ func FuzzSpace(f *testing.F) {
 			for i := range data {
 				data[i] = byte(i*7) ^ op ^ byte(pc)
 			}
-			switch op % 9 {
+			switch op % 11 {
 			case 0:
 				size := uint32(n+1) * 64
 				if e1, e2 := got.Map(addr, size), want.Map(addr, size); !sameErr(e1, e2) {
 					t.Fatalf("Map(%s, %d) = %v, reference %v", addr, size, e1, e2)
 				}
+				_ = plain.Map(addr, size)
 			case 1:
 				size := uint32(n+1) * 37
 				a1, e1 := got.Alloc(size)
@@ -205,6 +228,7 @@ func FuzzSpace(f *testing.F) {
 				if a1 != a2 || !sameErr(e1, e2) {
 					t.Fatalf("Alloc(%d) = %s, %v; reference %s, %v", size, a1, e1, a2, e2)
 				}
+				_, _ = plain.Alloc(size)
 			case 2:
 				if e1, e2 := got.WriteBytes(addr, data), want.WriteBytes(addr, data); !sameErr(e1, e2) {
 					t.Fatalf("WriteBytes(%s, %d B) = %v, reference %v", addr, l, e1, e2)
@@ -227,10 +251,10 @@ func FuzzSpace(f *testing.F) {
 				if l > 0 && y%2 == 1 {
 					b[x%l] ^= 0x5a
 				}
-				eq1, e1 := got.EqualBytes(addr, b)
+				eq1, e1 := got.EqualGathered(addr, b, plain, addr)
 				eq2, e2 := want.EqualBytes(addr, b)
 				if eq1 != eq2 || !sameErr(e1, e2) {
-					t.Fatalf("EqualBytes(%s, %d B) = %v, %v; reference %v, %v", addr, l, eq1, e1, eq2, e2)
+					t.Fatalf("EqualGathered(%s, %d B) = %v, %v; reference %v, %v", addr, l, eq1, e1, eq2, e2)
 				}
 			case 6:
 				w := word.Word(x<<24 | y<<16 | n<<8 | int(op))
@@ -250,6 +274,21 @@ func FuzzSpace(f *testing.F) {
 				if w1 != w2 || !sameErr(e1, e2) {
 					t.Fatalf("ReadWord(%s) = %s, %v; reference %s, %v", addr, w1, e1, w2, e2)
 				}
+			case 9, 10:
+				// A fresh view from anywhere in the source, or the
+				// continuation of the last one.
+				at, from := addr, (x<<8|y)%fuzzSpan
+				if op%11 == 10 {
+					at, from = nextAddr, nextSrc
+				}
+				v := viewSrc[from:min(from+l, fuzzSpan)]
+				if e1, e2 := got.WriteView(at, v), want.WriteBytes(at, v); !sameErr(e1, e2) {
+					t.Fatalf("WriteView(%s, %d B) = %v, reference %v", at, len(v), e1, e2)
+				}
+				nextAddr, nextSrc = at+Addr(len(v)), (from+len(v))%fuzzSpan
+			}
+			if !bytes.Equal(viewSrc, pristine) {
+				t.Fatalf("op %d at %s changed a view's source array", op%11, addr)
 			}
 		}
 		if !slices.Equal(segmentPairs(got), segmentPairs(&Space{segments: want.segments})) {

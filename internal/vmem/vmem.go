@@ -15,11 +15,12 @@
 // Each mapped segment has its own backing store, so a bulk copy within
 // one segment is a single memmove. A store holds only the prefix of its
 // segment touched so far and grows by doubling up to the segment's
-// size; bytes never touched read as zero.
+// size; bytes never touched read as zero. A range can also be pending:
+// it reads as a view of bytes held elsewhere until a write reaches it
+// (see WriteView).
 package vmem
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -125,11 +126,12 @@ func (e *SegfaultError) Error() string {
 
 // segment is a mapped region [base, base+size) with its backing store:
 // store holds the region's first len(store) bytes, the prefix touched
-// so far.
+// so far, except where its pending view covers them.
 type segment struct {
 	base  Addr
 	size  uint32
 	store []byte
+	view  view // the pending range, if any
 }
 
 func (s segment) end() uint64 { return uint64(s.base) + uint64(s.size) }
@@ -247,22 +249,33 @@ func (s *Space) mapped(addr Addr, n uint32) bool {
 }
 
 // at returns the backing store of the segment holding addr, from addr
-// to the store's end, first growing the store to cover the next n
-// bytes or the rest of the segment, whichever is shorter. The caller
+// to the store's end, for a write of the next n bytes or the rest of
+// the segment, whichever is shorter: it first trims the pending view
+// away from those bytes and grows the store to cover them. The caller
 // has checked that addr is mapped and n > 0.
 func (s *Space) at(addr Addr, n int) []byte {
 	seg := &s.segments[s.search(addr)]
 	off := int(addr - seg.base)
-	if need := min(off+n, int(seg.size)); need > len(seg.store) {
+	if len(seg.view.src) > 0 {
+		seg.trim(off, min(off+n, int(seg.size)))
+	}
+	return seg.grow(off + n)[off:]
+}
+
+// grow returns the store, first growing it to cover its first need
+// bytes or the whole segment, whichever is shorter.
+func (seg *segment) grow(need int) []byte {
+	if need = min(need, int(seg.size)); need > len(seg.store) {
 		store := make([]byte, min(max(need, 2*len(seg.store)), int(seg.size)))
 		copy(store, seg.store)
 		seg.store = store
 	}
-	return seg.store[off:]
+	return seg.store
 }
 
 // Resident returns the bytes of backing store the space holds: the sum
-// over its segments of the prefix touched so far.
+// over its segments of the prefix touched so far. A pending view adds
+// nothing until a write copies part of it in.
 func (s *Space) Resident() int {
 	n := 0
 	for _, seg := range s.segments {
@@ -276,7 +289,8 @@ func (s *Space) LoadByte(addr Addr) (byte, error) {
 	if !s.mapped(addr, 1) {
 		return 0, &SegfaultError{Addr: addr, Op: "read"}
 	}
-	return s.at(addr, 1)[0], nil
+	p, _ := s.piece(addr, 1)
+	return p[0], nil
 }
 
 // ReadBytesInto loads len(buf) bytes starting at addr into buf; the
@@ -290,31 +304,13 @@ func (s *Space) ReadBytesInto(addr Addr, buf []byte) error {
 	return nil
 }
 
-// EqualBytes reports whether the len(b) bytes starting at addr equal b,
-// comparing segment by segment in place — the copy-free form of
-// bytes.Equal(ReadBytes(addr, len(b)), b) the monitor's output
-// cross-check uses. An unmapped range is the same SegfaultError a read
-// of it returns.
-func (s *Space) EqualBytes(addr Addr, b []byte) (bool, error) {
-	if !s.mapped(addr, uint32(len(b))) {
-		return false, &SegfaultError{Addr: addr, Op: "read"}
-	}
-	for i := 0; i < len(b); {
-		p := s.at(addr+Addr(i), len(b)-i)
-		n := min(len(p), len(b)-i)
-		if !bytes.Equal(p[:n], b[i:i+n]) {
-			return false, nil
-		}
-		i += n
-	}
-	return true, nil
-}
-
 // readInto copies the (already validated) range into buf, one copy per
-// segment it spans.
+// segment it spans and per side of a pending view, which it reads where
+// it is and leaves pending.
 func (s *Space) readInto(addr Addr, buf []byte) {
 	for i := 0; i < len(buf); {
-		i += copy(buf[i:], s.at(addr+Addr(i), len(buf)-i))
+		p, _ := s.piece(addr+Addr(i), len(buf)-i)
+		i += copy(buf[i:], p)
 	}
 }
 

@@ -36,6 +36,7 @@ var (
 	ErrBadFD       = &Errno{Name: "EBADF", Msg: "bad file descriptor"}
 	ErrInval       = &Errno{Name: "EINVAL", Msg: "invalid argument"}
 	ErrNameTooLong = &Errno{Name: "ENAMETOOLONG", Msg: "file name too long"}
+	ErrPipe        = &Errno{Name: "EPIPE", Msg: "broken pipe"}
 )
 
 // AsErrno extracts an *Errno from an error chain, if present.

@@ -331,9 +331,14 @@ type OpenFile struct {
 // the file without copying them. At end of file it returns an empty
 // slice and nil (Unix read semantics rather than io.EOF, since programs
 // observe the syscall return value). The result is a view of the
-// file's contents that stays valid and unchanged after the call: Write
-// never modifies an inode's existing bytes in place, so a later write,
-// truncate or append through any description leaves it as it was.
+// file's contents that stays valid and unchanged after the call, and
+// so does the rest of the file after it: its capacity ends at the
+// file's end, and Write never changes a byte below the file's length
+// (see Write), so a later write, truncate or append through any
+// description leaves every byte within the view's capacity as it was.
+// A caller must not append to the view. Because the capacity reaches
+// the file's end, the next read's view directly follows this one in
+// the same array, and a holder can join the two (vmem.Space.WriteView).
 func (f *OpenFile) Next(n int) ([]byte, error) {
 	if f.closed {
 		return nil, fmt.Errorf("read %s: %w", f.path, ErrBadFD)
@@ -346,7 +351,7 @@ func (f *OpenFile) Next(n int) ([]byte, error) {
 		return nil, nil
 	}
 	end := min(f.offset+int64(n), int64(len(data)))
-	b := data[f.offset:end:end]
+	b := data[f.offset:end:len(data)]
 	f.offset = end
 	return b, nil
 }
@@ -358,15 +363,17 @@ func (f *OpenFile) Read(p []byte) (int, error) {
 }
 
 // Write writes p at the current offset, extending the file as needed.
-// Views returned by Next keep the bytes they had. A write that starts
+// It never changes a byte below the file's length in place, which is
+// what keeps every view returned by Next unchanged. A write that starts
 // inside the file builds the file's new contents and swaps them in. A
 // write at or past the end (an append) only adds bytes past the old
-// length, which no view covers: Next caps every view's capacity at
-// its end. So an append goes in place, into spare capacity that grows
-// by doubling, and a growing log costs amortized constant time per
-// append. Spare capacity is never written before it becomes part of
-// the file, and Truncate drops the backing array, so the bytes between
-// the old end and a later offset read as zero.
+// length, beyond the capacity of every view: Next caps a view's
+// capacity at the file's length. So an append goes in place, into
+// spare capacity that grows by doubling, and a growing log costs
+// amortized constant time per append. Spare capacity is never written
+// before it becomes part of the file, and Truncate drops the backing
+// array, so the bytes between the old end and a later offset read as
+// zero.
 func (f *OpenFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, fmt.Errorf("write %s: %w", f.path, ErrBadFD)

@@ -524,9 +524,10 @@ func TestOpenFileReadAtEOF(t *testing.T) {
 }
 
 // TestNextViewSurvivesWrites: a slice returned by Next stays
-// byte-identical after another description overwrites the file in
-// place, truncates it or appends to it — the kernel copies a shared
-// read out of that view after dropping its lock.
+// byte-identical, up to its capacity (the end of file), after another
+// description overwrites the file in place, truncates it or appends to
+// it — variant memory holds that view as pending after the kernel
+// drops its lock.
 func TestNextViewSurvivesWrites(t *testing.T) {
 	const orig = "0123456789abcdef"
 	changes := []struct {
@@ -542,7 +543,16 @@ func TestNextViewSurvivesWrites(t *testing.T) {
 	}
 	for _, c := range changes {
 		fs := NewFS()
-		if err := fs.WriteFile("/f", []byte(orig), 0644, root()); err != nil {
+		// Written in two parts, so the file has spare capacity and the
+		// append goes in place.
+		if err := fs.WriteFile("/f", []byte(orig[:10]), 0644, root()); err != nil {
+			t.Fatal(err)
+		}
+		a, err := fs.Open("/f", WriteOnly|Append, 0, root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Write([]byte(orig[10:])); err != nil {
 			t.Fatal(err)
 		}
 		r, err := fs.Open("/f", ReadOnly, 0, root())
@@ -566,6 +576,11 @@ func TestNextViewSurvivesWrites(t *testing.T) {
 		}
 		if string(head) != "0123" || string(rest) != orig[4:] {
 			t.Errorf("%s: views read %q, %q after the write; want %q, %q", c.name, head, rest, "0123", orig[4:])
+		}
+		// A view's capacity runs to the old end of file, and those
+		// bytes stay as they were too.
+		if string(head[:cap(head)]) != orig || cap(rest) != len(rest) {
+			t.Errorf("%s: view capacities read %q, %d; want %q, %d", c.name, head[:cap(head)], cap(rest), orig, len(rest))
 		}
 		if got, err := fs.ReadFile("/f", root()); err != nil || string(got) != c.after {
 			t.Errorf("%s: file = %q, %v; want %q", c.name, got, err, c.after)
