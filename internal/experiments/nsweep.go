@@ -36,11 +36,6 @@ type NSweepOptions struct {
 	WorkFactor int
 	// Workers is the per-group prefork worker-lane count (0 = serial).
 	Workers int
-	// Latency is the simulated one-way wire latency.
-	Latency time.Duration
-	// Seed drives spec generation (0 means a fixed default so runs are
-	// reproducible unless explicitly varied).
-	Seed int64
 }
 
 // DefaultNSweepOptions returns the standard sizing.
@@ -93,16 +88,12 @@ func RunNSweep(opts NSweepOptions) (*NSweepReport, error) {
 	if opts.Engines <= 0 || opts.RequestsPerEngine <= 0 {
 		return nil, fmt.Errorf("nsweep: non-positive sizing: %+v", opts)
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	report := &NSweepReport{Opts: opts}
 	for _, n := range opts.Ns {
 		if n < 2 {
 			return nil, fmt.Errorf("nsweep: N must be at least 2, got %d", n)
 		}
-		row, err := runNSweepCell(opts, n, seed)
+		row, err := runNSweepCell(opts, n)
 		if err != nil {
 			return nil, fmt.Errorf("nsweep N=%d: %w", n, err)
 		}
@@ -111,9 +102,10 @@ func RunNSweep(opts NSweepOptions) (*NSweepReport, error) {
 	return report, nil
 }
 
-// nSweepSpec generates the cell's deployment spec.
-func nSweepSpec(seed int64, n int, trial int) *reexpress.Spec {
-	return reexpress.Generate(seed+int64(1000*n+trial), n,
+// nSweepSpec generates the cell's deployment spec from a fixed seed,
+// so sweeps reproduce.
+func nSweepSpec(n int, trial int) *reexpress.Spec {
+	return reexpress.Generate(1+int64(1000*n+trial), n,
 		reexpress.LayerUID, reexpress.LayerAddressPartition, reexpress.LayerUnsharedFiles)
 }
 
@@ -121,7 +113,7 @@ func nSweepSpec(seed int64, n int, trial int) *reexpress.Spec {
 func startNSweepGroup(opts NSweepOptions, spec *reexpress.Spec) (*harness.Handle, error) {
 	serverOpts := httpd.DefaultOptions()
 	serverOpts.WorkFactor = opts.WorkFactor
-	return harness.StartSpec(simnet.New(opts.Latency), harness.GroupSpec{
+	return harness.StartSpec(simnet.New(0), harness.GroupSpec{
 		Config:    harness.Config4UIDVariation,
 		Server:    serverOpts,
 		Diversity: spec,
@@ -130,11 +122,11 @@ func startNSweepGroup(opts NSweepOptions, spec *reexpress.Spec) (*harness.Handle
 }
 
 // runNSweepCell measures one group size.
-func runNSweepCell(opts NSweepOptions, n int, seed int64) (NSweepRow, error) {
+func runNSweepCell(opts NSweepOptions, n int) (NSweepRow, error) {
 	row := NSweepRow{N: n, Trials: opts.Trials}
 
 	// Throughput under benign load: any alarm here is a false positive.
-	spec := nSweepSpec(seed, n, 0)
+	spec := nSweepSpec(n, 0)
 	row.Spec = spec.String()
 	h, err := startNSweepGroup(opts, spec)
 	if err != nil {
@@ -162,7 +154,7 @@ func runNSweepCell(opts NSweepOptions, n int, seed int64) (NSweepRow, error) {
 
 	// Detection trials: each on a fresh group with a fresh spec.
 	for trial := 1; trial <= opts.Trials; trial++ {
-		detected, leaked, err := runNSweepTrial(opts, nSweepSpec(seed, n, trial))
+		detected, leaked, err := runNSweepTrial(opts, nSweepSpec(n, trial))
 		if err != nil {
 			return row, fmt.Errorf("trial %d: %w", trial, err)
 		}

@@ -407,8 +407,9 @@ func (f *Fleet) groupExited(g *group) {
 		entry.Action = act
 		entry.Detail = "degraded group respawned at full width (drained)"
 	case clean:
-		// e.g. a MaxConns server finishing its budget: not an attack,
-		// but the slot still needs refilling.
+		// A group only exits cleanly in service when its port was
+		// closed under it (ShutdownGroup): not an attack, but the slot
+		// still needs refilling.
 		act = "departed"
 		entry.Action = act
 		entry.Detail = "clean exit"

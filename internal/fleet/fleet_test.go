@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -220,6 +221,52 @@ func TestFleetClientHangUpRaisesNoAlarm(t *testing.T) {
 	if stats.Detections != 0 || stats.Quarantined != 0 || stats.Replaced != 0 {
 		t.Errorf("client hang-ups caused recovery actions: detections %d, quarantined %d, replaced %d",
 			stats.Detections, stats.Quarantined, stats.Replaced)
+	}
+}
+
+// TestFleetRemoteStopRequestIsNotFound: a group stops only when its
+// port closes. A client asking for /__shutdown through the front door
+// gets the ordinary 404 and stops nothing; an in-band stop would let
+// any client churn groups with no detection and no audit trail.
+func TestFleetRemoteStopRequestIsNotFound(t *testing.T) {
+	const requests = 5
+	f := startFleet(t, fleet.Options{Groups: 2})
+	ids := func(s fleet.Stats) []int {
+		var out []int
+		for _, g := range s.Healthy {
+			out = append(out, g.ID)
+		}
+		return out
+	}
+	before := ids(f.Stats())
+	client := f.Client()
+	for i := 0; i < requests; i++ {
+		if code, _, err := client.Get("/__shutdown"); err != nil || code != 404 {
+			t.Fatalf("request %d = %d, %v; want 404", i, code, err)
+		}
+	}
+	if err := f.Await(func(s fleet.Stats) bool {
+		inflight := int64(0)
+		for _, g := range s.Healthy {
+			inflight += g.Inflight
+		}
+		return s.Dispatched == requests && inflight == 0
+	}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stats := f.Stats()
+	if stats.Detections != 0 || stats.Quarantined != 0 || stats.Spawned != 2 {
+		t.Errorf("detections %d, quarantined %d, spawned %d; want 0, 0, 2",
+			stats.Detections, stats.Quarantined, stats.Spawned)
+	}
+	if after := ids(stats); !slices.Equal(after, before) {
+		t.Errorf("serving groups %v, want %v", after, before)
+	}
+	if f.Audit().Len() != 0 {
+		t.Errorf("audit entries: %v", f.Audit().Entries())
+	}
+	if _, err := f.Stop(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -124,20 +124,9 @@ func (s GroupSpec) diversity() *reexpress.Spec {
 	return nil
 }
 
-// BuildSpec prepares the world for a group spec and returns the variant
+// buildSpec prepares the world for a group spec and returns the variant
 // programs plus kernel options (the configuration's own options
-// followed by the spec's extra Kernel options).
-func BuildSpec(world *vos.World, spec GroupSpec) ([]sys.Program, []nvkernel.Option, error) {
-	progs, kopts, err := buildSpec(world, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if spec.Quorum > 0 {
-		kopts = append(kopts, nvkernel.WithQuorum(spec.Quorum))
-	}
-	return progs, append(kopts, spec.Kernel...), nil
-}
-
+// followed by the spec's quorum and extra Kernel options).
 func buildSpec(world *vos.World, spec GroupSpec) ([]sys.Program, []nvkernel.Option, error) {
 	if err := httpd.SetupWorldAt(world, spec.port()); err != nil {
 		return nil, nil, err
@@ -146,14 +135,18 @@ func buildSpec(world *vos.World, spec GroupSpec) ([]sys.Program, []nvkernel.Opti
 	if spec.Workers > 0 {
 		serverOpts.Workers = spec.Workers
 	}
+	var (
+		progs []sys.Program
+		kopts []nvkernel.Option
+	)
 	switch spec.Config {
 	case Config1Unmodified:
-		return []sys.Program{httpd.New(serverOpts, httpd.Consts{Root: vos.Root})}, nil, nil
+		progs = []sys.Program{httpd.New(serverOpts, httpd.Consts{Root: vos.Root})}
 
 	case Config2Transformed:
 		o := serverOpts
 		o.Transformed = true
-		return []sys.Program{httpd.New(o, httpd.Consts{Root: vos.Root})}, nil, nil
+		progs = []sys.Program{httpd.New(o, httpd.Consts{Root: vos.Root})}
 
 	case Config3AddressSpace:
 		// Untransformed program, N variants in disjoint address slots,
@@ -175,11 +168,11 @@ func buildSpec(world *vos.World, spec GroupSpec) ([]sys.Program, []nvkernel.Opti
 				return nil, nil, err
 			}
 		}
-		progs := make([]sys.Program, n)
+		progs = make([]sys.Program, n)
 		for i := range progs {
 			progs[i] = httpd.New(serverOpts, httpd.Consts{Root: vos.Root})
 		}
-		return progs, []nvkernel.Option{nvkernel.WithSpec(d)}, nil
+		kopts = []nvkernel.Option{nvkernel.WithSpec(d)}
 
 	case Config4UIDVariation:
 		// The full system: every layer of the group's DiversitySpec is
@@ -199,15 +192,19 @@ func buildSpec(world *vos.World, spec GroupSpec) ([]sys.Program, []nvkernel.Opti
 				return nil, nil, err
 			}
 		}
-		progs, err := httpd.BuildFromSpec(serverOpts, d)
-		if err != nil {
+		var err error
+		if progs, err = httpd.BuildFromSpec(serverOpts, d); err != nil {
 			return nil, nil, err
 		}
-		return progs, []nvkernel.Option{nvkernel.WithSpec(d)}, nil
+		kopts = []nvkernel.Option{nvkernel.WithSpec(d)}
 
 	default:
 		return nil, nil, fmt.Errorf("harness: unknown configuration %d", spec.Config)
 	}
+	if spec.Quorum > 0 {
+		kopts = append(kopts, nvkernel.WithQuorum(spec.Quorum))
+	}
+	return progs, append(kopts, spec.Kernel...), nil
 }
 
 // Handle controls a running server group.
@@ -231,12 +228,7 @@ func Start(c Configuration, serverOpts httpd.Options, latency time.Duration, kop
 	if err != nil {
 		return nil, err
 	}
-	return StartOn(world, simnet.New(latency), c, serverOpts, kopts...)
-}
-
-// StartOn launches the configuration on an existing world and network.
-func StartOn(world *vos.World, net *simnet.Network, c Configuration, serverOpts httpd.Options, extra ...nvkernel.Option) (*Handle, error) {
-	return StartSpecOn(world, net, GroupSpec{Config: c, Server: serverOpts}, extra...)
+	return StartSpecOn(world, simnet.New(latency), GroupSpec{Config: c, Server: serverOpts}, kopts...)
 }
 
 // StartSpec launches a group spec on a fresh world over an existing
@@ -251,7 +243,7 @@ func StartSpec(net *simnet.Network, spec GroupSpec, extra ...nvkernel.Option) (*
 
 // StartSpecOn launches a group spec on an existing world and network.
 func StartSpecOn(world *vos.World, net *simnet.Network, spec GroupSpec, extra ...nvkernel.Option) (*Handle, error) {
-	progs, kopts, err := BuildSpec(world, spec)
+	progs, kopts, err := buildSpec(world, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -207,38 +207,23 @@ func TestLogUIDsPitfall(t *testing.T) {
 	}
 }
 
-func TestShutdownURI(t *testing.T) {
-	h := startConfig(t, Config1Unmodified, httpd.DefaultOptions())
+func TestRemoteStopRequestIsNotFound(t *testing.T) {
+	// Only closing the port stops a group: /__shutdown is an ordinary
+	// missing document, and the group keeps serving until Stop.
+	h := startConfig(t, Config4UIDVariation, httpd.DefaultOptions())
 	cl := h.Client()
-	code, _, err := cl.Get(httpd.ShutdownURI)
-	if err != nil || code != 200 {
-		t.Fatalf("shutdown request = %d, %v", code, err)
+	if code, _, err := cl.Get("/__shutdown"); err != nil || code != 404 {
+		t.Fatalf("stop request = %d, %v; want 404", code, err)
 	}
-	res, err := h.Wait()
+	if code, _, err := cl.Get("/index.html"); err != nil || code != 200 {
+		t.Fatalf("request after the stop request = %d, %v", code, err)
+	}
+	res, err := h.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Clean {
-		t.Errorf("not clean after shutdown URI: %+v", res.Alarm)
-	}
-}
-
-func TestMaxConns(t *testing.T) {
-	opts := httpd.DefaultOptions()
-	opts.MaxConns = 2
-	h := startConfig(t, Config2Transformed, opts)
-	cl := h.Client()
-	for i := 0; i < 2; i++ {
-		if code, _, err := cl.Get("/index.html"); err != nil || code != 200 {
-			t.Fatalf("request %d = %d, %v", i, code, err)
-		}
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Clean {
-		t.Errorf("server not clean after MaxConns: %+v", res.Alarm)
+		t.Errorf("not clean: %+v", res.Alarm)
 	}
 }
 
@@ -436,7 +421,7 @@ func TestGroupSpecVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs, _, err := BuildSpec(world, tc.gs)
+		progs, _, err := buildSpec(world, tc.gs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -452,7 +437,7 @@ func TestConfig4RejectsUIDLayerWithoutUnsharedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := BuildSpec(world, GroupSpec{Config: Config4UIDVariation, Diversity: spec}); err == nil {
+	if _, _, err := buildSpec(world, GroupSpec{Config: Config4UIDVariation, Diversity: spec}); err == nil {
 		t.Fatal("UID layer without unshared files accepted (would false-alarm on passwd lookup)")
 	}
 }
@@ -463,7 +448,7 @@ func TestConfig3RejectsUIDLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := BuildSpec(world, GroupSpec{Config: Config3AddressSpace, Diversity: spec}); err == nil {
+	if _, _, err := buildSpec(world, GroupSpec{Config: Config3AddressSpace, Diversity: spec}); err == nil {
 		t.Fatal("config 3 accepted a UID layer over untransformed programs")
 	}
 }

@@ -187,27 +187,3 @@ func TestNoCrossLaneCredentialLeak(t *testing.T) {
 		t.Errorf("false alarm under concurrent probes: %+v", res.Alarm)
 	}
 }
-
-func TestMaxConnsWithWorkers(t *testing.T) {
-	// The scoreboard-backed budget: with concurrent lanes the group
-	// still shuts down deterministically once MaxConns connections are
-	// served, with no false alarm from divergent per-lane stop
-	// decisions.
-	opts := httpd.DefaultOptions()
-	opts.MaxConns = 4
-	opts.Workers = 3
-	h := startConfig(t, Config4UIDVariation, opts)
-	cl := h.Client()
-	for i := 0; i < opts.MaxConns; i++ {
-		if code, _, err := cl.Get("/index.html"); err != nil || code != 200 {
-			t.Fatalf("request %d = %d, %v", i, code, err)
-		}
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Clean {
-		t.Errorf("server not clean after MaxConns with workers: %+v", res.Alarm)
-	}
-}

@@ -73,13 +73,6 @@ type Options struct {
 	// numeric UID, which diverges between variants. The paper's fix
 	// (the default) omits the UID from log output.
 	LogUIDs bool
-	// MaxConns stops the server after handling this many connections
-	// (0 = serve until the listener is closed). The count is kept in
-	// the kernel's shared scoreboard so concurrent worker lanes agree
-	// on one atomic total; with Workers > 1, connections already in
-	// flight on sibling lanes when the budget trips still complete, so
-	// the served total is bounded by MaxConns + Workers - 1.
-	MaxConns int
 	// WorkFactor adds synthetic per-request CPU work (checksum passes
 	// over the response body), standing in for request processing that
 	// makes the saturated workload compute-bound as on the paper's
@@ -359,69 +352,31 @@ func (s *Server) mapRequestState(st *state, uid vos.UID) error {
 }
 
 // requestLoop accepts and serves connections until the listener
-// closes, an in-band stop request arrives, or the served-connection
-// budget is spent. Concurrent worker lanes run this loop over the
+// closes — the only way a server stops, as when the paper's launcher
+// kills the group. Concurrent worker lanes run this loop over the
 // shared listener fd.
 func (s *Server) requestLoop(st *state, lfd int) error {
-	ctx := st.ctx
 	conns := 0
 	for {
-		cfd, err := ctx.Accept(lfd)
+		cfd, err := st.ctx.Accept(lfd)
 		if err != nil {
 			break // listener closed: orderly shutdown
 		}
-		served, stop, err := s.handleConn(st, cfd)
+		served, err := s.handleConn(st, cfd)
 		if err != nil {
 			return err
 		}
-		if stop {
-			// In-band shutdown: close the shared listener so sibling
-			// worker lanes stop accepting too (a lane may already have
-			// closed it — ignore the errno).
-			_ = ctx.Close(lfd)
-			break
-		}
 		if served {
 			conns++
-			spent, err := s.connBudgetSpent(ctx)
-			if err != nil {
-				return err
-			}
-			if spent {
-				_ = ctx.Close(lfd)
-				break
-			}
 		}
 	}
 	return st.logf("httpd shutting down after %d connections", conns)
 }
 
-// connBudgetSpent counts one served connection against MaxConns. The
-// total lives in the kernel's shared scoreboard: the fetch-add is
-// atomic group-wide and its result is replicated to every variant of
-// the lane, so concurrent lanes neither race the count nor diverge on
-// the shutdown decision (a per-lane counter in variant memory would do
-// both once Workers > 1).
-func (s *Server) connBudgetSpent(ctx *sys.Context) (bool, error) {
-	if s.opts.MaxConns <= 0 {
-		return false, nil
-	}
-	total, err := ctx.ScoreAdd(1)
-	if err != nil {
-		return false, err
-	}
-	return int(total) >= s.opts.MaxConns, nil
-}
-
-// ShutdownURI stops the server when requested: the harness's in-band
-// stop signal (the paper's launcher would kill the group instead).
-const ShutdownURI = "/__shutdown"
-
 // handleConn serves one connection (one request, HTTP/1.0 style).
 // served reports whether a request was actually received (empty
-// connections, e.g. liveness probes, don't count toward MaxConns);
-// stop reports an in-band shutdown request.
-func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
+// connections, e.g. liveness probes, are not counted).
+func (s *Server) handleConn(st *state, cfd int) (served bool, err error) {
 	ctx := st.ctx
 	defer func() { _ = ctx.Close(cfd) }()
 
@@ -431,10 +386,10 @@ func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
 	// non-control-data attacks of Chen et al. [12].
 	n, err := ctx.RecvMem(cfd, st.reqBuf, RecvCap)
 	if err != nil {
-		return false, false, err
+		return false, err
 	}
 	if n == 0 {
-		return false, false, nil // client closed without a request
+		return false, nil // client closed without a request
 	}
 	if s.opts.Metrics != nil && ctx.Variant == 0 {
 		st.reqStart = time.Now()
@@ -446,20 +401,17 @@ func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
 	}
 	raw := st.parse[:parseLen]
 	if err := ctx.Mem.ReadBytesInto(st.reqBuf, raw); err != nil {
-		return true, false, err
+		return true, err
 	}
 	req, err := ParseRequestLine(raw)
 	if err != nil {
-		return true, false, s.respondError(st, cfd, 400)
+		return true, s.respondError(st, cfd, 400)
 	}
 	if req.Method != "GET" {
-		return true, false, s.respondError(st, cfd, 405)
-	}
-	if req.URI == ShutdownURI {
-		return true, true, s.respondError(st, cfd, 200)
+		return true, s.respondError(st, cfd, 405)
 	}
 	if strings.Contains(req.URI, "..") {
-		return true, false, s.respondError(st, cfd, 403)
+		return true, s.respondError(st, cfd, 403)
 	}
 
 	// Become the worker user for filesystem access. The UID is loaded
@@ -468,30 +420,30 @@ func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
 	// detection syscall per request (§4).
 	uid, err := ctx.Mem.ReadWord(st.uidAddr)
 	if err != nil {
-		return true, false, err
+		return true, err
 	}
 	if s.opts.Transformed && !s.opts.NoDetectionCalls {
 		uid, err = ctx.UIDValue(uid)
 		if err != nil {
-			return true, false, err
+			return true, err
 		}
 	}
 	if err := ctx.Seteuid(uid); err != nil {
-		return true, false, err
+		return true, err
 	}
 
 	code, n, err := s.loadDocument(st, req.URI)
 	if err != nil {
-		return true, false, err
+		return true, err
 	}
 
 	// Re-escalate for the next request (ruid stayed 0).
 	if err := ctx.Seteuid(s.consts.Root); err != nil {
-		return true, false, err
+		return true, err
 	}
 
 	if err := s.burnWork(st, n); err != nil {
-		return true, false, err
+		return true, err
 	}
 	if s.opts.ServiceTime > 0 {
 		// Simulated blocking service work, performed redundantly by
@@ -501,7 +453,7 @@ func (s *Server) handleConn(st *state, cfd int) (served, stop bool, err error) {
 		time.Sleep(s.opts.ServiceTime)
 	}
 
-	return true, false, s.respond(st, cfd, code, ContentTypeFor(req.URI), n)
+	return true, s.respond(st, cfd, code, ContentTypeFor(req.URI), n)
 }
 
 // record counts one served response. Variant 0 only — each request is

@@ -47,9 +47,9 @@ type InterpOptions struct {
 	// with the given concrete word — the same word in every variant,
 	// bypassing reexpression exactly as an overflow would (§3).
 	CorruptOnAssign map[string]word.Word
-	// MaxSteps bounds execution (guards against runaway loops in
-	// tests); 0 means the default of one million.
-	MaxSteps int
+	// maxSteps bounds execution (tests lower it to stop runaway
+	// loops quickly); 0 means the default of one million.
+	maxSteps int
 }
 
 // CompileAST checks and wraps an AST (e.g. a transformed variant) as a
@@ -80,7 +80,7 @@ func (p *interpProgram) Run(ctx *sys.Context) error {
 		builtins: Builtins(),
 		globals:  make(map[string]*Value),
 		opts:     p.opts,
-		maxSteps: p.opts.MaxSteps,
+		maxSteps: p.opts.maxSteps,
 	}
 	if in.maxSteps == 0 {
 		in.maxSteps = 1_000_000

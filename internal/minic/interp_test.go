@@ -105,7 +105,7 @@ func TestInterpRuntimeErrors(t *testing.T) {
 
 func TestInterpStepBudget(t *testing.T) {
 	src := `int main() { while (true) { } return 0; }`
-	res := runPlain(t, src, InterpOptions{MaxSteps: 1000})
+	res := runPlain(t, src, InterpOptions{maxSteps: 1000})
 	if res.Alarm == nil || res.Alarm.Reason != nvkernel.ReasonVariantFault {
 		t.Fatalf("infinite loop alarm = %v, want variant-fault", res.Alarm)
 	}

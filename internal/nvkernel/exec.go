@@ -255,14 +255,6 @@ func (l *lane) execute(spec sys.Spec, num sys.Num, canon []word.Word, msgs []*ca
 	case sys.Prefork:
 		return l.execPrefork(canon, msgs)
 
-	case sys.ScoreAdd:
-		// Performed once per lane rendezvous: the lane's variants all
-		// observe the same post-add total, so shared-count decisions
-		// cannot diverge within a lane.
-		total := s.score.Add(int64(int32(canon[0])))
-		replyAll(msgs, sys.Reply{Val: word.Word(uint32(total))})
-		return false
-
 	case sys.UIDValue:
 		// Equivalence was established by canonicalArgs; return each
 		// variant its own passed value (Table 2).

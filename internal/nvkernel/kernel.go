@@ -257,8 +257,8 @@ var errStillRunning = errors.New("nvkernel: variant still running at shutdown")
 //     place concurrent lanes serialize for more than a table probe —
 //     exactly prefork Apache's accept contention. A lane's mutex may be
 //     held while taking mu, never the reverse.
-//   - Group-wide lock-free: virtual time, the scoreboard counter and
-//     the eviction mask (atomics), the killed channel (close-once).
+//   - Group-wide lock-free: virtual time and the eviction mask
+//     (atomics), the killed channel (close-once).
 type system struct {
 	world    *vos.World
 	net      *simnet.Network
@@ -283,7 +283,6 @@ type system struct {
 	// Result.VTime) and Time syscall reply is a position on the same
 	// monotonic, wall-clock-free timeline.
 	vtime atomic.Uint32
-	score atomic.Int64
 
 	// evicted is the group-wide live-set mask: bit i set means variant
 	// i has been evicted by the quorum machinery. Lanes copy it into

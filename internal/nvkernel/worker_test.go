@@ -251,35 +251,6 @@ func TestWorkerLaneAlarmKillsWholeGroup(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t, before, 2)
 }
 
-func TestScoreAddSharedCounter(t *testing.T) {
-	// The scoreboard is performed once per rendezvous with one total
-	// replicated to all variants: deterministic cumulative values, and
-	// negative deltas work (two's complement).
-	w := newWorld(t)
-	res := mustRun(t, w, same(2, "score", func(ctx *sys.Context) error {
-		for k := 1; k <= 5; k++ {
-			v, err := ctx.ScoreAdd(1)
-			if err != nil {
-				return err
-			}
-			if int(v) != k {
-				return ctx.Exit(word.Word(10 + k))
-			}
-		}
-		v, err := ctx.ScoreAdd(word.Word(0xFFFFFFFF)) // -1
-		if err != nil {
-			return err
-		}
-		if v != 4 {
-			return ctx.Exit(99)
-		}
-		return ctx.Exit(0)
-	}))
-	if !res.Clean || res.Status != 0 {
-		t.Fatalf("score: clean=%v status=%d alarm=%v", res.Clean, res.Status, res.Alarm)
-	}
-}
-
 func TestPreforkValidation(t *testing.T) {
 	t.Run("plain-program", func(t *testing.T) {
 		// A program without RunWorker must be refused, not run serially

@@ -318,12 +318,6 @@ func (c *Context) Prefork(w int) (int, error) {
 	return int(v), err
 }
 
-// ScoreAdd atomically adds delta to the group-wide scoreboard counter
-// and returns the new total (identical across the lane's variants).
-func (c *Context) ScoreAdd(delta word.Word) (word.Word, error) {
-	return c.sys1(ScoreAdd, delta)
-}
-
 // UIDValue exposes a single UID value to the monitor (Table 2):
 // the kernel checks cross-variant equivalence and returns the value
 // unchanged.

@@ -8,7 +8,10 @@
 // and perform output operations once (after cross-checking payloads).
 // This package also defines the detection system calls of Table 2
 // (uid_value, cond_chk, cc_eq … cc_geq) that transformed programs use
-// to expose UID uses to the monitor at the point of use.
+// to expose UID uses to the monitor at the point of use, and prefork,
+// which starts a server's worker lanes. No call stops a group: a
+// server stops when its listening socket closes, as the paper's
+// launcher stops Apache by killing its process group.
 package sys
 
 import (
@@ -83,13 +86,6 @@ const (
 	// count W (the calling lane continues as worker 0; W-1 lanes are
 	// spawned). Only worker lane 0 may prefork, exactly once.
 	Prefork
-	// ScoreAdd atomically adds its argument to the group-wide
-	// scoreboard counter and returns the new total, performed once per
-	// lane rendezvous with the same value replicated to every variant —
-	// prefork Apache's shared-memory scoreboard reduced to one word,
-	// letting concurrent worker lanes make identical decisions (e.g. a
-	// served-connection budget) from a shared count. Args: delta.
-	ScoreAdd
 )
 
 // String names the syscall as in the paper.
@@ -179,8 +175,7 @@ var specs = map[Num]Spec{
 	Send:   {Name: "send", Class: ClassOutput, Args: []ArgKind{ArgPlain, ArgAddr, ArgPlain}},
 	Time:   {Name: "time", Class: ClassInput},
 
-	Prefork:  {Name: "prefork", Class: ClassState, Args: []ArgKind{ArgPlain}},
-	ScoreAdd: {Name: "score_add", Class: ClassInput, Args: []ArgKind{ArgPlain}},
+	Prefork: {Name: "prefork", Class: ClassState, Args: []ArgKind{ArgPlain}},
 
 	UIDValue: {Name: "uid_value", Class: ClassDetect, Args: []ArgKind{ArgUID}},
 	CondChk:  {Name: "cond_chk", Class: ClassDetect, Args: []ArgKind{ArgBool}},

@@ -17,14 +17,19 @@ import (
 	"testing"
 )
 
-// surfaceAllowlist names the exported identifiers and packages that
-// may lack a non-test caller. Keys are "pkgpath.Name",
-// "pkgpath.Type.Method" or a bare package path; every entry needs a
+// surfaceAllowlist names the exported identifiers, option fields and
+// packages that may lack a non-test caller (or, for a field, a non-test
+// writer). Keys are "pkgpath.Name", "pkgpath.Type.Method",
+// "pkgpath.Type.Field" or a bare package path; every entry needs a
 // one-line reason, and an entry that gains a caller or disappears
 // fails the test until it is removed.
 var surfaceAllowlist = map[string]string{
-	"nvariant/internal/testutil":            "test-support package: only _test.go files are meant to import it",
-	"nvariant/internal/vmem.Space.Resident": "introspection for nvkernel's TestReadStagingSizedToData: pins that a lane serving small documents backs only the bytes it touched",
+	"nvariant/internal/testutil":                       "test-support package: only _test.go files are meant to import it",
+	"nvariant/internal/vmem.Space.Resident":            "introspection for nvkernel's TestReadStagingSizedToData: pins that a lane serving small documents backs only the bytes it touched",
+	"nvariant/internal/httpd.Options.LogUIDs":          "reproduces the paper's §4 pitfall, a UID in shared log output (harness TestLogUIDsPitfall)",
+	"nvariant/internal/httpd.Options.NoDetectionCalls": "the §5 ablation: BenchmarkAblationSyscallBoundary measures configuration 4 without the per-request uid_value call",
+	"nvariant/internal/httpd.Options.ServiceTime":      "blocking service work for the gated BenchmarkTable3Config4Workers prefork sweep",
+	"nvariant/internal/mesh.Options.MaxInflight":       "admission bound the mesh retry tests use as their fault source, until another fault seam replaces it (ROADMAP item 9)",
 }
 
 // TestExportedSurfaceHasCallers enforces the surface rule: every
@@ -77,6 +82,22 @@ func (T) Error() string { return "t" }
 func Start(r Runner) { r.Run() }
 
 func Fail() error { return T{} }
+`
+	const optsLib = `package a
+
+type Options struct {
+	Size int
+	Knob int
+	hidden int
+}
+
+type Config struct{ Name string }
+
+type unexportedConfig struct{ Name string }
+
+func Run(o Options) int { return o.Size + o.Knob + o.hidden + len(unexportedConfig{}.Name) }
+
+func Use(c Config) string { return c.Name }
 `
 	mainPkg := func(body string, imports ...string) map[string]string {
 		src := "package main\n\n"
@@ -149,6 +170,29 @@ func Fail() error { return T{} }
 			"allowlist entry m/a.Gone " + stale,
 			"allowlist entry m/a.T.Used " + stale,
 		},
+	}, {
+		name: "option field written only from a test",
+		pkgs: map[string]*surfacePkg{
+			"m/a": {
+				files: map[string]string{"a.go": optsLib},
+				tests: map[string]string{"a_test.go": "package a\n\nvar _ = Run(Options{Knob: 1})\n"},
+			},
+			"m/cmd": {files: mainPkg("a.Run(a.Options{Size: 2}); var c a.Config; c.Name = \"x\"; a.Use(c)", "m/a")},
+		},
+		want: []string{"exported field m/a.Options.Knob has no non-test writer"},
+	}, {
+		name: "option field written by non-test code",
+		pkgs: map[string]*surfacePkg{
+			"m/a":   {files: map[string]string{"a.go": optsLib}},
+			"m/cmd": {files: mainPkg("o := a.Options{Size: 2}; (o.Knob) = 3; a.Run(o); a.Use(a.Config{Name: \"x\"})", "m/a")},
+		},
+	}, {
+		name: "allowlisted option field",
+		pkgs: map[string]*surfacePkg{
+			"m/a":   {files: map[string]string{"a.go": optsLib}},
+			"m/cmd": {files: mainPkg("a.Run(a.Options{Size: 2}); a.Use(a.Config{Name: \"x\"})", "m/a")},
+		},
+		allow: map[string]string{"m/a.Options.Knob": "ablation bench"},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := checkSurface(tc.pkgs, tc.allow)
@@ -450,6 +494,71 @@ func checkSurface(srcs map[string]*surfacePkg, allow map[string]string) ([]strin
 			kind = "const"
 		}
 		flagged[name] = "exported " + kind + " " + name + " has no non-test caller"
+	}
+
+	// Options rule: an exported field of an exported struct type named
+	// *Options or *Config needs a non-test writer — a composite-literal
+	// key or an assignment target resolving to that field. A knob that
+	// only tests turn belongs in the test, not in the API.
+	optionFields := map[*types.Var]string{}
+	for _, p := range paths {
+		if srcs[p].callerOnly {
+			continue
+		}
+		scope := l.pkgs[p].Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !(strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					optionFields[f] = p + "." + n + "." + f.Name()
+				}
+			}
+		}
+	}
+	written := map[*types.Var]bool{}
+	for _, p := range paths {
+		info := l.infos[p]
+		write := func(e ast.Expr) {
+			var id *ast.Ident
+			switch x := ast.Unparen(e).(type) {
+			case *ast.Ident:
+				id = x
+			case *ast.SelectorExpr:
+				id = x.Sel
+			}
+			if v, ok := info.Uses[id].(*types.Var); ok {
+				written[v.Origin()] = true
+			}
+		}
+		for _, f := range l.files[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							write(kv.Key)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for f, name := range optionFields {
+		if _, excused := allow[f.Pkg().Path()]; !written[f] && !excused {
+			flagged[name] = "exported field " + name + " has no non-test writer"
+		}
 	}
 
 	// Package rule: a non-main package that only _test.go files import.
