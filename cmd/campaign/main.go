@@ -45,7 +45,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -175,7 +175,9 @@ type campaignResult interface {
 	Check() []string
 }
 
-func run(args []string) error {
+// run parses args, runs the campaign they name and writes its JSON
+// matrix to stdout; the summary and any violations go to stderr.
+func run(args []string, stdout io.Writer) error {
 	inv, err := parseArgs(args)
 	if err != nil {
 		return err
@@ -206,7 +208,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stdout.Write(out); err != nil {
+	if _, err := stdout.Write(out); err != nil {
 		return err
 	}
 	if inv.human {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,4 +89,50 @@ func TestParseArgsDefaults(t *testing.T) {
 	if _, err := parseArgs([]string{"-mesh", "-rotations", "sideways"}); err == nil {
 		t.Error("bad -rotations value accepted")
 	}
+}
+
+// TestMatricesMatchGoldens: each matrix's JSON equals its committed
+// golden in testdata byte for byte, so a change to a matrix's bytes or
+// schema fails here as well as in CI's replay steps. The group seed-1
+// matrix (seed1.json) takes half a minute and is compared in CI only.
+// Regenerate a golden with the same arguments when a change is meant
+// to move its bytes.
+func TestMatricesMatchGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"seed1-fault-only.json", []string{"-seed", "1", "-fault-only"}},
+		{"mesh-seed1-exposure.json", []string{"-mesh", "-seed", "1", "-faults", "none", "-pools", "1,2,4"}},
+		{"mesh-seed1.json", []string{"-mesh", "-seed", "1"}},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".json"), func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(tc.args, &got); err != nil {
+				t.Fatalf("campaign %s: %v", strings.Join(tc.args, " "), err)
+			}
+			if diff := firstDiff(got.Bytes(), want); diff != "" {
+				t.Errorf("campaign %s differs from testdata/%s: %s", strings.Join(tc.args, " "), tc.golden, diff)
+			}
+		})
+	}
+}
+
+// firstDiff describes the first line where got and want differ, or
+// returns "" when they are equal.
+func firstDiff(got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got  %s\n want %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d (one is a prefix of the other)", len(g), len(w))
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,9 +181,6 @@ func New(opts Options) (*Fleet, error) {
 	if len(opts.Stack) > 0 {
 		if err := reexpress.CheckStack(opts.Stack); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		if slices.Contains(opts.Stack, reexpress.LayerInstructionTags) {
-			return nil, fmt.Errorf("fleet: instruction-tag layers cannot be deployed in server groups")
 		}
 	}
 	f := &Fleet{

@@ -388,9 +388,6 @@ func TestFleetRejectsBadStack(t *testing.T) {
 	if _, err := fleet.New(fleet.Options{Stack: []reexpress.LayerKind{reexpress.LayerKind(99)}}); err == nil {
 		t.Error("unknown stack layer kind accepted")
 	}
-	if _, err := fleet.New(fleet.Options{Stack: []reexpress.LayerKind{reexpress.LayerUID, reexpress.LayerInstructionTags}}); err == nil {
-		t.Error("instruction-tag stack layer accepted for server groups")
-	}
 	if _, err := fleet.New(fleet.Options{Stack: []reexpress.LayerKind{reexpress.LayerUID, reexpress.LayerUID}}); err == nil {
 		t.Error("repeated UID stack layer accepted")
 	}

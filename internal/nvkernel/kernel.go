@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nvariant/internal/reexpress"
 	"nvariant/internal/simnet"
 	"nvariant/internal/sys"
 	"nvariant/internal/vmem"
@@ -122,19 +121,10 @@ func newSystem(world *vos.World, net *simnet.Network, progs []sys.Program, opts 
 	if len(cfg.UIDFuncs) != n {
 		return nil, fmt.Errorf("nvkernel: %d UID funcs for %d variants", len(cfg.UIDFuncs), n)
 	}
-	if cfg.Spec != nil {
-		if cfg.Spec.N() != n {
-			// A width mismatch would deploy a partition layout and
-			// record a configuration different from what the spec was
-			// validated for.
-			return nil, fmt.Errorf("nvkernel: spec describes %d variants, got %d programs", cfg.Spec.N(), n)
-		}
-		if cfg.Spec.HasLayer(reexpress.LayerInstructionTags) {
-			// Variants here are native programs with no instruction
-			// words to tag. Refusing is better than reporting a
-			// security layer as deployed while ignoring it.
-			return nil, fmt.Errorf("nvkernel: instruction-tag layers cannot be deployed under the monitor kernel")
-		}
+	if cfg.Spec != nil && cfg.Spec.N() != n {
+		// A width mismatch would deploy a partition layout and record a
+		// configuration different from what the spec was validated for.
+		return nil, fmt.Errorf("nvkernel: spec describes %d variants, got %d programs", cfg.Spec.N(), n)
 	}
 
 	if n > 64 {

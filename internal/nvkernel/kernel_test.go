@@ -1060,25 +1060,6 @@ func TestWithSpecComposesWithOptions(t *testing.T) {
 	}
 }
 
-func TestRunRefusesInstructionTagLayer(t *testing.T) {
-	// The kernel's variants are native programs; a spec advertising
-	// instruction tagging must be refused rather than silently
-	// deployed without it.
-	spec, err := reexpress.NewSpec(2,
-		reexpress.UIDLayer(reexpress.UIDVariation().Pair.Funcs()...),
-		reexpress.InstructionTagLayer(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWorld(t)
-	_, err = Run(w, simnet.New(0), same(2, "noop", func(ctx *sys.Context) error {
-		return ctx.Exit(0)
-	}), WithSpec(spec))
-	if err == nil {
-		t.Fatal("instruction-tag layer accepted by the monitor kernel")
-	}
-}
-
 func TestRunRefusesSpecWidthMismatch(t *testing.T) {
 	// A spec validated for 3 variants must not deploy over 2 programs:
 	// the partition layout and the recorded configuration would both

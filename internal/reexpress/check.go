@@ -89,7 +89,7 @@ func CheckDisjointN(funcs []Func, samples []word.Word) error {
 // functions must satisfy the inverse property and N-wide pairwise
 // disjointness over the given samples.
 func CheckSpec(s *Spec, samples []word.Word) error {
-	for _, kind := range []LayerKind{LayerUID, LayerAddressPartition, LayerInstructionTags} {
+	for _, kind := range []LayerKind{LayerUID, LayerAddressPartition} {
 		funcs := s.FuncsFor(kind)
 		if funcs == nil {
 			continue

@@ -10,8 +10,9 @@ import (
 
 // decodeFuzzStack maps a fuzz input to a variation stack of one to
 // four layers: the low two bits give the length minus one, and each
-// following bit pair picks a layer kind. Kinds can repeat, so the input
-// also reaches the repeated-kind refusal.
+// following bit pair picks a layer kind. Codes 0–2 are the three kinds
+// and code 3 is an unknown kind; kinds can repeat, so the input reaches
+// both the unknown-kind and the repeated-kind refusal.
 func decodeFuzzStack(code uint16) []LayerKind {
 	stack := make([]LayerKind, 1+int(code&3))
 	for i := range stack {
@@ -21,40 +22,47 @@ func decodeFuzzStack(code uint16) []LayerKind {
 }
 
 // FuzzGenerate checks the Generate contract for arbitrary seeds, group
-// sizes and stacks. CheckStack must refuse every stack that repeats a
-// kind (Generate would panic on it), and accept every other. On an
-// accepted stack the spec carries the requested stack, passes the
-// structural checks Generate validates it by, and its UID layer is
-// identity plus XOR masks that are pairwise byte-distinct in every
-// position (so any single-byte overwrite diverges between every pair
-// of variants); the spec holds the §2.2 inverse and §2.3 N-wide
-// disjointness properties over boundary values plus a seed-derived
-// random sample. A few words suffice per input: two equal XOR masks
+// sizes and stacks. CheckStack must refuse every stack that holds an
+// unknown kind or repeats a kind (Generate would panic on it), and
+// accept every other. On an accepted stack the spec carries the
+// requested stack, passes the structural checks Generate validates it
+// by, and its UID layer is identity plus XOR masks that are pairwise
+// byte-distinct in every position (so any single-byte overwrite
+// diverges between every pair of variants); the spec holds the §2.2
+// inverse and §2.3 N-wide disjointness properties over boundary values
+// plus a seed-derived random sample. A few words suffice per input: two equal XOR masks
 // collide on every value, and a misplaced slot faults on most of its
 // domain, while the full BoundarySamples corpus would cut the fuzzer's
 // rate a hundredfold (TestGeneratedSpecsPassSampledCheck runs it).
 // Seed corpus under testdata/fuzz, where the repeated-* entries pin
-// the refusal; CI runs this briefly in the chaos-smoke job.
+// the repeated-kind refusal (the uid+unknown seed below pins the
+// unknown-kind one); CI runs this briefly in the chaos-smoke job.
 func FuzzGenerate(f *testing.F) {
 	f.Add(int64(1), byte(0), uint16(0x11))     // uid+addr
 	f.Add(int64(42), byte(3), uint16(0x11))    // uid+addr
 	f.Add(int64(-7), byte(1), uint16(0x1))     // uid+uid: refused
 	f.Add(int64(1<<62), byte(2), uint16(0x12)) // uid+addr+uid: refused
+	f.Add(int64(3), byte(0), uint16(0x31))     // uid+unknown: refused
 	f.Fuzz(func(t *testing.T, seed int64, nRaw byte, stackCode uint16) {
 		n := 2 + int(nRaw%4) // group sizes 2..5
 		stack := decodeFuzzStack(stackCode)
-		repeated := false
+		unknown, repeated := false, false
 		names := make([]string, len(stack))
 		for i, k := range stack {
 			names[i] = k.String()
+			switch k {
+			case LayerUID, LayerAddressPartition, LayerUnsharedFiles:
+			default:
+				unknown = true
+			}
 			for _, prev := range stack[:i] {
 				repeated = repeated || prev == k
 			}
 		}
 		err := CheckStack(stack)
-		if repeated {
+		if unknown || repeated {
 			if err == nil {
-				t.Fatalf("CheckStack accepted %v, which repeats a kind", stack)
+				t.Fatalf("CheckStack accepted %v (unknown kind %v, repeated kind %v)", stack, unknown, repeated)
 			}
 			return
 		}

@@ -44,9 +44,6 @@ const (
 	// LayerUnsharedFiles gives each variant its own diversified copy of
 	// the listed files (§3.4).
 	LayerUnsharedFiles
-	// LayerInstructionTags tags instruction words with the variant
-	// index (Table 1 row 3, generalized to multi-bit tags).
-	LayerInstructionTags
 )
 
 // String names the layer kind.
@@ -58,8 +55,6 @@ func (k LayerKind) String() string {
 		return "address-partition"
 	case LayerUnsharedFiles:
 		return "unshared-files"
-	case LayerInstructionTags:
-		return "instruction-tags"
 	default:
 		return "unknown"
 	}
@@ -67,8 +62,8 @@ func (k LayerKind) String() string {
 
 // ParseStack parses a comma-separated variation-stack description into
 // layer kinds. Accepted tokens (with aliases): "uid", "addr"
-// ("address"), "files" ("unshared"), "tags" ("instr"). Each kind may
-// appear once (CheckStack).
+// ("address"), "files" ("unshared"). Each kind may appear once
+// (CheckStack).
 func ParseStack(csv string) ([]LayerKind, error) {
 	var out []LayerKind
 	for _, tok := range strings.Split(csv, ",") {
@@ -83,10 +78,8 @@ func ParseStack(csv string) ([]LayerKind, error) {
 			out = append(out, LayerAddressPartition)
 		case "files", "unshared", "unshared-files":
 			out = append(out, LayerUnsharedFiles)
-		case "tags", "instr", "instruction-tags":
-			out = append(out, LayerInstructionTags)
 		default:
-			return nil, fmt.Errorf("reexpress: unknown stack layer %q (want uid, addr, files, or tags)", tok)
+			return nil, fmt.Errorf("reexpress: unknown stack layer %q (want uid, addr, or files)", tok)
 		}
 	}
 	if err := CheckStack(out); err != nil {
@@ -105,9 +98,9 @@ func CheckStack(stack []LayerKind) error {
 	if len(stack) == 0 {
 		return fmt.Errorf("reexpress: empty variation stack")
 	}
-	var seen [LayerInstructionTags + 1]bool
+	var seen [LayerUnsharedFiles + 1]bool
 	for i, k := range stack {
-		if k < LayerUID || k > LayerInstructionTags {
+		if k < LayerUID || k > LayerUnsharedFiles {
 			return fmt.Errorf("reexpress: layer %d: unknown kind %d", i, k)
 		}
 		if seen[k] {
@@ -128,8 +121,8 @@ func kindsOf(layers []Layer) []LayerKind {
 }
 
 // Layer is one variation in a spec's stack. Reexpression layers (UID,
-// address partition, instruction tags) carry one function per variant;
-// the unshared-files layer carries the diversified paths.
+// address partition) carry one function per variant; the
+// unshared-files layer carries the diversified paths.
 type Layer struct {
 	// Kind classifies the variation.
 	Kind LayerKind
@@ -162,18 +155,6 @@ func UnsharedFilesLayer(paths ...string) Layer {
 	return Layer{Kind: LayerUnsharedFiles, Paths: append([]string(nil), paths...)}
 }
 
-// InstructionTagLayer builds an N-way instruction tagging layer:
-// variant i's instruction words carry tag i in their top SlotBits(n)
-// bits.
-func InstructionTagLayer(n int) Layer {
-	b := SlotBits(n)
-	funcs := make([]Func, n)
-	for i := range funcs {
-		funcs[i] = Slot{Index: i, Bits: b}
-	}
-	return Layer{Kind: LayerInstructionTags, Funcs: funcs}
-}
-
 // DefaultUnsharedPaths are the diversified system databases of the
 // paper's §4 deployment.
 var DefaultUnsharedPaths = []string{"/etc/passwd", "/etc/group"}
@@ -185,13 +166,13 @@ var DefaultUnsharedPaths = []string{"/etc/passwd", "/etc/group"}
 func SlotBits(n int) int { return word.SlotBits(n) }
 
 // Slot reexpresses a value by placing a variant index in its top Bits
-// bits — the N-wide generalization of both address-space partitioning
-// (slot = address partition) and instruction tagging (slot = tag).
-// Canonical values must fit in the remaining low bits; a concrete
-// value whose top bits name a different slot is invalid for this
-// variant and inverting it faults, which is the alarm state the
-// monitor observes. At most one variant can invert any given value, so
-// pairwise disjointness holds by construction.
+// bits — the N-wide generalization of address-space partitioning
+// (slot = address partition). Instruction tagging's one-bit tag is
+// TagBit, which no spec layer uses. Canonical values must fit in the
+// remaining low bits; a concrete value whose top bits name a different
+// slot is invalid for this variant and inverting it faults, which is
+// the alarm state the monitor observes. At most one variant can invert
+// any given value, so pairwise disjointness holds by construction.
 type Slot struct {
 	// Index is this variant's slot number, in [0, 2^Bits).
 	Index int
@@ -303,7 +284,7 @@ func checkShape(n int, layers []Layer) error {
 	}
 	for li, l := range layers {
 		switch l.Kind {
-		case LayerUID, LayerAddressPartition, LayerInstructionTags:
+		case LayerUID, LayerAddressPartition:
 			if len(l.Funcs) != n {
 				return fmt.Errorf("reexpress: layer %d (%s): %d funcs for %d variants", li, l.Kind, len(l.Funcs), n)
 			}
@@ -412,7 +393,8 @@ func (s *Spec) String() string {
 }
 
 // FromVariation builds a validated two-variant Spec from a Table 1
-// row.
+// row. Instruction tagging (row 3) has no layer kind: no group runs
+// instruction words, so its row builds no spec.
 func FromVariation(v Variation) (*Spec, error) {
 	var kind LayerKind
 	switch v.Target {
@@ -421,7 +403,7 @@ func FromVariation(v Variation) (*Spec, error) {
 	case TargetAddress:
 		kind = LayerAddressPartition
 	case TargetInstruction:
-		kind = LayerInstructionTags
+		return nil, fmt.Errorf("reexpress: variation %q has no spec layer (no group runs instruction words)", v.Name)
 	default:
 		return nil, fmt.Errorf("reexpress: variation %q has unknown target %v", v.Name, v.Target)
 	}
@@ -452,8 +434,7 @@ const MinMaskBits = 16
 // given seed — the fleet's per-replacement source of fresh
 // representations (it subsumes the old two-variant SelectPair). The
 // stack defaults to a single UID layer; pass explicit kinds to stack
-// further variations (address partitioning, unshared files,
-// instruction tags).
+// further variations (address partitioning, unshared files).
 func Generate(seed int64, n int, stack ...LayerKind) *Spec {
 	return GenerateFrom(rand.New(rand.NewSource(seed)), n, stack...)
 }
@@ -492,8 +473,6 @@ func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 			layers[i] = AddressPartitionLayer(n)
 		case LayerUnsharedFiles:
 			layers[i] = UnsharedFilesLayer(DefaultUnsharedPaths...)
-		case LayerInstructionTags:
-			layers[i] = InstructionTagLayer(n)
 		}
 	}
 	// The layers are freshly built and owned by nobody else, so the
@@ -517,10 +496,10 @@ func GenerateFrom(rng *rand.Rand, n int, stack ...LayerKind) *Spec {
 //     nonzero, pairwise distinct masks. XOR is an involution (inverse),
 //     and y^a = y^b only when a = b, identity being mask 0
 //     (disjointness).
-//   - Address partition and instruction tags: variant i is
-//     Slot{Index: i, Bits: SlotBits(N)}, so 2^Bits ≥ N and every
-//     index fits. A slot round-trips its domain, and at most one
-//     variant's slot can invert any value (disjointness).
+//   - Address partition: variant i is Slot{Index: i, Bits:
+//     SlotBits(N)}, so 2^Bits ≥ N and every index fits. A slot
+//     round-trips its domain, and at most one variant's slot can
+//     invert any value (disjointness).
 //
 // A spec this rejects may still satisfy the properties (an explicit
 // NewSpec stack is free to use other functions); it is not what
@@ -532,7 +511,7 @@ func (s *Spec) checkConstruction() error {
 			if err := checkUIDConstruction(l.Funcs); err != nil {
 				return fmt.Errorf("reexpress: layer %d (%s): %w", li, l.Kind, err)
 			}
-		case LayerAddressPartition, LayerInstructionTags:
+		case LayerAddressPartition:
 			b := SlotBits(s.n)
 			for i, f := range l.Funcs {
 				if want := (Slot{Index: i, Bits: b}); f != want {

@@ -89,7 +89,7 @@ type (
 // DiversitySpec construction.
 var (
 	// SpecFromVariation builds a validated two-variant spec from a
-	// Table 1 row.
+	// Table 1 row; the instruction-tagging row has no layer and errors.
 	SpecFromVariation = reexpress.FromVariation
 	// ParseStack parses a comma-separated stack description
 	// ("uid,addr,files") into layer kinds; an empty stack, an unknown
