@@ -553,7 +553,8 @@ func BenchmarkFleetDispatchOverhead(b *testing.B) {
 // BenchmarkMeshDispatchOverhead measures the per-request cost the mesh
 // router adds on top of fleet dispatch (one pool, one group, so the
 // difference against BenchmarkFleetDispatchOverhead is pure routing:
-// admission CAS, inflight accounting, and the mesh tick). The mesh runs
+// the alarm and quorum-kill counter loads, served and dispatched
+// accounting, and the mesh tick). The mesh runs
 // instrumented and with a retry budget armed, so the allocs/op gate
 // proves the no-retry hot path stays allocation-free even with the
 // retry machinery compiled in.

@@ -415,8 +415,6 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 		}
 		code, _, err := sessions[r%len(sessions)].Get(benignMix[r%len(benignMix)])
 		switch {
-		case errors.Is(err, ErrSaturated):
-			cell.BenignShed++
 		case err == nil && code == 200:
 			cell.BenignOK++
 		case errors.Is(err, ErrQuorumLostKill):

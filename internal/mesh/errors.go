@@ -4,8 +4,6 @@ package mesh
 // fail resolves to an errors.Is-able sentinel, so campaigns and
 // callers classify outcomes without string-matching:
 //
-//	ErrSaturated        admission shed (mesh.go) — the pool's in-flight
-//	                    budget was spent
 //	ErrQuorumLostKill   the dispatch raced a quorum-lost group kill:
 //	                    the monitor tore the group down because a
 //	                    faulted variant's eviction would have dropped
@@ -64,11 +62,10 @@ var (
 
 // dispatchSentinels lists every sentinel a classified dispatch error
 // can carry, in the order classification prefers them.
-var dispatchSentinels = []error{ErrSaturated, ErrQuorumLostKill, ErrQuarantineWindow, ErrBadResponse, ErrRetriesExhausted, ErrSettleTimeout}
+var dispatchSentinels = []error{ErrQuorumLostKill, ErrQuarantineWindow, ErrBadResponse, ErrRetriesExhausted, ErrSettleTimeout}
 
 // dispatchErrorNames maps each sentinel to its stable matrix label.
 var dispatchErrorNames = map[error]string{
-	ErrSaturated:        "saturated",
 	ErrQuorumLostKill:   "quorum-lost-kill",
 	ErrQuarantineWindow: "quarantine-window",
 	ErrBadResponse:      "bad-response",
@@ -77,8 +74,8 @@ var dispatchErrorNames = map[error]string{
 }
 
 // DispatchErrorName returns the stable label of the sentinel err
-// carries ("saturated", "quorum-lost-kill", "quarantine-window",
-// "bad-response", "retries-exhausted", "settle-timeout"), or "" when
+// carries ("quorum-lost-kill", "quarantine-window", "bad-response",
+// "retries-exhausted", "settle-timeout"), or "" when
 // err matches none of them.
 func DispatchErrorName(err error) string {
 	for _, s := range dispatchSentinels {
@@ -93,14 +90,13 @@ func DispatchErrorName(err error) string {
 // activity observed in the routed pool while the request was in
 // flight: alarmDelta and quorumDelta are the advances of the fleet's
 // alarm and quorum-kill counters across the dispatch. Quorum kills are
-// a subset of alarms, so the more specific sentinel wins. Errors that
-// already carry a sentinel (ErrSaturated, ErrBadResponse — a response
-// arrived, so no kill window can own it) and nil pass through
-// untouched; only attributed errors allocate (a wrap on the error
-// path).
+// a subset of alarms, so the more specific sentinel wins. ErrBadResponse
+// (a response arrived, so no kill window can own it) and nil pass
+// through untouched; only attributed errors allocate (a wrap on the
+// error path).
 func classifyDispatchError(err error, alarmDelta, quorumDelta uint64) error {
 	switch {
-	case err == nil || errors.Is(err, ErrSaturated) || errors.Is(err, ErrBadResponse):
+	case err == nil || errors.Is(err, ErrBadResponse):
 		return err
 	case quorumDelta > 0:
 		return fmt.Errorf("%w: %w", ErrQuorumLostKill, err)

@@ -46,7 +46,6 @@ func TestClassifyDispatchError(t *testing.T) {
 		wantPassRaw bool
 	}{
 		{"nil passes", nil, 3, 3, "", true},
-		{"saturated passes", ErrSaturated, 1, 1, "saturated", true},
 		{"bad-response passes", fmt.Errorf("%w: status 400", ErrBadResponse), 1, 0, "bad-response", false},
 		{"quorum outranks quarantine", base, 2, 1, "quorum-lost-kill", false},
 		{"quarantine window", base, 1, 0, "quarantine-window", false},

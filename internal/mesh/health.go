@@ -1,8 +1,8 @@
 package mesh
 
 // Pool health scoring. Each pool carries a fixed-point penalty score
-// fed by its fault events — admission sheds, failed dispatches,
-// quarantine windows, quorum-lost kills — and decayed on the mesh's
+// fed by its fault events — failed dispatches, quarantine windows,
+// quorum-lost kills — and decayed on the mesh's
 // dispatch-tick clock: the score halves every healthHalfLife ticks.
 // Reading the score adds a live term for groups currently degraded to
 // a K-of-N quorum, so a pool absorbing evictions scores sick even
@@ -18,12 +18,11 @@ package mesh
 // the event sequence and the tick clock, so seeded campaigns with
 // serialized traffic replay health decisions byte-identically.
 
-// Event penalty weights. A shed is mild (load, not damage); a failed
-// dispatch means a request died; a quarantine window means the pool
-// lost a group to an alarm mid-flight; a quorum-lost kill is the
-// severest single event short of losing the pool.
+// Event penalty weights. A failed dispatch means a request died; a
+// quarantine window means the pool lost a group to an alarm
+// mid-flight; a quorum-lost kill is the severest single event short of
+// losing the pool.
 const (
-	healthShedCost       = 1
 	healthErrCost        = 4
 	healthQuarantineCost = 8
 	healthQuorumCost     = 12

@@ -12,10 +12,6 @@
 // reexpression masks an attacker could be probing expire even when
 // the monitor never fires. Rotation is availability-aware: a pool
 // never rotates below the configured floor of healthy groups.
-//
-// Admission control is per pool: a bounded in-flight budget sheds
-// excess load with the typed ErrSaturated instead of queueing without
-// bound — backpressure the caller can act on.
 package mesh
 
 import (
@@ -56,11 +52,6 @@ const (
 	retryBackoff uint64 = 2
 )
 
-// ErrSaturated is returned by Session dispatch when the routed pool's
-// in-flight budget is spent — the admission controller shedding load
-// instead of queueing it. Callers distinguish it with errors.Is.
-var ErrSaturated = errors.New("mesh: pool saturated (admission shed)")
-
 // errMeshClosed reports an operation against a stopped mesh.
 var errMeshClosed = errors.New("mesh: stopped")
 
@@ -91,9 +82,6 @@ type Options struct {
 	Pools int
 	// Policy selects key→pool routing (default HashRouting).
 	Policy RouterPolicy
-	// MaxInflight bounds each pool's concurrent dispatches; excess is
-	// shed with ErrSaturated. 0 means unbounded (no admission control).
-	MaxInflight int
 	// RotateEvery, when non-zero, triggers one moving-target rotation
 	// every RotateEvery mesh ticks (completed dispatches). The rotated
 	// pool is drawn from the mesh's seeded RNG; the victim is the
@@ -154,35 +142,17 @@ func (o Options) withDefaults() Options {
 }
 
 // pool is one shard: a fleet on its own network segment plus the
-// mesh-level admission and load accounting.
+// mesh-level load accounting.
 type pool struct {
 	id    int
 	fleet *fleet.Fleet
-	// inflight is the pool's current mesh-level dispatch count, bounded
-	// by MaxInflight via CAS admission.
-	inflight atomic.Int64
-	// served / shed are the pool's settled dispatch outcomes.
+	// served counts the pool's completed dispatches.
 	served atomic.Int64
-	shed   atomic.Int64
 	// health is the pool's fixed-point fault-penalty score, decayed
 	// lazily on the mesh tick clock (see health.go); healthTick is the
 	// tick the score was last decayed to.
 	health     atomic.Int64
 	healthTick atomic.Uint64
-}
-
-// admit reserves one in-flight slot, or reports saturation. limit <= 0
-// disables admission control but still counts the slot.
-func (p *pool) admit(limit int64) bool {
-	for {
-		cur := p.inflight.Load()
-		if limit > 0 && cur >= limit {
-			return false
-		}
-		if p.inflight.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
 }
 
 // Mesh is a sharded fleet-of-fleets behind a session router.
@@ -363,7 +333,6 @@ func (m *Mesh) settleControllers() error {
 type PoolStats struct {
 	Pool   int
 	Served int64
-	Shed   int64
 	Fleet  fleet.Stats
 }
 
@@ -374,7 +343,8 @@ type Stats struct {
 	// Dispatched counts completed dispatches. The mesh clock (Ticks)
 	// additionally counts charged retry-backoff ticks.
 	Dispatched uint64
-	// Shed counts dispatches refused by admission control.
+	// Shed is always 0: the mesh has no admission control and refuses
+	// no dispatch. nvbench reports its mesh.shed_rate from it.
 	Shed int64
 	// Retries counts dispatch attempts past each request's first;
 	// Reroutes counts retries that landed on a pool other than the
@@ -399,11 +369,11 @@ type Stats struct {
 
 // String renders a one-line mesh summary plus per-pool lines.
 func (s Stats) String() string {
-	out := fmt.Sprintf("mesh[%s]: %d pools, %d dispatched, %d shed, %d retries (%d rerouted, %d backoff ticks), %d rotations (%d skipped)",
-		s.Policy, len(s.Pools), s.Dispatched, s.Shed, s.Retries, s.Reroutes, s.BackoffTicks, s.Rotations, s.RotationsSkipped)
+	out := fmt.Sprintf("mesh[%s]: %d pools, %d dispatched, %d retries (%d rerouted, %d backoff ticks), %d rotations (%d skipped)",
+		s.Policy, len(s.Pools), s.Dispatched, s.Retries, s.Reroutes, s.BackoffTicks, s.Rotations, s.RotationsSkipped)
 	for _, p := range s.Pools {
-		out += fmt.Sprintf("\n pool %d: served=%d shed=%d healthy=%d detections=%d rotated=%d",
-			p.Pool, p.Served, p.Shed, len(p.Fleet.Healthy), p.Fleet.Detections, p.Fleet.Rotated)
+		out += fmt.Sprintf("\n pool %d: served=%d healthy=%d detections=%d rotated=%d",
+			p.Pool, p.Served, len(p.Fleet.Healthy), p.Fleet.Detections, p.Fleet.Rotated)
 	}
 	return out
 }
@@ -421,11 +391,9 @@ func (m *Mesh) Stats() Stats {
 		RotationsHandled: m.ctl.rotHandled.Load(),
 	}
 	for _, p := range m.pools {
-		s.Shed += p.shed.Load()
 		ps := PoolStats{
 			Pool:   p.id,
 			Served: p.served.Load(),
-			Shed:   p.shed.Load(),
 			Fleet:  p.fleet.Stats(),
 		}
 		if ps.Fleet.DegradedGroups > 0 {

@@ -12,7 +12,6 @@ import (
 // TestMeshSessionAddsNoAllocs). Series owned by this layer:
 //
 //	mesh_dispatched_total            dispatches completed through sessions
-//	mesh_shed_total                  dispatches refused by admission control
 //	mesh_retries_total               dispatch attempts past a request's first
 //	mesh_reroutes_total              retries that landed on a non-home pool
 //	mesh_retry_backoff_ticks         backoff ticks charged to the mesh clock
@@ -25,7 +24,6 @@ import (
 //	mesh_pool_health{pool}           per-shard fault-penalty health score (sampled; 0 = healthy)
 type metrics struct {
 	dispatched *obs.Counter
-	shed       *obs.Counter
 	retries    *obs.Counter
 	reroutes   *obs.Counter
 	backoff    *obs.Counter
@@ -40,7 +38,6 @@ type metrics struct {
 func newMetrics(reg *obs.Registry, m *Mesh) *metrics {
 	mm := &metrics{
 		dispatched: reg.Counter("mesh_dispatched_total", "Dispatches completed through mesh sessions."),
-		shed:       reg.Counter("mesh_shed_total", "Dispatches refused by per-pool admission control."),
 		retries:    reg.Counter("mesh_retries_total", "Dispatch attempts past a request's first (retry-with-backoff)."),
 		reroutes:   reg.Counter("mesh_reroutes_total", "Retries that landed on a pool other than the session's home."),
 		backoff:    reg.Counter("mesh_retry_backoff_ticks", "Retry backoff ticks charged to the mesh clock."),

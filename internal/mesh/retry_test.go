@@ -4,22 +4,60 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"nvariant/internal/simnet"
 )
 
-// TestRetryReroutesOnSaturation: a budgeted session whose home pool is
-// saturated backs off and re-routes to the next-ranked rendezvous
-// pool, and the mesh counts the retry, the re-route, and the charged
-// backoff ticks.
-func TestRetryReroutesOnSaturation(t *testing.T) {
-	m := mustMesh(t, Options{Pools: 2, MaxInflight: 1, RetryBudget: 2, Seed: 21, Fleet: lightFleet(1)})
-	s := m.Session("reroute-probe")
-	home := s.pool
+// dropper is a test FaultInjector that severs the next n messages on
+// its pool's network segment and, when every > 0, every every-th
+// message after those. A fleet sends nothing on its own, so each
+// message it sees is a dispatch's request or response.
+type dropper struct {
+	n, every int64
+	seen     atomic.Int64
+}
 
-	home.inflight.Add(1) // saturate the home pool from the outside
+func (d *dropper) FaultFor(int) simnet.Fault {
+	i := d.seen.Add(1)
+	return simnet.Fault{Drop: i <= d.n || d.every > 0 && (i-d.n)%d.every == 0}
+}
+
+// poolFaults returns an Options.Faults that installs fs[i] on pool i:
+// New calls Faults once per pool, in pool order. A nil entry leaves
+// its pool fault-free.
+func poolFaults(fs ...simnet.FaultInjector) func(int64) simnet.FaultInjector {
+	next := 0
+	return func(int64) simnet.FaultInjector {
+		next++
+		return fs[next-1]
+	}
+}
+
+// keyOn returns a session key whose home is pool i.
+func keyOn(t *testing.T, m *Mesh, i int) string {
+	t.Helper()
+	for k := 0; k < 64; k++ {
+		if key := fmt.Sprintf("probe-%d", k); m.RouteKey(key) == i {
+			return key
+		}
+	}
+	t.Fatalf("no probe key routes to pool %d", i)
+	return ""
+}
+
+// TestRetryReroutesOnFailedDispatch: a budgeted session whose home
+// pool severs the first attempt backs off and re-routes to the
+// next-ranked rendezvous pool, and the mesh counts the retry, the
+// re-route, and the charged backoff ticks.
+func TestRetryReroutesOnFailedDispatch(t *testing.T) {
+	m := mustMesh(t, Options{Pools: 2, RetryBudget: 2, Seed: 21, Fleet: lightFleet(1),
+		Faults: poolFaults(&dropper{n: 1}, nil)})
+	s := m.Session(keyOn(t, m, 0))
+
 	code, _, err := s.Get("/index.html")
-	home.inflight.Add(-1)
 	if err != nil || code != 200 {
 		t.Fatalf("budgeted session did not recover: %d %v", code, err)
 	}
@@ -30,42 +68,15 @@ func TestRetryReroutesOnSaturation(t *testing.T) {
 	if want := retryBackoff; st.BackoffTicks != want {
 		t.Errorf("backoff ticks = %d, want %d (one attempt at base)", st.BackoffTicks, want)
 	}
-	if st.Shed != 1 {
-		t.Errorf("shed = %d, want 1 (the saturated first attempt)", st.Shed)
-	}
-}
-
-// TestRetriesExhaustedTyped: with no alternative pool and a saturated
-// home, the budget drains, the error carries both ErrRetriesExhausted
-// and the final attempt's sentinel, and the charged backoff follows
-// the exponential schedule (base, then base<<1, ...).
-func TestRetriesExhaustedTyped(t *testing.T) {
-	m := mustMesh(t, Options{Pools: 1, MaxInflight: 1, RetryBudget: 2, Fleet: lightFleet(1)})
-	s := m.Session("exhaust-probe")
-	s.pool.inflight.Add(1)
-	defer s.pool.inflight.Add(-1)
-
-	_, _, err := s.Get("/index.html")
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
-	}
-	if !errors.Is(err, ErrSaturated) {
-		t.Errorf("exhausted error lost the final attempt's sentinel: %v", err)
-	}
-	st := m.Stats()
-	if st.Retries != 2 || st.Reroutes != 0 {
-		t.Errorf("retries=%d reroutes=%d, want 2/0", st.Retries, st.Reroutes)
-	}
-	const base = retryBackoff
-	if want := base + base<<1; st.BackoffTicks != want {
-		t.Errorf("backoff ticks = %d, want %d (exponential schedule)", st.BackoffTicks, want)
-	}
 }
 
 // TestBadResponseRetriedOnBudget: a budgeted session treats a non-2xx
 // status as a faulted dispatch (the benign corpus is known-good, so a
 // failure status means wire corruption), while an unbudgeted session
-// passes the status through untouched.
+// passes the status through untouched. With no alternative pool the
+// budget drains, the error carries both ErrRetriesExhausted and the
+// final attempt's sentinel, and the charged backoff follows the
+// exponential schedule (base, then base<<1, ...).
 func TestBadResponseRetriedOnBudget(t *testing.T) {
 	plain := mustMesh(t, Options{Pools: 1, Fleet: lightFleet(1)})
 	s := plain.Session("status-probe")
@@ -73,14 +84,19 @@ func TestBadResponseRetriedOnBudget(t *testing.T) {
 		t.Fatalf("unbudgeted session: %d %v, want plain 404", code, err)
 	}
 
-	budgeted := mustMesh(t, Options{Pools: 1, RetryBudget: 1, Fleet: lightFleet(1)})
+	budgeted := mustMesh(t, Options{Pools: 1, RetryBudget: 2, Fleet: lightFleet(1)})
 	b := budgeted.Session("status-probe")
 	_, _, err := b.Get("/no-such-uri.html")
 	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrBadResponse) {
 		t.Fatalf("budgeted session: %v, want ErrRetriesExhausted wrapping ErrBadResponse", err)
 	}
-	if st := budgeted.Stats(); st.Retries != 1 {
-		t.Errorf("retries = %d, want 1", st.Retries)
+	st := budgeted.Stats()
+	if st.Retries != 2 || st.Reroutes != 0 {
+		t.Errorf("retries=%d reroutes=%d, want 2/0", st.Retries, st.Reroutes)
+	}
+	const base = retryBackoff
+	if want := base + base<<1; st.BackoffTicks != want {
+		t.Errorf("backoff ticks = %d, want %d (exponential schedule)", st.BackoffTicks, want)
 	}
 }
 
@@ -171,61 +187,40 @@ func TestSickPoolSkipsRotationUntilDecayed(t *testing.T) {
 }
 
 // TestRetryRacesRotationSafely is the -race drill for the retry ↔
-// rotation interaction: budgeted sessions retrying through transient
-// saturation while the controller rotates groups under them. Every
-// request must end in success or a typed saturation outcome — a retry
-// that landed on a draining group would surface as an untyped
-// connection error.
+// rotation interaction: budgeted sessions retrying through severed
+// dispatches on pool 0 (every 5th message) while the controller
+// rotates groups under them. Pool 1 drops nothing, so every request
+// must succeed — a retry that landed on a draining group would surface
+// as a connection error.
 func TestRetryRacesRotationSafely(t *testing.T) {
 	m := mustMesh(t, Options{
 		Pools:             2,
 		RotateEvery:       2,
 		AvailabilityFloor: 1,
 		RetryBudget:       3,
-		MaxInflight:       2,
 		Seed:              55,
 		Fleet:             lightFleet(2),
+		Faults:            poolFaults(&dropper{every: 5}, nil),
 	})
 
-	stop := make(chan struct{})
-	var saturator sync.WaitGroup
-	saturator.Add(1)
-	go func() {
-		defer saturator.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Transiently exhaust pool 0's budget so in-flight requests
-			// shed and retry while rotation churns.
-			m.pools[0].inflight.Add(2)
-			time.Sleep(200 * time.Microsecond)
-			m.pools[0].inflight.Add(-2)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
+	// At least one session lives on pool 0 and so retries off it.
+	keys := []string{keyOn(t, m, 0), "racer-1", "racer-2", "racer-3"}
 	var load sync.WaitGroup
-	errCh := make(chan error, 4)
-	for w := 0; w < 4; w++ {
+	errCh := make(chan error, len(keys))
+	for w, key := range keys {
 		load.Add(1)
-		go func(w int) {
+		go func(w int, key string) {
 			defer load.Done()
-			s := m.Session(fmt.Sprintf("racer-%d", w))
+			s := m.Session(key)
 			for i := 0; i < 12; i++ {
-				_, _, err := s.Get("/index.html")
-				if err != nil && !errors.Is(err, ErrSaturated) {
+				if _, _, err := s.Get("/index.html"); err != nil {
 					errCh <- fmt.Errorf("worker %d request %d: %w", w, i, err)
 					return
 				}
 			}
-		}(w)
+		}(w, key)
 	}
 	load.Wait()
-	close(stop)
-	saturator.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
@@ -235,7 +230,11 @@ func TestRetryRacesRotationSafely(t *testing.T) {
 	}, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st.Rotations+st.RotationsSkipped == 0 {
+	st := m.Stats()
+	if st.Retries == 0 {
+		t.Errorf("no retry under pool 0's drops: %s", st)
+	}
+	if st.Rotations+st.RotationsSkipped == 0 {
 		t.Errorf("rotation never triggered under retry load: %s", st)
 	}
 }
@@ -245,17 +244,15 @@ func TestRetryRacesRotationSafely(t *testing.T) {
 // (label "settle-timeout") instead of dispatching the retry against an
 // unsettled mesh — on both the Fetch and the Get path.
 func TestSettleTimeoutReported(t *testing.T) {
-	m := mustMesh(t, Options{Pools: 2, MaxInflight: 1, RetryBudget: 2, Fleet: lightFleet(1)})
+	m := mustMesh(t, Options{Pools: 2, RetryBudget: 2, Fleet: lightFleet(1)})
 	m.ctl.halt()
 	m.recoverTimeout = time.Millisecond
 	m.ctl.rotWanted.Add(1) // a rotation trigger nobody will handle
 
+	// The first attempt's 404 is a bad response, so a retry follows.
 	s := m.Session("settle-probe")
-	s.pool.inflight.Add(1) // the first attempt is shed, so a retry follows
-	defer s.pool.inflight.Add(-1)
-
-	_, _, getErr := s.Get("/index.html")
-	_, _, fetchErr := s.Fetch([]byte("GET /index.html HTTP/1.0\r\n\r\n"))
+	_, _, getErr := s.Get("/no-such-uri.html")
+	_, _, fetchErr := s.Fetch([]byte("GET /no-such-uri.html HTTP/1.0\r\n\r\n"))
 	for name, err := range map[string]error{"Get": getErr, "Fetch": fetchErr} {
 		if !errors.Is(err, ErrSettleTimeout) {
 			t.Errorf("%s: err = %v, want ErrSettleTimeout", name, err)
@@ -264,8 +261,8 @@ func TestSettleTimeoutReported(t *testing.T) {
 			t.Errorf("%s: label %q, want settle-timeout", name, got)
 		}
 	}
-	if st := m.Stats(); st.Retries != 0 || st.Dispatched != 0 {
-		t.Errorf("retries=%d dispatched=%d, want 0/0: nothing may dispatch past an unsettled control plane",
+	if st := m.Stats(); st.Retries != 0 || st.Dispatched != 2 {
+		t.Errorf("retries=%d dispatched=%d, want 0/2: no retry may dispatch past an unsettled control plane",
 			st.Retries, st.Dispatched)
 	}
 }

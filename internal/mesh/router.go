@@ -1,9 +1,9 @@
 package mesh
 
 // The router maps session keys to pools. Routing happens once, at
-// Session creation; the per-request hot path (Session.Fetch) is pool
-// admission + the fleet client, and adds no allocations on top of it
-// (see TestMeshSessionAddsNoAllocs) — with or without the retry
+// Session creation; the per-request hot path (Session.Fetch) is the
+// fleet client plus mesh accounting, and adds no allocations on top of
+// it (see TestMeshSessionAddsNoAllocs) — with or without the retry
 // machinery enabled. Retries are the exception: a failed dispatch may
 // back off on the mesh clock and re-route to the next-ranked
 // rendezvous pool, and that recovery path is allowed to allocate.
@@ -84,24 +84,8 @@ func (m *Mesh) Session(key string) *Session {
 // PoolIndex reports which shard the session landed on.
 func (s *Session) PoolIndex() int { return s.pool.id }
 
-// admitOn runs pool admission; on refusal the dispatch is shed and the
-// shed is charged to the pool's health score.
-func (s *Session) admitOn(p *pool) bool {
-	if p.admit(int64(s.mesh.opts.MaxInflight)) {
-		return true
-	}
-	p.shed.Add(1)
-	p.healthAdd(s.mesh, healthShedCost)
-	if s.mesh.obs != nil {
-		s.mesh.obs.shed.Inc()
-	}
-	return false
-}
-
-// doneOn releases the admission slot, counts the dispatch, and
-// advances the mesh clock.
+// doneOn counts the dispatch and advances the mesh clock.
 func (s *Session) doneOn(p *pool) {
-	p.inflight.Add(-1)
 	p.served.Add(1)
 	s.mesh.dispatched.Add(1)
 	if s.mesh.obs != nil {
@@ -123,7 +107,7 @@ func healthCostFor(err error) int64 {
 	}
 }
 
-// dispatchOn runs one admission + dispatch attempt against pool p, with
+// dispatchOn runs one dispatch attempt against pool p, with
 // do as the client call (Fetch or Get). The fleet's alarm and
 // quorum-kill counters are snapshotted around the dispatch (two atomic
 // loads) so a transport error can be attributed to the recovery window
@@ -132,10 +116,6 @@ func healthCostFor(err error) int64 {
 // faulted dispatch (ErrBadResponse) — a known-good request's failure
 // status can only mean wire corruption or a mid-kill response.
 func dispatchOn[In, Out any](s *Session, p *pool, c *httpd.Client, in In, do func(*httpd.Client, In) (int, Out, error)) (int, Out, error) {
-	if !s.admitOn(p) {
-		var none Out
-		return 0, none, ErrSaturated
-	}
 	alarms, quorum := p.fleet.AlarmCount(), p.fleet.QuorumLostCount()
 	code, out, err := do(c, in)
 	s.doneOn(p)

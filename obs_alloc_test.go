@@ -140,10 +140,10 @@ func TestInstrumentedDispatchAddsNoAllocs(t *testing.T) {
 }
 
 // TestMeshSessionAddsNoAllocs is the differential proof for the mesh
-// router: the session hot path (admission + routing bookkeeping + mesh
-// clock) must allocate exactly what a bare fleet dispatch does, with
-// or without instrumentation — and with a retry budget armed, since
-// the no-retry path must not pay for the retry machinery.
+// router: the session hot path (routing bookkeeping + mesh clock)
+// must allocate exactly what a bare fleet dispatch does, with or
+// without instrumentation — and with a retry budget armed, since the
+// no-retry path must not pay for the retry machinery.
 func TestMeshSessionAddsNoAllocs(t *testing.T) {
 	req := httpd.AppendRequest(nil, "/index.html")
 
@@ -167,7 +167,7 @@ func TestMeshSessionAddsNoAllocs(t *testing.T) {
 	}
 
 	meshSession := func(reg *obs.Registry) float64 {
-		m, err := mesh.New(mesh.Options{Pools: 2, MaxInflight: 64, RetryBudget: 4, Obs: reg, Fleet: fleet.Options{Groups: 1}})
+		m, err := mesh.New(mesh.Options{Pools: 2, RetryBudget: 4, Obs: reg, Fleet: fleet.Options{Groups: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,6 @@ var surfaceAllowlist = map[string]string{
 	"nvariant/internal/httpd.Options.LogUIDs":          "reproduces the paper's §4 pitfall, a UID in shared log output (harness TestLogUIDsPitfall)",
 	"nvariant/internal/httpd.Options.NoDetectionCalls": "the §5 ablation: BenchmarkAblationSyscallBoundary measures configuration 4 without the per-request uid_value call",
 	"nvariant/internal/httpd.Options.ServiceTime":      "blocking service work for the gated BenchmarkTable3Config4Workers prefork sweep",
-	"nvariant/internal/mesh.Options.MaxInflight":       "admission bound the mesh retry tests use as their fault source, until another fault seam replaces it (ROADMAP item 9)",
 }
 
 // TestExportedSurfaceHasCallers enforces the surface rule: every
