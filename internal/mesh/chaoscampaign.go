@@ -147,7 +147,6 @@ type ChaosCell struct {
 	// taxonomy (quarantine windows and quorum-lost kills also count in
 	// BenignErrs).
 	BenignOK          int `json:"benign_ok"`
-	BenignShed        int `json:"benign_shed"`
 	BenignErrs        int `json:"benign_errs"`
 	BenignQuarantines int `json:"benign_quarantine_errs"`
 	BenignQuorumKills int `json:"benign_quorum_kill_errs"`
@@ -187,7 +186,6 @@ type ChaosCell struct {
 type ChaosCampaignSummary struct {
 	Cells           int     `json:"cells"`
 	BenignOK        int     `json:"benign_ok"`
-	BenignShed      int     `json:"benign_shed"`
 	BenignErrs      int     `json:"benign_errs"`
 	MinAvailability float64 `json:"min_availability"`
 	Retries         uint64  `json:"retries"`
@@ -288,8 +286,8 @@ func (r *ChaosCampaignResult) Fprint(w io.Writer) {
 	s := r.Summary
 	fmt.Fprintf(w, "Unified mesh×chaos campaign (seed %d, policy %s, retry budget %d): %d cells\n",
 		r.Seed, r.Policy, r.RetryBudget, s.Cells)
-	fmt.Fprintf(w, "  benign: %d ok, %d shed, %d errors; min availability %.4f\n",
-		s.BenignOK, s.BenignShed, s.BenignErrs, s.MinAvailability)
+	fmt.Fprintf(w, "  benign: %d ok, %d errors; min availability %.4f\n",
+		s.BenignOK, s.BenignErrs, s.MinAvailability)
 	fmt.Fprintf(w, "  retries: %d (%d rerouted, %d backoff ticks); rotations %d; restarts %d\n",
 		s.Retries, s.Reroutes, s.BackoffTicks, s.Rotations, s.Restarts)
 	fmt.Fprintf(w, "  detections %d/%d probes; false alarms %d; leaks %d\n",
@@ -435,7 +433,7 @@ func runChaosCell(cfg ChaosCampaignConfig, pools int, rotation bool, plan chaos.
 			}
 		}
 	}
-	cell.Availability = availability(cell.BenignOK, cell.BenignShed, cell.BenignErrs)
+	cell.Availability = availability(cell.BenignOK, cell.BenignErrs)
 
 	// Attack phase: forged-UID probes against the pool each attacker
 	// key routes to, striking its oldest group directly (the
@@ -617,8 +615,8 @@ func campaignCellSeed(seed int64, parts ...string) int64 {
 var benignMix = []string{"/index.html", "/page1.html", "/styles.css"}
 
 // availability is the benign-phase served ratio.
-func availability(ok, shed, errs int) float64 {
-	total := ok + shed + errs
+func availability(ok, errs int) float64 {
+	total := ok + errs
 	if total == 0 {
 		return 1
 	}
@@ -645,7 +643,6 @@ func summarizeChaosCampaign(r *ChaosCampaignResult) ChaosCampaignSummary {
 	s := ChaosCampaignSummary{Cells: len(r.Cells), MinAvailability: 1}
 	for _, c := range r.Cells {
 		s.BenignOK += c.BenignOK
-		s.BenignShed += c.BenignShed
 		s.BenignErrs += c.BenignErrs
 		if c.Availability < s.MinAvailability {
 			s.MinAvailability = c.Availability
