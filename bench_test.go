@@ -554,10 +554,10 @@ func BenchmarkFleetDispatchOverhead(b *testing.B) {
 // router adds on top of fleet dispatch (one pool, one group, so the
 // difference against BenchmarkFleetDispatchOverhead is pure routing:
 // the alarm and quorum-kill counter loads, served and dispatched
-// accounting, and the mesh tick). The mesh runs
-// instrumented and with a retry budget armed, so the allocs/op gate
-// proves the no-retry hot path stays allocation-free even with the
-// retry machinery compiled in.
+// accounting, and the mesh tick). The mesh runs instrumented and with
+// a retry budget armed, so the allocs/op gate proves the no-retry hot
+// path stays allocation-free even with the retry machinery compiled
+// in.
 func BenchmarkMeshDispatchOverhead(b *testing.B) {
 	m, err := mesh.New(mesh.Options{
 		Pools:       1,
