@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nvariant/internal/httpd"
 	"nvariant/internal/simnet"
 )
 
@@ -67,6 +68,35 @@ func TestRetryReroutesOnFailedDispatch(t *testing.T) {
 	}
 	if want := retryBackoff; st.BackoffTicks != want {
 		t.Errorf("backoff ticks = %d, want %d (one attempt at base)", st.BackoffTicks, want)
+	}
+}
+
+// TestRetriesExhaustedTyped: a budgeted session whose only pool severs
+// every dispatch spends its budget and fails with ErrRetriesExhausted,
+// which still carries the final attempt's transport error; the retries
+// stay on the home pool and the charged backoff follows the
+// exponential schedule (base, then base<<1).
+func TestRetriesExhaustedTyped(t *testing.T) {
+	m := mustMesh(t, Options{Pools: 1, RetryBudget: 2, Fleet: lightFleet(1),
+		Faults: poolFaults(&dropper{every: 1})})
+	s := m.Session("exhaust-probe")
+
+	_, _, err := s.Get("/index.html")
+	if !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
+	}
+	// A severed dispatch fails on the dead endpoint or on the missing
+	// response, whichever the client reaches first.
+	if !errors.Is(err, simnet.ErrClosed) && !errors.Is(err, httpd.ErrConnClosed) {
+		t.Errorf("exhausted error lost the final attempt's error: %v", err)
+	}
+	st := m.Stats()
+	if st.Retries != 2 || st.Reroutes != 0 {
+		t.Errorf("retries=%d reroutes=%d, want 2/0", st.Retries, st.Reroutes)
+	}
+	const base = retryBackoff
+	if want := base + base<<1; st.BackoffTicks != want {
+		t.Errorf("backoff ticks = %d, want %d (exponential schedule)", st.BackoffTicks, want)
 	}
 }
 
