@@ -56,9 +56,15 @@ const (
 	// test suite, cmd/campaign (group and -mesh) and the nvbench
 	// workloads no mailbox held more than 2 messages, except in this
 	// package's unpaced streaming stress tests. The capacity is the
-	// smallest power of two at or above twice that. A full mailbox
-	// blocks the sender until the peer receives or closes (deliver);
-	// only a held message's release drops instead (deliverHeld).
+	// smallest power of two at or above twice that. Each endpoint
+	// holds its mailbox inline, as a ring under the lock the two
+	// endpoints share, so a connection is one allocation (newPair);
+	// the Done channels are made only when asked for. A full mailbox
+	// blocks the sender until the peer receives or closes (sendRaw);
+	// only a held message's release drops instead (releaseHeld). An
+	// endpoint's own close wins over its peer's: a send on it fails
+	// with errSendClosed, and a receive fails even with messages
+	// queued.
 	mailbox = 4
 )
 
@@ -279,7 +285,8 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-// message is one unit in flight.
+// message is one unit in flight. A zero readyAt means the message was
+// ready when sent, so a zero-latency network never reads the clock.
 type message struct {
 	data    []byte
 	readyAt time.Time
@@ -347,32 +354,80 @@ func PutBuffer(b []byte) {
 	}
 }
 
+// closedDone is what Done returns for an endpoint that closed before
+// anyone asked for its channel.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// pair is one connection: both endpoints and the lock they share, in
+// one allocation.
+type pair struct {
+	mu   sync.Mutex
+	ends [2]Conn
+}
+
 // Conn is one endpoint of a bidirectional message connection.
 type Conn struct {
-	net       *Network
-	in        chan message
-	peer      *Conn
-	closed    chan struct{}
-	closeOnce sync.Once
-
-	// faultMu guards held, the parking slot a Hold verdict reorders
-	// messages through. Both are touched only when a fault injector is
-	// installed.
-	faultMu sync.Mutex
-	held    *message
+	net  *Network
+	peer *Conn
+	// mu is the pair lock, shared with peer. It guards the fields
+	// below on both endpoints and is never held across a call out of
+	// the package.
+	mu *sync.Mutex
+	// ready is broadcast when c's mailbox gains or loses a message and
+	// when either endpoint closes: c's Recv waits on it for a message,
+	// the peer's send for room.
+	ready sync.Cond
+	// box is the mailbox: a ring of n messages starting at head.
+	box     [mailbox]message
+	head, n int
+	closed  bool
+	// done is Done's channel, made on its first call while c is open
+	// and closed by Close.
+	done chan struct{}
+	// held is the message a Hold verdict parks for reordering; it is
+	// only ever set when a fault injector is installed.
+	held *message
 }
 
 // newPair allocates both endpoints of a connection in one block.
 func newPair(n *Network) (a, b *Conn) {
-	pair := new([2]Conn)
-	for i := range pair {
-		c := &pair[i]
+	p := new(pair)
+	for i := range p.ends {
+		c := &p.ends[i]
 		c.net = n
-		c.in = make(chan message, mailbox)
-		c.closed = make(chan struct{})
-		c.peer = &pair[1-i]
+		c.peer = &p.ends[1-i]
+		c.mu = &p.mu
+		c.ready.L = &p.mu
 	}
-	return &pair[0], &pair[1]
+	return &p.ends[0], &p.ends[1]
+}
+
+// push appends msg to c's mailbox and reports whether it had room.
+// The caller holds the pair lock.
+func (c *Conn) push(msg message) bool {
+	if c.n == mailbox {
+		return false
+	}
+	c.box[(c.head+c.n)%mailbox] = msg
+	c.n++
+	c.ready.Broadcast()
+	return true
+}
+
+// sendErr reports why c cannot send, its own close before its peer's.
+// The caller holds the pair lock.
+func (c *Conn) sendErr() error {
+	switch {
+	case c.closed:
+		return errSendClosed
+	case c.peer.closed:
+		return errSendPeerClosed
+	}
+	return nil
 }
 
 // Send transmits data to the peer. The data is copied (into a pooled
@@ -404,26 +459,31 @@ func (c *Conn) SendOwned(data []byte) error {
 	return c.sendRaw(data, 0)
 }
 
-// sendRaw performs the undisturbed send with extra added latency.
-func (c *Conn) sendRaw(data []byte, extra time.Duration) error {
-	select {
-	case <-c.closed:
-		return errSendClosed
-	case <-c.peer.closed:
-		return errSendPeerClosed
-	default:
+// stamp returns when a message sent now with extra added latency has
+// crossed the wire, or the zero time when it crosses at once.
+func (c *Conn) stamp(extra time.Duration) time.Time {
+	if d := c.net.latency + extra; d > 0 {
+		return time.Now().Add(d)
 	}
-	return c.deliver(message{data: data, readyAt: time.Now().Add(c.net.latency + extra)})
+	return time.Time{}
 }
 
-// deliver enqueues a ready message at the peer.
-func (c *Conn) deliver(msg message) error {
-	select {
-	case c.peer.in <- msg:
-		return nil
-	case <-c.peer.closed:
-		return errSendPeerClosed
+// sendRaw performs the undisturbed send with extra added latency. A
+// full peer mailbox blocks it until the peer receives or closes.
+func (c *Conn) sendRaw(data []byte, extra time.Duration) error {
+	msg := message{data: data, readyAt: c.stamp(extra)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.sendErr(); err != nil {
+		return err
 	}
+	for !c.peer.push(msg) {
+		c.peer.ready.Wait()
+		if c.peer.closed {
+			return errSendPeerClosed
+		}
+	}
+	return nil
 }
 
 // sendFaulty is the injected-fault send path: it asks the injector for
@@ -433,12 +493,11 @@ func (c *Conn) deliver(msg message) error {
 // connection fails before any verdict is drawn, so a Hold or Drop can
 // never make a send on a closed endpoint look delivered.
 func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
-	select {
-	case <-c.closed:
-		return errSendClosed
-	case <-c.peer.closed:
-		return errSendPeerClosed
-	default:
+	c.mu.Lock()
+	err := c.sendErr()
+	c.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	v := f.FaultFor(len(data))
 	if m := c.net.metrics; m != nil {
@@ -456,17 +515,15 @@ func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
 		data = data[:v.TruncateTo]
 	}
 	if v.Hold > 0 {
-		msg := &message{data: data, readyAt: time.Now().Add(c.net.latency + v.Delay)}
-		c.faultMu.Lock()
-		prev := c.held
+		msg := &message{data: data, readyAt: c.stamp(v.Delay)}
+		c.mu.Lock()
+		// Two consecutive holds: release the earlier message now, so a
+		// message is reordered past at most one successor.
+		lost := c.releaseHeld()
 		c.held = msg
-		c.faultMu.Unlock()
-		time.AfterFunc(v.Hold, func() { c.releaseHeld(msg) })
-		if prev != nil {
-			// Two consecutive holds: release the earlier message now, so
-			// a message is reordered past at most one successor.
-			c.deliverHeld(*prev)
-		}
+		c.mu.Unlock()
+		PutBuffer(lost)
+		time.AfterFunc(v.Hold, func() { c.releaseOnTimer(msg) })
 		return nil
 	}
 	if err := c.sendRaw(data, v.Delay); err != nil {
@@ -474,84 +531,102 @@ func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
 	}
 	// The successor is on the wire; release any held predecessor after
 	// it — the reorder.
-	c.faultMu.Lock()
-	prev := c.held
+	c.mu.Lock()
+	lost := c.releaseHeld()
+	c.mu.Unlock()
+	PutBuffer(lost)
+	return nil
+}
+
+// releaseHeld moves the held message, if any, into the peer's mailbox
+// without ever blocking: Close runs it under callers' locks (the
+// monitor kernel tears descriptors down holding its mutex), so a full
+// peer mailbox must lose the message — as a congested link would —
+// rather than wedge the caller. It returns a lost message's buffer for
+// the caller to recycle once it has released the pair lock, which it
+// holds.
+func (c *Conn) releaseHeld() (lost []byte) {
+	h := c.held
+	if h == nil {
+		return nil
+	}
 	c.held = nil
-	c.faultMu.Unlock()
-	if prev != nil {
-		c.deliverHeld(*prev)
+	if !c.peer.push(*h) {
+		return h.data
 	}
 	return nil
 }
 
-// deliverHeld releases a parked message without ever blocking: Close
-// runs it under callers' locks (the monitor kernel tears descriptors
-// down holding its mutex), so a full peer mailbox must lose the
-// message — as a congested link would — rather than wedge the caller.
-func (c *Conn) deliverHeld(msg message) {
-	select {
-	case c.peer.in <- msg:
-	default:
-		PutBuffer(msg.data)
-	}
-}
-
-// releaseHeld delivers msg if it is still the parked message — the
+// releaseOnTimer releases msg if it is still the held message — the
 // hold timer's path; losing the race to a successor send or a close
 // (which already released it) is a no-op.
-func (c *Conn) releaseHeld(msg *message) {
-	c.faultMu.Lock()
-	if c.held != msg {
-		c.faultMu.Unlock()
-		return
+func (c *Conn) releaseOnTimer(msg *message) {
+	c.mu.Lock()
+	var lost []byte
+	if c.held == msg {
+		lost = c.releaseHeld()
 	}
-	c.held = nil
-	c.faultMu.Unlock()
-	c.deliverHeld(*msg)
+	c.mu.Unlock()
+	PutBuffer(lost)
 }
 
 // Recv blocks for the next message. It returns (nil, nil) on orderly
 // peer close or after CloseRead (end of stream), mirroring a zero-byte
-// read. The returned buffer is owned by the caller: it may be retained
-// indefinitely, handed onward with SendOwned, or returned to the pool
-// with PutBuffer once its bytes are consumed.
+// read, and ErrClosed once c itself is closed, even with messages
+// still queued. The returned buffer is owned by the caller: it may be
+// retained indefinitely, handed onward with SendOwned, or returned to
+// the pool with PutBuffer once its bytes are consumed.
 func (c *Conn) Recv() ([]byte, error) {
-	select {
-	case msg := <-c.in:
-		c.waitWire(msg)
-		return msg.data, nil
-	case <-c.closed:
+	c.mu.Lock()
+	for c.n == 0 && !c.closed && !c.peer.closed {
+		c.ready.Wait()
+	}
+	if c.closed {
+		c.mu.Unlock()
 		return nil, errRecvClosed
-	case <-c.peer.closed:
-		// The peer may have sent messages before closing; drain first.
-		select {
-		case msg := <-c.in:
-			c.waitWire(msg)
-			return msg.data, nil
-		default:
-			return nil, nil
+	}
+	if c.n == 0 {
+		// The peer closed and everything it sent has been read.
+		c.mu.Unlock()
+		return nil, nil
+	}
+	msg := c.box[c.head]
+	c.box[c.head] = message{}
+	c.head = (c.head + 1) % mailbox
+	c.n--
+	c.ready.Broadcast() // room for the peer's send
+	c.mu.Unlock()
+	if !msg.readyAt.IsZero() {
+		// Wait until the message has "crossed the wire".
+		if d := time.Until(msg.readyAt); d > 0 {
+			time.Sleep(d)
 		}
 	}
-}
-
-// waitWire blocks until the message has "crossed the wire".
-func (c *Conn) waitWire(msg message) {
-	if d := time.Until(msg.readyAt); d > 0 {
-		time.Sleep(d)
-	}
+	return msg.data, nil
 }
 
 // PeerClosed returns a channel that is closed once the other endpoint
 // has been closed — how a dialer that sends nothing learns the server
-// is done with the connection.
-func (c *Conn) PeerClosed() <-chan struct{} { return c.peer.closed }
+// is done with the connection. It is the peer's Done channel.
+func (c *Conn) PeerClosed() <-chan struct{} { return c.peer.Done() }
 
 // Done returns a channel that is closed once this endpoint has been
 // closed: by whoever holds it, by a Drop fault on its own sends, or by
 // its listener closing while it waits in the backlog. It mirrors
 // PeerClosed; a caller that handed c off waits on it to learn the
-// exchange is over.
-func (c *Conn) Done() <-chan struct{} { return c.closed }
+// exchange is over. The channel is made on the first call, so a
+// connection nobody waits on allocates none.
+func (c *Conn) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return closedDone
+	}
+	if c.done == nil {
+		c.done = make(chan struct{})
+	}
+	return c.done
+}
 
 // CloseRead ends c's input, as a peer that shuts down its sending side
 // does: once the messages already queued at c are read, the next Recv
@@ -562,27 +637,29 @@ func (c *Conn) Done() <-chan struct{} { return c.closed }
 // endpoint would. With c's mailbox full the reader has input pending
 // and CloseRead does nothing.
 func (c *Conn) CloseRead() {
-	select {
-	case c.in <- message{}:
-	default:
-	}
+	c.mu.Lock()
+	c.push(message{})
+	c.mu.Unlock()
 }
 
 // Close shuts the endpoint down. Peer reads observe end of stream
 // after draining in-flight messages. A message still held for
 // reordering is released first (it had already entered the wire).
+// Close never blocks.
 func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		if c.net.faults != nil {
-			c.faultMu.Lock()
-			prev := c.held
-			c.held = nil
-			c.faultMu.Unlock()
-			if prev != nil {
-				c.deliverHeld(*prev)
-			}
-		}
-		close(c.closed)
-	})
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	lost := c.releaseHeld()
+	c.closed = true
+	if c.done != nil {
+		close(c.done)
+	}
+	c.ready.Broadcast()
+	c.peer.ready.Broadcast()
+	c.mu.Unlock()
+	PutBuffer(lost)
 	return nil
 }

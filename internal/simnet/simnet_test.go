@@ -581,11 +581,11 @@ func TestHandoffRacesListenerClose(t *testing.T) {
 }
 
 // TestConnExchangeAllocBound pins the per-connection cost: one Dial,
-// one message each way and both Closes. Each endpoint's mailbox is
-// sized to request/response traffic, so the whole exchange stays
-// within 2 KiB.
+// one message each way and both Closes. Both endpoints, their inline
+// mailboxes and the lock they share are one block, and payloads travel
+// in pooled buffers, so the whole exchange is one 640 B allocation.
 func TestConnExchangeAllocBound(t *testing.T) {
-	const maxBytes, maxAllocs = 2048, 7
+	const maxBytes, maxAllocs = 640, 1
 	n := New(0)
 	l, err := n.Listen(80)
 	if err != nil {
@@ -667,7 +667,7 @@ func TestSendBlocksOnFullMailbox(t *testing.T) {
 	}
 }
 
-// TestHeldReleaseDropsOnFullMailbox pins deliverHeld's contract: the
+// TestHeldReleaseDropsOnFullMailbox pins releaseHeld's contract: the
 // release of a held message never blocks, so it loses the message when
 // the peer's mailbox is full.
 func TestHeldReleaseDropsOnFullMailbox(t *testing.T) {
@@ -678,7 +678,9 @@ func TestHeldReleaseDropsOnFullMailbox(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	client.deliverHeld(message{data: []byte("held")})
+	held := &message{data: []byte("held")}
+	client.held = held
+	client.releaseOnTimer(held)
 	for i := 0; i < mailbox; i++ {
 		if got, err := server.Recv(); err != nil || len(got) != 1 || got[0] != byte(i) {
 			t.Fatalf("Recv %d = %q, %v", i, got, err)
@@ -711,5 +713,70 @@ func TestClosedErrorsKeepTextAndIdentity(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = client.Recv() }); allocs != 0 {
 		t.Errorf("Recv on a closed endpoint: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestOwnCloseWins pins the close order: an endpoint's own close wins
+// over its peer's. A send on a pair whose two ends are both closed
+// fails as a send on a closed endpoint, never as one to a closed peer,
+// and a receive on a closed endpoint fails even with a message queued.
+// A 1,000-pair loop, because a race that picks at random would pass a
+// single try half the time.
+func TestOwnCloseWins(t *testing.T) {
+	n := New(0)
+	for i := 0; i < 1000; i++ {
+		client, server := newPair(n)
+		if err := client.Send([]byte("queued")); err != nil {
+			t.Fatal(err)
+		}
+		_ = server.Close()
+		if got, err := server.Recv(); err != errRecvClosed {
+			t.Fatalf("pair %d: Recv on a closed endpoint with a queued message = %q, %v; want %v", i, got, err, errRecvClosed)
+		}
+		_ = client.Close()
+		if err := client.Send([]byte("x")); err != errSendClosed {
+			t.Fatalf("pair %d: Send with both ends closed = %v, want %v", i, err, errSendClosed)
+		}
+	}
+}
+
+// TestDoneChannelsAreLazy pins the Done and PeerClosed channels, which
+// an endpoint makes only when asked: one taken before Close is closed
+// by it, one taken after is closed already and costs no allocation,
+// and PeerClosed is the peer's Done.
+func TestDoneChannelsAreLazy(t *testing.T) {
+	isClosed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	n := New(0)
+	client, server := newPair(n)
+	before := server.Done()
+	peerBefore := client.PeerClosed()
+	if before != peerBefore || before != server.Done() {
+		t.Error("Done and the peer's PeerClosed are different channels for one open endpoint")
+	}
+	if isClosed(before) {
+		t.Fatal("Done closed before Close")
+	}
+	_ = server.Close()
+	if !isClosed(before) {
+		t.Error("Close did not close the Done channel taken before it")
+	}
+
+	client, server = newPair(n)
+	_ = server.Close()
+	if !isClosed(server.Done()) || !isClosed(client.PeerClosed()) {
+		t.Error("Done or PeerClosed taken after Close is not closed")
+	}
+	if isClosed(client.Done()) || isClosed(server.PeerClosed()) {
+		t.Error("the open endpoint's Done or its peer's PeerClosed is closed")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { <-server.Done() }); allocs != 0 {
+		t.Errorf("Done on a closed endpoint: %.0f allocs, want 0", allocs)
 	}
 }
